@@ -14,7 +14,8 @@ from .exact import (CountReport, WedgeCounter, brute_force_count,
 from .external import EmConfig, IoStats, em_count, external_sort
 from .graph import (BipartiteGraph, PriorityMap, ProjectionMapping,
                     assign_priorities, format_edge_list, load_edge_list,
-                    parse_edge_list, project, save_edge_list, sort_adjacency)
+                    parse_edge_list, project, projected_priorities,
+                    save_edge_list, sort_adjacency)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
                        estimate_workload, greedy_assign,
                        make_static_assignment, makespan)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exact import CountReport, count_vpp, prepare_vpp
-from .graph import BipartiteGraph
+from .exact import CountReport, count_vpp
+from .graph import BipartiteGraph, projected_priorities
 
 SEED_STRIDE = 1_000_003
 
@@ -23,8 +23,7 @@ Counter = Callable[[BipartiteGraph], CountReport]
 
 
 def _default_counter(g: BipartiteGraph) -> CountReport:
-    prepared, p2, _ = prepare_vpp(g)
-    return count_vpp(prepared, p2)
+    return count_vpp(g, projected_priorities(g))
 
 
 def _check_probability(p: float) -> None:

@@ -142,7 +142,8 @@ def cmd_em(args) -> int:
 
 def cmd_approx(args) -> int:
     g = _load(args)
-    _, summary = approx_mod.run_trials(g, args.p, args.trials, args.seed)
+    _, summary = approx_mod.run_trials(g, args.p, args.trials, args.seed,
+                                       with_exact=args.exact)
     _emit(args, summary.to_dict())
     return 0
 
@@ -226,6 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.1, help="edge keep probability")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--exact", action="store_true",
+                   help="also run the exact count and report the relative error")
     add_io(p)
     p.set_defaults(func=cmd_approx)
 

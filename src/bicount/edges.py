@@ -1,9 +1,9 @@
 """Exact per-edge butterfly counts.
 
-The engine runs the end-dominant wedge rule twice per start vertex over
-the projected graph: the first pass fills the common-neighbor counters,
-the second re-walks the same wedges and credits (count - 1) butterflies to
-both wedge edges, translated back to the pre-projection edge index.
+The engine runs the end-dominant wedge rule in the rank-space kernel
+(``kernel.py``): each wedge (u, v, w) whose (u, w) pair closes c wedges
+lies in c - 1 butterflies together with each of its two edges, and the
+kernel credits both edge ids directly, so no edge-index lookup is needed.
 """
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
+from . import kernel
 from .errors import ConsistencyError, CountOverflowError, GuardError
-from .exact import BRUTE_FORCE_EDGE_GUARD, COUNT_LIMIT, WedgeCounter, prepare_vpp
-from .graph import BipartiteGraph, PriorityMap, ProjectionMapping
+from .exact import BRUTE_FORCE_EDGE_GUARD, COUNT_LIMIT
+from .graph import BipartiteGraph, PriorityMap, ProjectionMapping, projected_priorities
 
 
 @dataclass
@@ -26,72 +27,21 @@ class EdgeCounts:
     elapsed: float = 0.0
 
 
-def _edge_index(g: BipartiteGraph) -> dict[tuple[int, int], int]:
-    return {edge: i for i, edge in enumerate(g.edges)}
-
-
 def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap,
-                        mapping: ProjectionMapping,
-                        original: BipartiteGraph) -> EdgeCounts:
-    """Per-edge counts over a projected, priority-sorted graph.
+                        mapping: ProjectionMapping | None = None,
+                        original: BipartiteGraph | None = None) -> EdgeCounts:
+    """Per-edge counts of ``g`` under priority map ``p``.
 
-    ``original`` supplies the canonical edge index; wedge endpoints are
-    translated through ``mapping.inverse`` before the index lookup, so the
-    output aligns with the pre-projection edge sequence.
+    The counts follow g's edge index.  A projection keeps the edge index
+    (edge i maps to edge i), so when ``g`` is ``project(original, ...)``
+    with ``mapping``, the counts align with ``original`` as well; the
+    mapping itself is not needed for that.
     """
     t0 = perf_counter()
-    n = g.vertex_count
-    l = g.lower_count
-    adjacency = g.adjacency
-    pr = p.priority
-    inverse = mapping.inverse
-    index = _edge_index(original)
-    counter = WedgeCounter(n)
-    counts, touched = counter.counts, counter.touched
-    append = touched.append
-    per_edge = [0] * original.edge_count
-
-    for u in range(n):
-        pu = pr[u]
-        # Pass 1: fill counters for every end vertex reachable from u.
-        for v in adjacency[u]:
-            pv = pr[v]
-            limit = pv if pv > pu else pu
-            for w in reversed(adjacency[v]):
-                if pr[w] <= limit:
-                    break
-                c = counts[w]
-                if not c:
-                    append(w)
-                counts[w] = c + 1
-        if not touched:
-            continue
-        # Pass 2: re-walk the same wedges; each wedge (u, v, w) sits in
-        # counts[w] - 1 butterflies together with each of its two edges.
-        ou = inverse[u]
-        for v in adjacency[u]:
-            pv = pr[v]
-            limit = pv if pv > pu else pu
-            ov = inverse[v]
-            if ov < l:
-                uv = index[(ou, ov)]
-            else:
-                uv = index[(ov, ou)]
-            for w in reversed(adjacency[v]):
-                if pr[w] <= limit:
-                    break
-                delta = counts[w] - 1
-                if delta:
-                    ow = inverse[w]
-                    if ow < l:
-                        per_edge[index[(ov, ow)]] += delta
-                    else:
-                        per_edge[index[(ow, ov)]] += delta
-                    per_edge[uv] += delta
-        for w in touched:
-            counts[w] = 0
-        touched.clear()
-
+    if original is not None and original.edge_count != g.edge_count:
+        raise ValueError(f"original has {original.edge_count} edges, "
+                         f"the counted graph {g.edge_count}")
+    per_edge = kernel.per_edge_pairs(g, p).tolist()
     total4 = sum(per_edge)
     if total4 % 4:
         raise ConsistencyError("per-edge counts do not sum to a multiple of 4")
@@ -102,9 +52,8 @@ def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap,
 
 
 def per_edge_counts(g: BipartiteGraph) -> EdgeCounts:
-    """Full pipeline from a raw graph: project, rank, sort, count."""
-    prepared, p2, mapping = prepare_vpp(g)
-    return count_per_edge_evpp(prepared, p2, mapping, g)
+    """Full pipeline from a raw graph: rank, then count."""
+    return count_per_edge_evpp(g, projected_priorities(g))
 
 
 def brute_force_per_edge(g: BipartiteGraph) -> EdgeCounts:
@@ -114,7 +63,7 @@ def brute_force_per_edge(g: BipartiteGraph) -> EdgeCounts:
         raise GuardError(f"brute force limited to {BRUTE_FORCE_EDGE_GUARD} edges, "
                          f"got {g.edge_count}")
     neighbor_sets = [set(a) for a in g.adjacency]
-    index = _edge_index(g)
+    index = {edge: i for i, edge in enumerate(g.edges)}
     lowers = list(g.lower_vertices())
     uppers = list(g.upper_vertices())
     per_edge = [0] * g.edge_count

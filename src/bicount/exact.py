@@ -8,10 +8,11 @@ Three global counters over the same wedge-counting skeleton:
 * ``count_vp``   -- vertex-priority counter; processes only wedges whose
   start vertex outranks both the middle and the end, with early breaks
   over priority-sorted adjacency.
-* ``count_vpp``  -- cache-aware variant; processes the same number of
-  wedges but requires the END vertex to outrank start and middle, walking
-  each neighbor list from its high-priority side, and expects the graph to
-  have been projected so high-priority IDs are contiguous.
+* ``count_vpp``  -- end-dominant counter; processes the same number of
+  wedges but requires the END vertex to outrank start and middle.  It runs
+  the vectorized rank-space kernel (``kernel.py``) under the priorities of
+  the projected graph (``projected_priorities``), so no projected copy of
+  the graph is built.
 
 Plus a quadruple-enumeration brute-force oracle, per-vertex counts, and
 the caterpillar / clustering-coefficient statistics.
@@ -25,9 +26,10 @@ from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
 
+from . import kernel
 from .errors import CountOverflowError, GuardError
 from .graph import BipartiteGraph, PriorityMap, ProjectionMapping
-from .graph import assign_priorities, project, sort_adjacency
+from .graph import assign_priorities, project, projected_priorities, sort_adjacency
 
 COUNT_LIMIT = 1 << 128
 BRUTE_FORCE_EDGE_GUARD = 10_000
@@ -90,10 +92,6 @@ def _check_limit(value: int, what: str) -> int:
     if value >= COUNT_LIMIT:
         raise CountOverflowError(f"{what} exceeded 128 bits")
     return value
-
-
-def _pairs(c: int) -> int:
-    return c * (c - 1) // 2
 
 
 def count_ibs(g: BipartiteGraph) -> CountReport:
@@ -220,29 +218,18 @@ def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int,
 
 
 def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
-    """Cache-aware counter over a projected, priority-sorted graph.
+    """End-dominant counter over any graph and priority map.
 
-    Processes exactly as many wedges as ``count_vp`` on the same graph, but
-    the end vertex carries the dominant priority, concentrating end-vertex
-    accesses on the hot IDs the projection packed together.
+    Processes exactly as many wedges as ``count_vp`` under the same
+    priorities; the rank-space kernel aggregates them in sorted chunks.
+    Every start and every directed adjacency entry (as a middle) is
+    visited once, so the access counters are n and 2m.
     """
     t0 = perf_counter()
-    n = g.vertex_count
-    adjacency = g.adjacency
-    pr = p.priority
-    counter = WedgeCounter(n)
-    counts, touched = counter.counts, counter.touched
-    butterflies = 0
-    wedges = 0
-    middle_accesses = 0
-    for u in range(n):
-        b, w, m = end_dominant_pass(u, adjacency, pr, counts, touched)
-        butterflies += b
-        wedges += w
-        middle_accesses += m
+    butterflies, wedges = kernel.count_pairs(g, p)
     _check_limit(butterflies, "butterfly count")
-    return CountReport(butterflies, wedges, n, middle_accesses, wedges,
-                       perf_counter() - t0)
+    return CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
+                       wedges, perf_counter() - t0)
 
 
 def prepare_vp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap]:
@@ -252,7 +239,7 @@ def prepare_vp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap]:
 
 
 def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, ProjectionMapping]:
-    """Project, re-rank, and sort, ready for ``count_vpp`` and friends."""
+    """Project, re-rank, and sort, ready for the thread engine."""
     p = assign_priorities(g)
     projected, mapping = project(g, p)
     p2 = assign_priorities(projected)
@@ -266,8 +253,7 @@ def count_butterflies(g: BipartiteGraph, algo: str = "vpp") -> CountReport:
     if algo == "vp":
         return count_vp(*prepare_vp(g))
     if algo == "vpp":
-        prepared, p2, _ = prepare_vpp(g)
-        return count_vpp(prepared, p2)
+        return count_vpp(g, projected_priorities(g))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
@@ -296,27 +282,9 @@ def brute_force_count(g: BipartiteGraph) -> int:
 
 
 def count_per_vertex(g: BipartiteGraph) -> list[int]:
-    """Butterflies containing each vertex, via a full two-hop pass per start.
-
-    For every start u the pass counts, per two-hop neighbor w, the common
-    neighborhood size c and adds C(c, 2); no priority pruning, every vertex
-    is its own start.
-    """
-    n = g.vertex_count
-    adjacency = g.adjacency
-    counter = WedgeCounter(n)
-    result = [0] * n
-    for u in range(n):
-        for v in adjacency[u]:
-            for w in adjacency[v]:
-                if w != u:
-                    counter.add(w)
-        total = 0
-        for _, c in counter.drain():
-            if c > 1:
-                total += _pairs(c)
-        result[u] = _check_limit(total, "per-vertex butterfly count")
-    return result
+    """Butterflies containing each vertex, derived from per-edge counts."""
+    from .edges import per_edge_counts, per_vertex_from_edges  # edges imports this module
+    return per_vertex_from_edges(per_edge_counts(g), g)
 
 
 def count_caterpillars(g: BipartiteGraph) -> int:
@@ -338,8 +306,7 @@ def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:
     cate = count_caterpillars(g)
     if cate == 0:
         return None
-    prepared, p2, _ = prepare_vpp(g)
-    return Fraction(4 * count_vpp(prepared, p2).butterflies, cate)
+    return Fraction(4 * count_butterflies(g, "vpp").butterflies, cate)
 
 
 def iter_start_dominant_wedges(g: BipartiteGraph, p: PriorityMap):

@@ -31,7 +31,7 @@ from time import perf_counter
 
 from .errors import ConfigError, CountOverflowError
 from .exact import COUNT_LIMIT, CountReport
-from .graph import _iter_label_pairs
+from .graph import _iter_label_pairs, degree_priorities
 
 RECORD = struct.Struct("<QQ")
 RECORD_WIDTH = RECORD.size
@@ -256,20 +256,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         for center, neighbors in _iter_groups(sorted_path, cfg, stats):
             degrees[_final_id(center, lower_count)] = len(neighbors)
 
-        # Counting sort to priorities, exactly as the in-memory path.
-        if n:
-            buckets = [0] * (max(degrees) + 2)
-            for d in degrees:
-                buckets[d + 1] += 1
-            for i in range(1, len(buckets)):
-                buckets[i] += buckets[i - 1]
-            priority = [0] * n
-            for v in range(n):
-                slot = buckets[degrees[v]]
-                buckets[degrees[v]] = slot + 1
-                priority[v] = slot + 1
-        else:
-            priority = []
+        priority = degree_priorities(degrees).tolist()
 
         writer = BlockWriter(pairs_raw, cfg.block_size, stats)
         pairs_emitted = 0

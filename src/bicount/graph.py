@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ParseError
 
 COMMENT_PREFIXES = ("%", "#")
@@ -207,28 +209,19 @@ def save_edge_list(g: BipartiteGraph, path) -> None:
         handle.write(format_edge_list(g))
 
 
-def assign_priorities(g: BipartiteGraph) -> PriorityMap:
-    """Compute the unique degree-major, ID-minor priority permutation.
+def degree_priorities(degrees) -> np.ndarray:
+    """The degree-major, ID-minor priority of vertices 0..n-1 with the
+    given degrees: a permutation of 1..n in which ties in degree resolve
+    by ascending vertex ID (a stable sort by degree)."""
+    order = np.argsort(np.asarray(degrees, dtype=np.int64), kind="stable")
+    priority = np.empty(len(order), dtype=np.int64)
+    priority[order] = np.arange(1, len(order) + 1)
+    return priority
 
-    Runs in O(n + max_degree) via a counting sort over degrees, so ties
-    resolve by ascending internal ID within each degree bucket.
-    """
-    n = g.vertex_count
-    degrees = g.degrees
-    if n == 0:
-        return PriorityMap([])
-    buckets = [0] * (max(degrees) + 2)
-    for d in degrees:
-        buckets[d + 1] += 1
-    for i in range(1, len(buckets)):
-        buckets[i] += buckets[i - 1]
-    priority = [0] * n
-    cursor = buckets
-    for v in range(n):
-        slot = cursor[degrees[v]]
-        cursor[degrees[v]] = slot + 1
-        priority[v] = slot + 1
-    return PriorityMap(priority)
+
+def assign_priorities(g: BipartiteGraph) -> PriorityMap:
+    """Compute the unique degree-major, ID-minor priority permutation."""
+    return PriorityMap(degree_priorities(g.degrees).tolist())
 
 
 def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
@@ -247,6 +240,18 @@ def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
                           g.degrees, g.external_labels, g.duplicates_dropped)
 
 
+def _layer_ranks(priority: np.ndarray, lower_count: int) -> np.ndarray:
+    """The projection's new ID of every vertex: its rank within its layer
+    by descending priority, offset by ``lower_count`` for the upper layer."""
+    n = len(priority)
+    descending = np.empty(n, dtype=np.int64)
+    descending[n - priority] = np.arange(n)
+    forward = np.empty(n, dtype=np.int64)
+    forward[descending[descending < lower_count]] = np.arange(lower_count)
+    forward[descending[descending >= lower_count]] = np.arange(lower_count, n)
+    return forward
+
+
 def project(g: BipartiteGraph, p: PriorityMap) -> tuple[BipartiteGraph, ProjectionMapping]:
     """Relabel each layer by priority rank so hot vertices pack together.
 
@@ -256,19 +261,9 @@ def project(g: BipartiteGraph, p: PriorityMap) -> tuple[BipartiteGraph, Projecti
     returned mapping is invertible for reporting.
     """
     n = g.vertex_count
-    l = g.lower_count
-    forward = [0] * n
+    forward = _layer_ranks(np.asarray(p.priority, dtype=np.int64), g.lower_count).tolist()
     inverse = [0] * n
-    lower_rank = 0
-    upper_rank = 0
-    for v in p.descending_vertices():
-        if v < l:
-            new_id = lower_rank
-            lower_rank += 1
-        else:
-            new_id = l + upper_rank
-            upper_rank += 1
-        forward[v] = new_id
+    for v, new_id in enumerate(forward):
         inverse[new_id] = v
     edges = [(forward[u], forward[v]) for u, v in g.edges]
     adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -282,3 +277,19 @@ def project(g: BipartiteGraph, p: PriorityMap) -> tuple[BipartiteGraph, Projecti
     projected = BipartiteGraph(g.upper_count, g.lower_count, edges, adjacency,
                                degrees, labels, g.duplicates_dropped)
     return projected, ProjectionMapping(forward, inverse)
+
+
+def projected_priorities(g: BipartiteGraph) -> PriorityMap:
+    """The priorities of the cache-aware engines, over g's own vertex IDs.
+
+    Equal to ``assign_priorities`` of ``project(g, assign_priorities(g))``
+    pulled back through the projection mapping, without building the
+    projected graph: the projection keeps every degree, so re-ranking the
+    degrees in projected-ID order is the whole computation.
+    """
+    n = g.vertex_count
+    forward = _layer_ranks(np.asarray(assign_priorities(g).priority, dtype=np.int64),
+                           g.lower_count)
+    projected_degrees = np.empty(n, dtype=np.int64)
+    projected_degrees[forward] = g.degrees
+    return PriorityMap(degree_priorities(projected_degrees)[forward].tolist())

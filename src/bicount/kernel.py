@@ -1,0 +1,156 @@
+"""Vectorized wedge aggregation in priority-rank space.
+
+Every vertex is relabeled by its rank in a priority map (priority - 1),
+and the adjacency becomes one CSR whose rows, and the entries within each
+row, ascend by rank.  The end-dominant rule processes a wedge
+(start u, middle v, end w) when w outranks both u and v, so the ends of
+the directed entry u -> v are the neighbors of v ranked above max(u, v):
+a suffix of v's row, which starts just after the reverse entry v -> u when
+u outranks v, and at the first neighbor outranking v otherwise.
+
+Wedges are expanded range of start vertices by range, each range holding
+about ``CHUNK_WEDGES`` wedges (more only when one start alone has more),
+so memory is bounded by the chunk rather than by the total wedge count.
+Within a chunk the (start, end) keys are sorted: a run of length c is c
+wedges sharing both endpoints, which close C(c, 2) butterflies, and each
+of those wedges lies in c - 1 of them together with both of its edges.
+This is the in-memory form of the external engine's pair emission and
+sort.  Every sum is exact integer arithmetic.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
+
+from .graph import BipartiteGraph, PriorityMap
+
+# Wedges expanded per chunk; a chunk exceeds it only to keep one start whole.
+CHUNK_WEDGES = 1 << 16
+
+
+@dataclass
+class RankCsr:
+    """Directed adjacency in rank space, entries sorted by (row, column).
+
+    Row r holds entries ``row_offsets[r] : row_offsets[r + 1]``;
+    ``columns[e]`` is the rank of entry e's head.  Entry e is direction
+    ``sources[e]`` of the edge list: edge ``sources[e]`` of ``g.edges`` read
+    upper to lower, or edge ``sources[e] - m`` read lower to upper.  The
+    wedges with start r and middle ``columns[e]`` end at the entries from
+    ``first_end[e]`` to the end of the middle's row; ``row_wedges[r]`` is
+    the number of wedges of all starts before r.
+    """
+
+    n: int
+    m: int
+    row_offsets: np.ndarray
+    row_wedges: np.ndarray
+    columns: np.ndarray
+    sources: np.ndarray
+    first_end: np.ndarray
+
+    @property
+    def wedges(self) -> int:
+        return int(self.row_wedges[-1])
+
+    def edge_ids(self, entries: np.ndarray) -> np.ndarray:
+        return self.sources[entries] % self.m
+
+
+def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
+    """Build the rank-space CSR of ``g`` under priority map ``p``.
+
+    Arrays are freed as soon as they are used: the build holds at most
+    four arrays of 2m entries at a time.
+    """
+    n, m = g.vertex_count, g.edge_count
+    rank = np.asarray(p.priority, dtype=np.int64) - 1
+    ends = rank[np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * m)]
+    del rank
+    keys = np.empty(2 * m, dtype=np.int64)
+    keys[:m] = ends[0::2] * n + ends[1::2]
+    keys[m:] = ends[1::2] * n + ends[0::2]
+    del ends
+    sources = np.argsort(keys)
+    keys = keys[sources]
+    row_offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    above_self = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1), side="right")
+    rows, columns = np.divmod(keys, n)
+    del keys
+    tail_outranks = rows > columns
+    del rows
+    # When the tail u outranks the head v, the wedge ends of u -> v start
+    # right after the reverse entry v -> u; otherwise at the first neighbor
+    # of v that outranks v.
+    position = np.empty(2 * m, dtype=np.int64)
+    position[sources] = np.arange(2 * m)
+    first_end = np.empty(2 * m, dtype=np.int64)
+    first_end[position[:m]] = position[m:]
+    first_end[position[m:]] = position[:m]
+    del position
+    first_end += 1
+    np.copyto(first_end, above_self[columns], where=~tail_outranks)
+    del tail_outranks
+    wedges_before = np.zeros(2 * m + 1, dtype=np.int64)
+    np.take(row_offsets[1:], columns, out=wedges_before[1:])
+    wedges_before[1:] -= first_end
+    np.cumsum(wedges_before, out=wedges_before)
+    row_wedges = wedges_before[row_offsets]
+    return RankCsr(n, m, row_offsets, row_wedges, columns, sources, first_end)
+
+
+def iter_chunks(csr: RankCsr):
+    """Yield ``(entries, positions, keys)`` per chunk of whole start rows,
+    one element per wedge: its (start, middle) entry, its (middle, end)
+    entry and the key ``start * n + end``."""
+    row_wedges = csr.row_wedges
+    row = 0
+    while row_wedges[row] < csr.wedges:
+        base = row_wedges[row]
+        # At least through the first row with wedges, however many it has.
+        stop = max(int(np.searchsorted(row_wedges, base + CHUNK_WEDGES, side="right")) - 1,
+                   int(np.searchsorted(row_wedges, base, side="right")))
+        lo, hi = csr.row_offsets[row], csr.row_offsets[stop]
+        first_end = csr.first_end[lo:hi]
+        ends = csr.row_offsets[1:][csr.columns[lo:hi]] - first_end
+        firsts = np.cumsum(ends) - ends
+        entries = np.repeat(np.arange(lo, hi), ends)
+        positions = np.arange(row_wedges[stop] - base) + np.repeat(first_end - firsts, ends)
+        starts = np.repeat(np.arange(row, stop), np.diff(csr.row_offsets[row:stop + 1]))
+        keys = np.repeat(starts * csr.n, ends) + csr.columns[positions]
+        yield entries, positions, keys
+        row = stop
+
+
+def _run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
+    """Lengths of the runs of equal values in a sorted nonempty array."""
+    starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.diff(starts, prepend=0, append=len(sorted_keys))
+
+
+def count_pairs(g: BipartiteGraph, p: PriorityMap) -> tuple[int, int]:
+    """(butterflies, wedges) of the end-dominant rule under ``p``."""
+    csr = rank_csr(g, p)
+    butterflies = 0
+    for *_, keys in iter_chunks(csr):
+        keys.sort()
+        runs = _run_lengths(keys)
+        butterflies += int((runs * (runs - 1) // 2).sum())
+    return butterflies, csr.wedges
+
+
+def per_edge_pairs(g: BipartiteGraph, p: PriorityMap) -> np.ndarray:
+    """Butterflies through each edge of ``g`` (int64, indexed like ``g.edges``)."""
+    csr = rank_csr(g, p)
+    per_edge = np.zeros(g.edge_count, dtype=np.int64)
+    for entries, positions, keys in iter_chunks(csr):
+        order = np.argsort(keys)
+        runs = _run_lengths(keys[order])
+        credit = np.empty(len(keys), dtype=np.int64)
+        credit[order] = np.repeat(runs - 1, runs)
+        np.add.at(per_edge, csr.edge_ids(entries), credit)
+        np.add.at(per_edge, csr.edge_ids(positions), credit)
+    return per_edge

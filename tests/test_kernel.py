@@ -1,0 +1,110 @@
+"""Property tests for the rank-space wedge kernel behind ``count_vpp`` and
+the per-edge counts, against the pure-Python engines and the oracles."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bicount import kernel
+from bicount.edges import brute_force_per_edge, per_edge_counts
+from bicount.exact import (brute_force_count, count_butterflies, count_vp, count_vpp,
+                           end_dominant_pass, prepare_vpp)
+from bicount.generate import hub_graph
+from bicount.graph import (BipartiteGraph, assign_priorities, project,
+                           projected_priorities, sort_adjacency)
+from helpers import transpose
+
+
+@st.composite
+def graphs(draw):
+    """Small graphs with possibly empty layers, isolated vertices and
+    duplicate draws; some get a hub adjacent to the whole other layer, and
+    some are transposed."""
+    r = draw(st.integers(min_value=0, max_value=8))
+    l = draw(st.integers(min_value=0, max_value=8))
+    pairs = []
+    if r and l:
+        pairs = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, l - 1)),
+                              max_size=3 * r * l))
+        if draw(st.booleans()):
+            pairs += [(0, v) for v in range(l)]
+    g = BipartiteGraph.build(pairs, r, l)
+    return transpose(g) if draw(st.booleans()) else g
+
+
+def loop_reference(g):
+    """(butterflies, wedges, middle accesses) from the per-start Python loop
+    of the end-dominant rule over the projected, sorted graph."""
+    prepared, p2, _ = prepare_vpp(g)
+    counts = [0] * prepared.vertex_count
+    totals = [0, 0, 0]
+    for u in range(prepared.vertex_count):
+        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p2.priority,
+                                                counts, [])):
+            totals[i] += x
+    return tuple(totals)
+
+
+def counted(g):
+    return count_butterflies(g, "vpp"), per_edge_counts(g).per_edge
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_matches_the_python_loop_and_the_oracle(self, g):
+        report = count_butterflies(g, "vpp")
+        butterflies, wedges, middles = loop_reference(g)
+        assert (report.butterflies, report.wedges_processed, report.middle_accesses) == \
+            (butterflies, wedges, middles)
+        assert report.start_accesses == g.vertex_count
+        assert report.end_accesses == wedges
+        assert butterflies == brute_force_count(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_count_vpp_equals_count_vp_under_either_priority(self, g):
+        for p in (assign_priorities(g), projected_priorities(g)):
+            vpp = count_vpp(g, p)
+            vp = count_vp(sort_adjacency(g, p), p)
+            assert (vpp.butterflies, vpp.wedges_processed) == \
+                (vp.butterflies, vp.wedges_processed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_per_edge_matches_brute_force(self, g):
+        ec = per_edge_counts(g)
+        assert ec.per_edge == brute_force_per_edge(g).per_edge
+        assert all(type(x) is int for x in ec.per_edge)
+        assert ec.butterflies == brute_force_count(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_chunk_cap_of_one_changes_nothing(self, g):
+        expected = counted(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "CHUNK_WEDGES", 1)
+            report, per_edge = counted(g)
+        assert report.counters() == expected[0].counters()
+        assert per_edge == expected[1]
+
+    def test_cap_of_one_splits_and_overruns(self, monkeypatch):
+        # Every start of a hub graph with wedges gets its own chunk, and the
+        # hub-side starts each have more wedges than the cap.
+        g = hub_graph(6)
+        expected = counted(g)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
+        chunks = [len(keys) for *_, keys in
+                  kernel.iter_chunks(kernel.rank_csr(g, projected_priorities(g)))]
+        assert len(chunks) > 1 and max(chunks) > 1
+        report, per_edge = counted(g)
+        assert report.counters() == expected[0].counters()
+        assert per_edge == expected[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_projected_priorities_pull_back_the_projection(self, g):
+        projected, mapping = project(g, assign_priorities(g))
+        p2 = assign_priorities(projected).priority
+        assert projected_priorities(g).priority == [p2[mapping.forward[v]]
+                                                    for v in range(g.vertex_count)]
