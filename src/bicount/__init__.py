@@ -7,17 +7,16 @@ from .edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp,
                     edge_counts_tsv, per_edge_counts, per_vertex_from_edges)
 from .errors import (ConfigError, ConsistencyError, CountOverflowError,
                      GuardError, ParseError)
-from .exact import (CountReport, WedgeCounter, brute_force_count,
+from .exact import (CountReport, brute_force_count,
                     clustering_coefficient, count_butterflies,
                     count_caterpillars, count_ibs, count_per_vertex, count_vp,
                     count_vpp, prepare_vp, prepare_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
-from .graph import (BipartiteGraph, PriorityMap, ProjectionMapping,
-                    assign_priorities, format_edge_list, load_edge_list,
-                    parse_edge_list, project, projected_priorities,
+from .graph import (BipartiteGraph, PriorityMap, assign_priorities,
+                    format_edge_list, load_edge_list, parse_edge_list,
                     save_edge_list, sort_adjacency)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
-                       estimate_workload, greedy_assign,
+                       estimate_all_workloads, greedy_assign,
                        make_static_assignment, makespan)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import CountReport, count_vpp
-from .graph import BipartiteGraph, projected_priorities
+from .graph import BipartiteGraph, assign_priorities
 
 SEED_STRIDE = 1_000_003
 
@@ -23,7 +23,7 @@ Counter = Callable[[BipartiteGraph], CountReport]
 
 
 def _default_counter(g: BipartiteGraph) -> CountReport:
-    return count_vpp(g, projected_priorities(g))
+    return count_vpp(g, assign_priorities(g))
 
 
 def _check_probability(p: float) -> None:

@@ -14,10 +14,10 @@ import sys
 from . import approx as approx_mod
 from . import generate
 from .edges import edge_counts_tsv, per_edge_counts
-from .errors import ConfigError, CountOverflowError, ParseError
-from .exact import count_butterflies, count_caterpillars, prepare_vpp
+from .errors import ConfigError, CountOverflowError
+from .exact import count_butterflies, count_caterpillars
 from .external import EmConfig, em_count
-from .graph import load_edge_list
+from .graph import assign_priorities, load_edge_list
 from .parallel import ScheduleConfig, count_parallel
 
 SIZE_SUFFIXES = {"kib": 1024, "mib": 1024 ** 2, "gib": 1024 ** 3}
@@ -31,7 +31,7 @@ def parse_size(text: str) -> int:
             if lowered.endswith(suffix):
                 return int(float(lowered[: -len(suffix)]) * factor)
         return int(lowered)
-    except ValueError:
+    except (ValueError, OverflowError):  # int() of an infinite float overflows
         raise ConfigError(f"unreadable size {text!r}; use bytes or a "
                           f"KiB/MiB/GiB suffix") from None
 
@@ -106,10 +106,9 @@ def cmd_stats(args) -> int:
 
 def cmd_parallel(args) -> int:
     g = _load(args)
-    prepared, p2, _ = prepare_vpp(g)
     cfg = ScheduleConfig(mode=args.schedule, strategy=args.strategy,
                          threads=args.threads, seed=args.seed)
-    report, thread_reports = count_parallel(prepared, p2, cfg)
+    report, thread_reports = count_parallel(g, assign_priorities(g), cfg)
     data = _count_payload(report, "vpp")
     data["mode"] = cfg.mode
     data["strategy"] = cfg.strategy
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--algo", choices=("ibs", "vp", "vpp"), default="vpp",
                    help="ibs: layer-selected baseline; vp: vertex-priority; "
-                        "vpp: vertex-priority with projection (default)")
+                        "vpp: end-dominant vertex-priority, vectorized (default)")
     add_io(p)
     p.set_defaults(func=cmd_count)
 
@@ -251,17 +250,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CountOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # Bad parameter values (probabilities, sizes) from deeper layers.
+        # ParseError, ConfigError, GuardError and bad parameter values
+        # (probabilities, sizes) from deeper layers.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

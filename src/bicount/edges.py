@@ -14,7 +14,7 @@ from time import perf_counter
 from . import kernel
 from .errors import ConsistencyError, CountOverflowError, GuardError
 from .exact import BRUTE_FORCE_EDGE_GUARD, COUNT_LIMIT
-from .graph import BipartiteGraph, PriorityMap, ProjectionMapping, projected_priorities
+from .graph import BipartiteGraph, PriorityMap, assign_priorities
 
 
 @dataclass
@@ -27,20 +27,10 @@ class EdgeCounts:
     elapsed: float = 0.0
 
 
-def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap,
-                        mapping: ProjectionMapping | None = None,
-                        original: BipartiteGraph | None = None) -> EdgeCounts:
-    """Per-edge counts of ``g`` under priority map ``p``.
-
-    The counts follow g's edge index.  A projection keeps the edge index
-    (edge i maps to edge i), so when ``g`` is ``project(original, ...)``
-    with ``mapping``, the counts align with ``original`` as well; the
-    mapping itself is not needed for that.
-    """
+def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap) -> EdgeCounts:
+    """Per-edge counts of ``g`` under any priority map ``p``, following
+    g's edge index."""
     t0 = perf_counter()
-    if original is not None and original.edge_count != g.edge_count:
-        raise ValueError(f"original has {original.edge_count} edges, "
-                         f"the counted graph {g.edge_count}")
     per_edge = kernel.per_edge_pairs(g, p).tolist()
     total4 = sum(per_edge)
     if total4 % 4:
@@ -53,7 +43,7 @@ def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap,
 
 def per_edge_counts(g: BipartiteGraph) -> EdgeCounts:
     """Full pipeline from a raw graph: rank, then count."""
-    return count_per_edge_evpp(g, projected_priorities(g))
+    return count_per_edge_evpp(g, assign_priorities(g))
 
 
 def brute_force_per_edge(g: BipartiteGraph) -> EdgeCounts:

@@ -10,9 +10,9 @@ Three global counters over the same wedge-counting skeleton:
   over priority-sorted adjacency.
 * ``count_vpp``  -- end-dominant counter; processes the same number of
   wedges but requires the END vertex to outrank start and middle.  It runs
-  the vectorized rank-space kernel (``kernel.py``) under the priorities of
-  the projected graph (``projected_priorities``), so no projected copy of
-  the graph is built.
+  the vectorized rank-space kernel (``kernel.py``), which relabels every
+  vertex by its priority rank, under the same priorities as ``count_vp``:
+  the two differ only in their wedge rule.
 
 Plus a quadruple-enumeration brute-force oracle, per-vertex counts, and
 the caterpillar / clustering-coefficient statistics.
@@ -28,8 +28,7 @@ from time import perf_counter
 
 from . import kernel
 from .errors import CountOverflowError, GuardError
-from .graph import BipartiteGraph, PriorityMap, ProjectionMapping
-from .graph import assign_priorities, project, projected_priorities, sort_adjacency
+from .graph import BipartiteGraph, PriorityMap, assign_priorities, sort_adjacency
 
 COUNT_LIMIT = 1 << 128
 BRUTE_FORCE_EDGE_GUARD = 10_000
@@ -59,35 +58,6 @@ class CountReport:
                 self.middle_accesses, self.end_accesses)
 
 
-class WedgeCounter:
-    """Dense per-vertex wedge counters with an O(touched) reset.
-
-    Entries are all zero between start-vertex passes; ``touched`` holds the
-    vertices with a nonzero count so a pass never pays for the full array.
-    """
-
-    __slots__ = ("counts", "touched")
-
-    def __init__(self, n: int):
-        self.counts = [0] * n
-        self.touched: list[int] = []
-
-    def add(self, w: int) -> None:
-        c = self.counts[w]
-        if not c:
-            self.touched.append(w)
-        self.counts[w] = c + 1
-
-    def drain(self):
-        """Yield (vertex, count) for touched vertices, zeroing as it goes."""
-        counts = self.counts
-        for w in self.touched:
-            c = counts[w]
-            counts[w] = 0
-            yield w, c
-        self.touched.clear()
-
-
 def _check_limit(value: int, what: str) -> int:
     if value >= COUNT_LIMIT:
         raise CountOverflowError(f"{what} exceeded 128 bits")
@@ -111,8 +81,8 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
     # Per-middle adjacency sorted by ID so the (end > start) suffix can be
     # sliced instead of filtered; wedge membership is unchanged.
     by_id = [sorted(a) for a in adjacency]
-    counter = WedgeCounter(g.vertex_count)
-    counts, touched = counter.counts, counter.touched
+    counts = [0] * g.vertex_count
+    touched: list[int] = []
     append = touched.append
     butterflies = 0
     wedges = 0
@@ -151,8 +121,8 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     n = g.vertex_count
     adjacency = g.adjacency
     pr = p.priority
-    counter = WedgeCounter(n)
-    counts, touched = counter.counts, counter.touched
+    counts = [0] * n
+    touched: list[int] = []
     append = touched.append
     butterflies = 0
     wedges = 0
@@ -186,6 +156,8 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
 def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int, int]:
     """One start-vertex pass of the end-dominant rule; returns
     (butterflies, wedges, middle_accesses) and leaves counters zeroed.
+    The pure-Python reference the rank-space kernel is tested against,
+    over the priority-sorted adjacency of ``prepare_vp``.
 
     Neighbor lists ascend by priority, so walking them reversed visits
     candidates in descending priority and the walk stops at the first end
@@ -238,12 +210,15 @@ def prepare_vp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap]:
     return sort_adjacency(g, p), p
 
 
-def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, ProjectionMapping]:
-    """Project, re-rank, and sort, ready for the thread engine."""
-    p = assign_priorities(g)
-    projected, mapping = project(g, p)
-    p2 = assign_priorities(projected)
-    return sort_adjacency(projected, p2), p2, mapping
+def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, None]:
+    """``(g, assign_priorities(g), None)``: the graph as it is, its
+    priorities, and no projection mapping.
+
+    The rank-space kernel relabels vertices by priority itself, so the
+    thread engine and ``count_vpp`` need no projected or sorted copy.  The
+    three-value shape is kept for callers that still unpack one.
+    """
+    return g, assign_priorities(g), None
 
 
 def count_butterflies(g: BipartiteGraph, algo: str = "vpp") -> CountReport:
@@ -253,7 +228,7 @@ def count_butterflies(g: BipartiteGraph, algo: str = "vpp") -> CountReport:
     if algo == "vp":
         return count_vp(*prepare_vp(g))
     if algo == "vpp":
-        return count_vpp(g, projected_priorities(g))
+        return count_vpp(g, assign_priorities(g))
     raise ValueError(f"unknown algorithm {algo!r}")
 
 

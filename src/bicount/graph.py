@@ -1,5 +1,5 @@
 """Bipartite graph representation, edge-list parsing, vertex priorities,
-and the locality-oriented relabeling used by the cache-aware counters.
+and priority-sorted adjacency.
 
 Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
 and upper-layer vertices occupy [lower_count, lower_count + upper_count),
@@ -129,14 +129,6 @@ class PriorityMap:
         return order
 
 
-@dataclass(frozen=True)
-class ProjectionMapping:
-    """Bijective per-layer relabeling; `inverse[forward[v]] == v` for all v."""
-
-    forward: list[int]
-    inverse: list[int]
-
-
 def _iter_label_pairs(lines: Iterable[str]):
     """Yield (line_number, upper_label, lower_label) from edge-list lines."""
     for lineno, raw in enumerate(lines, start=1):
@@ -238,58 +230,3 @@ def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
             lists[v].append(u)
     return BipartiteGraph(g.upper_count, g.lower_count, g.edges, lists,
                           g.degrees, g.external_labels, g.duplicates_dropped)
-
-
-def _layer_ranks(priority: np.ndarray, lower_count: int) -> np.ndarray:
-    """The projection's new ID of every vertex: its rank within its layer
-    by descending priority, offset by ``lower_count`` for the upper layer."""
-    n = len(priority)
-    descending = np.empty(n, dtype=np.int64)
-    descending[n - priority] = np.arange(n)
-    forward = np.empty(n, dtype=np.int64)
-    forward[descending[descending < lower_count]] = np.arange(lower_count)
-    forward[descending[descending >= lower_count]] = np.arange(lower_count, n)
-    return forward
-
-
-def project(g: BipartiteGraph, p: PriorityMap) -> tuple[BipartiteGraph, ProjectionMapping]:
-    """Relabel each layer by priority rank so hot vertices pack together.
-
-    Rank 0 is the highest priority within the layer; new lower IDs are the
-    lower-layer ranks, new upper IDs are lower_count + upper-layer ranks.
-    The result is isomorphic to the input (edge i maps to edge i) and the
-    returned mapping is invertible for reporting.
-    """
-    n = g.vertex_count
-    forward = _layer_ranks(np.asarray(p.priority, dtype=np.int64), g.lower_count).tolist()
-    inverse = [0] * n
-    for v, new_id in enumerate(forward):
-        inverse[new_id] = v
-    edges = [(forward[u], forward[v]) for u, v in g.edges]
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    degrees = [0] * n
-    labels = [0] * n
-    for v in range(n):
-        nv = forward[v]
-        adjacency[nv] = [forward[w] for w in g.adjacency[v]]
-        degrees[nv] = g.degrees[v]
-        labels[nv] = g.external_labels[v]
-    projected = BipartiteGraph(g.upper_count, g.lower_count, edges, adjacency,
-                               degrees, labels, g.duplicates_dropped)
-    return projected, ProjectionMapping(forward, inverse)
-
-
-def projected_priorities(g: BipartiteGraph) -> PriorityMap:
-    """The priorities of the cache-aware engines, over g's own vertex IDs.
-
-    Equal to ``assign_priorities`` of ``project(g, assign_priorities(g))``
-    pulled back through the projection mapping, without building the
-    projected graph: the projection keeps every degree, so re-ranking the
-    degrees in projected-ID order is the whole computation.
-    """
-    n = g.vertex_count
-    forward = _layer_ranks(np.asarray(assign_priorities(g).priority, dtype=np.int64),
-                           g.lower_count)
-    projected_degrees = np.empty(n, dtype=np.int64)
-    projected_degrees[forward] = g.degrees
-    return PriorityMap(degree_priorities(projected_degrees)[forward].tolist())

@@ -8,9 +8,11 @@ the directed entry u -> v are the neighbors of v ranked above max(u, v):
 a suffix of v's row, which starts just after the reverse entry v -> u when
 u outranks v, and at the first neighbor outranking v otherwise.
 
-Wedges are expanded range of start vertices by range, each range holding
-about ``CHUNK_WEDGES`` wedges (more only when one start alone has more),
-so memory is bounded by the chunk rather than by the total wedge count.
+Wedges are expanded for a slice of start rows at a time, each slice
+holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
+more), so memory is bounded by the chunk rather than by the total wedge
+count.  The rows may be any subset in any order: the sequential engines
+pass every row, and each worker of the thread engine passes its own.
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
@@ -51,10 +53,6 @@ class RankCsr:
     columns: np.ndarray
     sources: np.ndarray
     first_end: np.ndarray
-
-    @property
-    def wedges(self) -> int:
-        return int(self.row_wedges[-1])
 
     def edge_ids(self, entries: np.ndarray) -> np.ndarray:
         return self.sources[entries] % self.m
@@ -102,51 +100,84 @@ def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
     return RankCsr(n, m, row_offsets, row_wedges, columns, sources, first_end)
 
 
-def iter_chunks(csr: RankCsr):
-    """Yield ``(entries, positions, keys)`` per chunk of whole start rows,
-    one element per wedge: its (start, middle) entry, its (middle, end)
-    entry and the key ``start * n + end``."""
-    row_wedges = csr.row_wedges
-    row = 0
-    while row_wedges[row] < csr.wedges:
-        base = row_wedges[row]
-        # At least through the first row with wedges, however many it has.
-        stop = max(int(np.searchsorted(row_wedges, base + CHUNK_WEDGES, side="right")) - 1,
-                   int(np.searchsorted(row_wedges, base, side="right")))
-        lo, hi = csr.row_offsets[row], csr.row_offsets[stop]
-        first_end = csr.first_end[lo:hi]
-        ends = csr.row_offsets[1:][csr.columns[lo:hi]] - first_end
-        firsts = np.cumsum(ends) - ends
-        entries = np.repeat(np.arange(lo, hi), ends)
-        positions = np.arange(row_wedges[stop] - base) + np.repeat(first_end - firsts, ends)
-        starts = np.repeat(np.arange(row, stop), np.diff(csr.row_offsets[row:stop + 1]))
-        keys = np.repeat(starts * csr.n, ends) + csr.columns[positions]
-        yield entries, positions, keys
-        row = stop
+def chunk_bounds(csr: RankCsr, rows: np.ndarray) -> list[int]:
+    """Cut ``rows`` (start ranks) into consecutive slices of whole starts:
+    the end index of every slice, the last being ``len(rows)``.  A slice
+    holds about ``CHUNK_WEDGES`` wedges, more only when its first start
+    with wedges alone has more; starts without wedges ride along."""
+    before = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(csr.row_wedges[rows + 1] - csr.row_wedges[rows], out=before[1:])
+    total = before[-1]
+    stops: list[int] = []
+    stop = 0
+    while before[stop] < total:
+        base = before[stop]
+        # At least through the first start with wedges, however many it has.
+        stop = max(int(np.searchsorted(before, base + CHUNK_WEDGES, side="right")) - 1,
+                   int(np.searchsorted(before, base, side="right")))
+        stops.append(stop)
+    if len(rows):
+        stops[-1:] = [len(rows)]
+    return stops
+
+
+def _expand(csr: RankCsr, rows: np.ndarray):
+    """``(entries, positions, keys)`` of every wedge with a start in
+    ``rows``, one element per wedge: its (start, middle) entry, its
+    (middle, end) entry and the key ``start * n + end``."""
+    # Starts without wedges (the top-ranked hubs) would only cost entries.
+    rows = rows[csr.row_wedges[rows + 1] > csr.row_wedges[rows]]
+    begins = csr.row_offsets[rows]
+    degrees = csr.row_offsets[rows + 1] - begins
+    row_entries = (np.arange(int(degrees.sum()))
+                   + np.repeat(begins - (np.cumsum(degrees) - degrees), degrees))
+    first_end = csr.first_end[row_entries]
+    ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
+    firsts = np.cumsum(ends) - ends
+    entries = np.repeat(row_entries, ends)
+    positions = np.arange(len(entries)) + np.repeat(first_end - firsts, ends)
+    keys = np.repeat(np.repeat(rows * csr.n, degrees), ends) + csr.columns[positions]
+    return entries, positions, keys
+
+
+def iter_chunks(csr: RankCsr, rows: np.ndarray):
+    """``_expand`` over the slices ``chunk_bounds`` cuts ``rows`` into."""
+    start = 0
+    for stop in chunk_bounds(csr, rows):
+        yield _expand(csr, rows[start:stop])
+        start = stop
 
 
 def _run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal values in a sorted nonempty array."""
+    """Lengths of the runs of equal values in a sorted array ([0] if empty)."""
     starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     return np.diff(starts, prepend=0, append=len(sorted_keys))
+
+
+def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
+    """(butterflies, wedges) of the wedges starting at ``rows``.  A
+    butterfly's wedges share its start, so disjoint row sets partition
+    both totals."""
+    butterflies = wedges = 0
+    for *_, keys in iter_chunks(csr, rows):
+        keys.sort()
+        runs = _run_lengths(keys)
+        butterflies += int((runs * (runs - 1) // 2).sum())
+        wedges += len(keys)
+    return butterflies, wedges
 
 
 def count_pairs(g: BipartiteGraph, p: PriorityMap) -> tuple[int, int]:
     """(butterflies, wedges) of the end-dominant rule under ``p``."""
     csr = rank_csr(g, p)
-    butterflies = 0
-    for *_, keys in iter_chunks(csr):
-        keys.sort()
-        runs = _run_lengths(keys)
-        butterflies += int((runs * (runs - 1) // 2).sum())
-    return butterflies, csr.wedges
+    return count_rows(csr, np.arange(csr.n))
 
 
 def per_edge_pairs(g: BipartiteGraph, p: PriorityMap) -> np.ndarray:
     """Butterflies through each edge of ``g`` (int64, indexed like ``g.edges``)."""
     csr = rank_csr(g, p)
     per_edge = np.zeros(g.edge_count, dtype=np.int64)
-    for entries, positions, keys in iter_chunks(csr):
+    for entries, positions, keys in iter_chunks(csr, np.arange(csr.n)):
         order = np.argsort(keys)
         runs = _run_lengths(keys[order])
         credit = np.empty(len(keys), dtype=np.int64)

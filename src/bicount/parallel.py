@@ -1,12 +1,13 @@
 """Shared-memory parallel butterfly counting.
 
-Workers share the read-only projected graph and priority map; each owns a
-private counter table and partial sum.  Dynamic mode hands start vertices
-one at a time to idle workers through a lock-guarded cursor over a queue
-ordered by the chosen strategy; static mode precomputes the whole
-partition.  Counts are integers, so the reduction is order-independent
-and the result is identical for every thread count, mode, strategy, and
-seed.
+Workers share one read-only rank-space CSR (``kernel.rank_csr``) and run
+the kernel's chunked sort-and-fold over their own start rows, so each
+holds only the arrays of the chunk it is folding.  Dynamic mode hands out
+consecutive slices of a queue ordered by the chosen strategy, each of
+about ``kernel.CHUNK_WEDGES`` wedges, through a lock-guarded cursor;
+static mode precomputes the whole partition.  Counts are integers, so the
+reduction is order-independent and the result is identical for every
+thread count, mode, strategy, and seed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import threading
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
+from . import kernel
 from .errors import ConfigError, CountOverflowError
-from .exact import COUNT_LIMIT, CountReport, WedgeCounter, end_dominant_pass
+from .exact import COUNT_LIMIT, CountReport
 from .graph import BipartiteGraph, PriorityMap
 
 MODES = ("dynamic", "static")
@@ -49,24 +53,11 @@ class ThreadReport:
     vertices_handled: int
 
 
-def estimate_workload(g: BipartiteGraph, p: PriorityMap, u: int) -> int:
-    """Cheap start-vertex workload estimate: the number of two-hop entries
-    (v, w) with v a neighbor of u and w a neighbor of v outranking v."""
-    pr = p.priority
-    adjacency = g.adjacency
-    total = 0
-    for v in adjacency[u]:
-        pv = pr[v]
-        for w in adjacency[v]:
-            if pr[w] > pv:
-                total += 1
-    return total
-
-
 def estimate_all_workloads(g: BipartiteGraph, p: PriorityMap) -> list[int]:
-    """All start-vertex estimates in O(n + m): precompute, per middle v,
-    how many of its neighbors outrank it, then sum over each start's
-    middles."""
+    """Cheap workload estimate of every start vertex u: the number of
+    two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
+    outranking v.  O(n + m): precompute, per middle v, how many of its
+    neighbors outrank it, then sum over each start's middles."""
     pr = p.priority
     adjacency = g.adjacency
     n = g.vertex_count
@@ -77,17 +68,15 @@ def estimate_all_workloads(g: BipartiteGraph, p: PriorityMap) -> list[int]:
     return [sum(outranked[v] for v in adjacency[u]) for u in range(n)]
 
 
+def _longest_first(workloads: list[int]) -> list[int]:
+    """Job indices by descending workload, ties in index order."""
+    return sorted(range(len(workloads)), key=lambda j: -workloads[j])
+
+
 def greedy_assign(workloads: list[int], threads: int) -> list[list[int]]:
     """Longest-processing-time greedy: jobs sorted by descending workload,
     each to the least-loaded thread.  Returns per-thread job-index lists."""
-    order = sorted(range(len(workloads)), key=lambda j: -workloads[j])
-    assignment: list[list[int]] = [[] for _ in range(threads)]
-    loads = [0] * threads
-    for j in order:
-        t = min(range(threads), key=loads.__getitem__)
-        assignment[t].append(j)
-        loads[t] += workloads[j]
-    return assignment
+    return simulate_list_schedule(workloads, threads, _longest_first(workloads))
 
 
 def make_static_assignment(g: BipartiteGraph, p: PriorityMap,
@@ -151,24 +140,24 @@ def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> li
         order = list(range(n))
         random.Random(cfg.seed).shuffle(order)
         return order
-    workloads = estimate_all_workloads(g, p)
-    return sorted(range(n), key=lambda u: -workloads[u])
+    return _longest_first(estimate_all_workloads(g, p))
 
 
-def _memory_guard(n: int, threads: int) -> None:
-    """Refuse thread counts whose per-thread counter tables cannot fit."""
-    needed = n * threads * 8
+def _memory_guard(chunk_wedges: int, threads: int) -> None:
+    """Refuse thread counts whose chunk arrays cannot fit: each worker
+    holds a chunk's expansion, about four int64 arrays of its wedges."""
+    needed = chunk_wedges * threads * 32
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError, AttributeError):
         return
     if needed > physical // 2:
-        raise ConfigError(f"{threads} threads over {n} vertices needs ~{needed} "
-                          f"bytes of counter space; reduce threads")
+        raise ConfigError(f"{threads} threads folding chunks of up to {chunk_wedges} "
+                          f"wedges need ~{needed} bytes; reduce threads")
 
 
 class _Cursor:
-    """Shared fetch-and-increment dispatch point for dynamic scheduling."""
+    """Fetch-and-increment dispatch point over a queue of row slices."""
 
     __slots__ = ("_value", "_lock")
 
@@ -185,57 +174,51 @@ class _Cursor:
 
 def count_parallel(g: BipartiteGraph, p: PriorityMap,
                    cfg: ScheduleConfig) -> tuple[CountReport, list[ThreadReport]]:
-    """Parallel end-dominant counting over a projected, sorted graph.
+    """Parallel end-dominant counting over any graph and priority map.
 
-    The count always equals the sequential engine's; per-thread wedge
-    totals partition the sequential total.
+    The count always equals ``count_vpp``'s; per-thread wedge totals
+    partition its total.
     """
     t0 = perf_counter()
-    n = g.vertex_count
-    adjacency = g.adjacency
-    pr = p.priority
+    csr = kernel.rank_csr(g, p)
     t = cfg.threads
-    _memory_guard(n, t)
+    _memory_guard(max(kernel.CHUNK_WEDGES, int(np.diff(csr.row_wedges).max(initial=0))), t)
 
-    results: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)] * t
+    # Each worker draws row slices through a cursor: dynamic workers share
+    # one queue of slices, a static worker owns one slice, its lane.
+    rank = np.asarray(p.priority, dtype=np.int64) - 1
     if cfg.mode == "dynamic":
-        order = _dynamic_order(g, p, cfg)
-        cursor = _Cursor()
-
-        def run(tid: int) -> None:
-            counter = WedgeCounter(n)
-            counts, touched = counter.counts, counter.touched
-            butterflies = wedges = middles = handled = 0
-            while True:
-                i = cursor.next()
-                if i >= n:
-                    break
-                b, w, m = end_dominant_pass(order[i], adjacency, pr, counts, touched)
-                butterflies += b
-                wedges += w
-                middles += m
-                handled += 1
-            results[tid] = (butterflies, wedges, middles, handled)
+        order = rank[_dynamic_order(g, p, cfg)]
+        bounds = [0] + kernel.chunk_bounds(csr, order)
+        shared = ([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])], _Cursor())
+        queues = [shared] * t
     else:
-        assignment = make_static_assignment(g, p, cfg)
+        queues = [([rank[lane]], _Cursor()) for lane in make_static_assignment(g, p, cfg)]
 
-        def run(tid: int) -> None:
-            counter = WedgeCounter(n)
-            counts, touched = counter.counts, counter.touched
-            butterflies = wedges = middles = handled = 0
-            for u in assignment[tid]:
-                b, w, m = end_dominant_pass(u, adjacency, pr, counts, touched)
+    results: list = [None] * t
+
+    def run(tid: int) -> None:
+        slices, cursor = queues[tid]
+        butterflies = wedges = handled = 0
+        try:
+            while (i := cursor.next()) < len(slices):
+                b, w = kernel.count_rows(csr, slices[i])
                 butterflies += b
                 wedges += w
-                middles += m
-                handled += 1
-            results[tid] = (butterflies, wedges, middles, handled)
+                handled += len(slices[i])
+        except Exception as exc:  # raised again below, once every worker is done
+            results[tid] = exc
+        else:
+            results[tid] = (butterflies, wedges, handled)
 
     workers = [threading.Thread(target=run, args=(tid,)) for tid in range(t)]
     for worker in workers:
         worker.start()
     for worker in workers:
         worker.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
 
     # Reduce in thread-index order; integer addition makes the total
     # independent of which worker handled which start vertex.
@@ -243,10 +226,8 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
     if butterflies >= COUNT_LIMIT:
         raise CountOverflowError("butterfly count exceeded 128 bits")
     wedges = sum(r[1] for r in results)
-    middles = sum(r[2] for r in results)
-    handled = sum(r[3] for r in results)
-    report = CountReport(butterflies, wedges, handled, middles, wedges,
+    handled = sum(r[2] for r in results)
+    report = CountReport(butterflies, wedges, handled, 2 * g.edge_count, wedges,
                          perf_counter() - t0)
-    thread_reports = [ThreadReport(tid, r[0], r[1], r[3])
-                      for tid, r in enumerate(results)]
+    thread_reports = [ThreadReport(tid, *r) for tid, r in enumerate(results)]
     return report, thread_reports

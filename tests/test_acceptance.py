@@ -15,11 +15,11 @@ from bicount.approx import estimate_butterflies, run_trials
 from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.exact import (brute_force_count, clustering_coefficient,
                            count_butterflies, count_caterpillars,
-                           count_per_vertex, count_vpp, prepare_vpp)
+                           count_per_vertex, count_vpp)
 from bicount.external import EmConfig, em_count
 from bicount.generate import (hub_graph, hub_path_graph, pairs_to_text,
                               random_pairs_m)
-from bicount.graph import parse_edge_list
+from bicount.graph import assign_priorities, parse_edge_list
 from bicount.parallel import ScheduleConfig, count_parallel
 from helpers import (brute_force_three_paths, four_cycle, random_graph_set,
                      star, three_path)
@@ -127,15 +127,15 @@ def test_criterion_07_parallel_determinism(hub1000):
     graphs = random_graph_set(20, 40, PROBS, seed=CORPUS_SEED + 1) + [hub1000]
     runs = 0
     for g in graphs:
-        prepared, p2, _ = prepare_vpp(g)
-        expected = count_vpp(prepared, p2).butterflies
+        p = assign_priorities(g)
+        expected = count_vpp(g, p).butterflies
         for threads in (1, 2, 4, 8):
             for mode in ("dynamic", "static"):
                 for strategy in ("priority", "random", "heuristic"):
                     for seed in (0, 1, 2):
                         cfg = ScheduleConfig(mode=mode, strategy=strategy,
                                              threads=threads, seed=seed)
-                        report, _ = count_parallel(prepared, p2, cfg)
+                        report, _ = count_parallel(g, p, cfg)
                         assert report.butterflies == expected
                         runs += 1
     elapsed = time.perf_counter() - start
@@ -149,8 +149,8 @@ def test_criterion_08_external_memory_equivalence(tmp_path):
     pairs = random_pairs_m(20_000, 20_000, 100_000, seed=CORPUS_SEED + 2)
     path = tmp_path / "large.txt"
     path.write_text(pairs_to_text(pairs))
-    prepared, p2, _ = prepare_vpp(parse_edge_list(path.read_text()))
-    baseline = count_vpp(prepared, p2)
+    g = parse_edge_list(path.read_text())
+    baseline = count_vpp(g, assign_priorities(g))
     for budget in (1 << 20, 4 << 20, 64 << 20):
         report, io_stats = em_count(str(path), EmConfig(memory_budget=budget))
         assert report.butterflies == baseline.butterflies

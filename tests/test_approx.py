@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bicount.approx import estimate_butterflies, run_trials, sparsify
-from bicount.exact import count_vpp, prepare_vpp
+from bicount.exact import count_vpp
 from bicount.generate import complete_graph, hub_graph
+from bicount.graph import assign_priorities
 from helpers import complete_3x2, three_path
 
 
 def exact_count(g):
-    prepared, p2, _ = prepare_vpp(g)
-    return count_vpp(prepared, p2).butterflies
+    return count_vpp(g, assign_priorities(g)).butterflies
 
 
 class TestSparsify:
@@ -116,9 +116,7 @@ class TestInjectedCounter:
         calls = []
 
         def spy_counter(g):
-            from bicount.exact import count_vpp, prepare_vpp
-            prepared, p2, _ = prepare_vpp(g)
-            report = count_vpp(prepared, p2)
+            report = count_vpp(g, assign_priorities(g))
             calls.append(report.butterflies)
             return report
 

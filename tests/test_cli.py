@@ -74,8 +74,10 @@ class TestExitCodes:
         assert main(["em", four_cycle_file, "--memory-budget", "4KiB"]) == 2
 
     def test_unreadable_size_is_2(self, capsys, four_cycle_file):
-        assert main(["em", four_cycle_file, "--memory-budget", "lots"]) == 2
-        assert "size" in capsys.readouterr().err
+        for flag, size in [("--memory-budget", "lots"), ("--memory-budget", "infMiB"),
+                           ("--memory-budget", "1e400KiB"), ("--block-size", "infKiB")]:
+            assert main(["em", four_cycle_file, flag, size]) == 2
+            assert "size" in capsys.readouterr().err
 
     def test_bad_probability_is_2(self, capsys, four_cycle_file):
         assert main(["approx", four_cycle_file, "--p", "0.0"]) == 2

@@ -4,7 +4,8 @@ from bicount.edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp
                            edge_counts_tsv, per_edge_counts,
                            per_vertex_from_edges)
 from bicount.errors import ConsistencyError
-from bicount.exact import count_per_vertex, count_vpp, prepare_vpp
+from bicount.exact import count_per_vertex, count_vpp
+from bicount.graph import assign_priorities
 from helpers import (complete_3x2, four_cycle, random_graph_set, three_path,
                      transpose)
 
@@ -43,10 +44,10 @@ class TestOracleEquivalence:
 
     def test_conservation_sum_is_four_times_total(self):
         for g in random_graph_set(30, 15, PROBS, seed=62):
-            prepared, p2, mapping = prepare_vpp(g)
-            ec = count_per_edge_evpp(prepared, p2, mapping, g)
-            assert sum(ec.per_edge) == 4 * count_vpp(prepared, p2).butterflies
-            assert ec.butterflies == count_vpp(prepared, p2).butterflies
+            p = assign_priorities(g)
+            ec = count_per_edge_evpp(g, p)
+            assert sum(ec.per_edge) == 4 * count_vpp(g, p).butterflies
+            assert ec.butterflies == count_vpp(g, p).butterflies
 
     def test_per_vertex_derivation_matches_direct_count(self):
         for g in random_graph_set(30, 12, PROBS, seed=63):

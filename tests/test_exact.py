@@ -7,10 +7,9 @@ from bicount.errors import CountOverflowError, GuardError
 from bicount.exact import (brute_force_count, clustering_coefficient,
                            count_caterpillars, count_ibs, count_per_vertex,
                            count_vp, count_vpp, iter_end_dominant_wedges,
-                           iter_start_dominant_wedges, prepare_vp, prepare_vpp,
-                           WedgeCounter)
+                           iter_start_dominant_wedges, prepare_vp, prepare_vpp)
 from bicount.generate import hub_graph
-from bicount.graph import BipartiteGraph
+from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import (brute_force_per_vertex, brute_force_three_paths,
                      complete_3x2, end_dominance_example, four_cycle,
                      random_graph_set, star, three_path)
@@ -23,8 +22,7 @@ def vp_report(g):
 
 
 def vpp_report(g):
-    prepared, p2, _ = prepare_vpp(g)
-    return count_vpp(prepared, p2)
+    return count_vpp(g, assign_priorities(g))
 
 
 class TestTrivialGraphs:
@@ -100,9 +98,14 @@ class TestEndDominantRule:
             gs, p = prepare_vp(g)
             assert len(list(iter_start_dominant_wedges(gs, p))) == \
                 count_vp(gs, p).wedges_processed
-            prepared, p2, _ = prepare_vpp(g)
-            assert len(list(iter_end_dominant_wedges(prepared, p2))) == \
-                count_vpp(prepared, p2).wedges_processed
+            assert len(list(iter_end_dominant_wedges(g, p))) == \
+                count_vpp(g, p).wedges_processed
+
+    def test_prepare_vpp_keeps_the_graph(self):
+        g = end_dominance_example()
+        prepared, p, mapping = prepare_vpp(g)
+        assert prepared is g and mapping is None
+        assert p == assign_priorities(g)
 
 
 class TestRandomEquivalence:
@@ -195,23 +198,6 @@ class TestClusteringCoefficient:
             cc = clustering_coefficient(g)
             if cc is not None:
                 assert Fraction(0) <= cc <= Fraction(1)
-
-
-class TestWedgeCounter:
-    def test_drain_resets_to_zero(self):
-        counter = WedgeCounter(4)
-        counter.add(2)
-        counter.add(2)
-        counter.add(0)
-        assert dict(counter.drain()) == {2: 2, 0: 1}
-        assert counter.counts == [0, 0, 0, 0]
-        assert counter.touched == []
-
-    def test_touched_has_no_duplicates(self):
-        counter = WedgeCounter(3)
-        for _ in range(5):
-            counter.add(1)
-        assert counter.touched == [1]
 
 
 class TestOverflowGuard:

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from bicount.errors import ConfigError
-from bicount.exact import count_vpp, prepare_vpp
+from bicount.exact import count_vpp
 from bicount.external import (EmConfig, IoStats, em_count, external_sort,
                               iter_records, RECORD)
 from bicount.generate import pairs_to_text, random_pairs_m
-from bicount.graph import parse_edge_list
+from bicount.graph import assign_priorities, parse_edge_list
 from helpers import random_graph_set
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -27,8 +27,8 @@ def graph_pairs(g):
 
 
 def vpp_report(path):
-    prepared, p2, _ = prepare_vpp(parse_edge_list(path.read_text()))
-    return count_vpp(prepared, p2)
+    g = parse_edge_list(path.read_text())
+    return count_vpp(g, assign_priorities(g))
 
 
 class TestEmConfig:

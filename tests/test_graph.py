@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicount.errors import ParseError
-from bicount.exact import brute_force_count
 from bicount.graph import (BipartiteGraph, assign_priorities, format_edge_list,
-                           parse_edge_list, project, sort_adjacency)
+                           parse_edge_list, sort_adjacency)
 from helpers import complete_3x2, four_cycle, priority_by_comparison
 
 
@@ -160,44 +159,3 @@ class TestSortAdjacency:
         for neighbors in gs.adjacency:
             ranks = [pr[w] for w in neighbors]
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
-
-
-class TestProjection:
-    def test_complete_3x2_rank_ids(self):
-        g = complete_3x2()
-        _, mapping = project(g, assign_priorities(g))
-        v0, v1, u0, u1, u2 = 0, 1, 2, 3, 4
-        assert mapping.forward[v1] == 0
-        assert mapping.forward[v0] == 1
-        assert mapping.forward[u2] == 2
-        assert mapping.forward[u1] == 3
-        assert mapping.forward[u0] == 4
-
-    def test_identity_when_already_rank_ordered(self):
-        g = BipartiteGraph.build([(0, 0)])
-        _, mapping = project(g, assign_priorities(g))
-        assert mapping.forward == [0, 1]
-
-    def test_inverse_undoes_forward(self):
-        g = complete_3x2()
-        _, mapping = project(g, assign_priorities(g))
-        assert all(mapping.inverse[mapping.forward[v]] == v
-                   for v in range(g.vertex_count))
-
-    @settings(max_examples=60, deadline=None)
-    @given(bipartite_graphs())
-    def test_projection_preserves_structure(self, g):
-        projected, mapping = project(g, assign_priorities(g))
-        for layer in (lambda x: x.upper_vertices(), lambda x: x.lower_vertices()):
-            assert sorted(projected.degrees[v] for v in layer(projected)) == \
-                sorted(g.degrees[v] for v in layer(g))
-        remapped = {(mapping.forward[u], mapping.forward[v]) for u, v in g.edges}
-        assert remapped == set(projected.edges)
-        assert brute_force_count(projected) == brute_force_count(g)
-
-    @settings(max_examples=60, deadline=None)
-    @given(bipartite_graphs())
-    def test_layer_id_invariant_survives_projection(self, g):
-        projected, _ = project(g, assign_priorities(g))
-        l = projected.lower_count
-        assert all(u >= l and v < l for u, v in projected.edges)

@@ -1,6 +1,9 @@
 """Property tests for the rank-space wedge kernel behind ``count_vpp`` and
 the per-edge counts, against the pure-Python engines and the oracles."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +11,9 @@ from hypothesis import strategies as st
 from bicount import kernel
 from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import (brute_force_count, count_butterflies, count_vp, count_vpp,
-                           end_dominant_pass, prepare_vpp)
+                           end_dominant_pass, prepare_vp)
 from bicount.generate import hub_graph
-from bicount.graph import (BipartiteGraph, assign_priorities, project,
-                           projected_priorities, sort_adjacency)
+from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities, sort_adjacency
 from helpers import transpose
 
 
@@ -34,12 +36,12 @@ def graphs(draw):
 
 def loop_reference(g):
     """(butterflies, wedges, middle accesses) from the per-start Python loop
-    of the end-dominant rule over the projected, sorted graph."""
-    prepared, p2, _ = prepare_vpp(g)
+    of the end-dominant rule over the priority-sorted graph."""
+    prepared, p = prepare_vp(g)
     counts = [0] * prepared.vertex_count
     totals = [0, 0, 0]
     for u in range(prepared.vertex_count):
-        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p2.priority,
+        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p.priority,
                                                 counts, [])):
             totals[i] += x
     return tuple(totals)
@@ -62,9 +64,11 @@ class TestKernel:
         assert butterflies == brute_force_count(g)
 
     @settings(max_examples=100, deadline=None)
-    @given(graphs())
-    def test_count_vpp_equals_count_vp_under_either_priority(self, g):
-        for p in (assign_priorities(g), projected_priorities(g)):
+    @given(graphs(), st.integers(min_value=0))
+    def test_count_vpp_equals_count_vp_under_either_priority(self, g, seed):
+        shuffled = list(range(1, g.vertex_count + 1))
+        random.Random(seed).shuffle(shuffled)
+        for p in (assign_priorities(g), PriorityMap(shuffled)):
             vpp = count_vpp(g, p)
             vp = count_vp(sort_adjacency(g, p), p)
             assert (vpp.butterflies, vpp.wedges_processed) == \
@@ -94,17 +98,9 @@ class TestKernel:
         g = hub_graph(6)
         expected = counted(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
-        chunks = [len(keys) for *_, keys in
-                  kernel.iter_chunks(kernel.rank_csr(g, projected_priorities(g)))]
+        csr = kernel.rank_csr(g, assign_priorities(g))
+        chunks = [len(keys) for *_, keys in kernel.iter_chunks(csr, np.arange(csr.n))]
         assert len(chunks) > 1 and max(chunks) > 1
         report, per_edge = counted(g)
         assert report.counters() == expected[0].counters()
         assert per_edge == expected[1]
-
-    @settings(max_examples=100, deadline=None)
-    @given(graphs())
-    def test_projected_priorities_pull_back_the_projection(self, g):
-        projected, mapping = project(g, assign_priorities(g))
-        p2 = assign_priorities(projected).priority
-        assert projected_priorities(g).priority == [p2[mapping.forward[v]]
-                                                    for v in range(g.vertex_count)]

@@ -1,15 +1,21 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicount import kernel
 from bicount.errors import ConfigError
-from bicount.exact import count_vpp, prepare_vp, prepare_vpp
+from bicount.exact import brute_force_count, count_vpp, prepare_vp
 from bicount.generate import hub_graph
-from bicount.parallel import (ScheduleConfig, count_parallel,
-                              estimate_all_workloads, estimate_workload,
-                              greedy_assign, make_static_assignment, makespan,
+from bicount.graph import assign_priorities
+from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
+                              estimate_all_workloads, greedy_assign,
+                              make_static_assignment, makespan,
                               simulate_list_schedule)
 from helpers import four_cycle, random_graph_set, star
+from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
 
@@ -26,30 +32,25 @@ class TestWorkloadEstimate:
         from bicount.graph import BipartiteGraph
         g = BipartiteGraph.build([(0, 0)], upper_count=1, lower_count=2)
         gs, p = prepare_vp(g)
-        assert estimate_workload(gs, p, 1) == 0
+        assert estimate_all_workloads(gs, p)[1] == 0
 
     def test_four_cycle_top_vertex_matches_enumeration(self):
         gs, p = prepare_vp(four_cycle())
         top = max(range(4), key=lambda v: p.priority[v])
-        assert estimate_workload(gs, p, top) == direct_estimate(gs, p, top)
+        assert estimate_all_workloads(gs, p)[top] == direct_estimate(gs, p, top)
 
     def test_star_leaves_estimate_zero(self):
         gs, p = prepare_vp(star(6))
+        workloads = estimate_all_workloads(gs, p)
         for leaf in gs.lower_vertices():
-            assert estimate_workload(gs, p, leaf) == 0
-
-    def test_bulk_matches_single(self):
-        for g in random_graph_set(15, 12, PROBS, seed=71):
-            gs, p = prepare_vp(g)
-            bulk = estimate_all_workloads(gs, p)
-            assert bulk == [estimate_workload(gs, p, u)
-                            for u in range(gs.vertex_count)]
+            assert workloads[leaf] == 0
 
     def test_oracle_agreement_on_random_graphs(self):
         for g in random_graph_set(15, 12, PROBS, seed=72):
             gs, p = prepare_vp(g)
+            workloads = estimate_all_workloads(gs, p)
             for u in range(gs.vertex_count):
-                assert estimate_workload(gs, p, u) == direct_estimate(gs, p, u)
+                assert workloads[u] == direct_estimate(gs, p, u)
 
 
 class TestStaticAssignment:
@@ -142,45 +143,102 @@ class TestScheduleQuality:
 
 class TestCountParallel:
     def test_single_thread_matches_sequential(self):
-        prepared, p2, _ = prepare_vpp(hub_graph(40))
-        sequential = count_vpp(prepared, p2)
+        g = hub_graph(40)
+        p = assign_priorities(g)
+        sequential = count_vpp(g, p)
         cfg = ScheduleConfig(mode="dynamic", strategy="priority", threads=1)
-        report, threads = count_parallel(prepared, p2, cfg)
+        report, threads = count_parallel(g, p, cfg)
         assert report.butterflies == sequential.butterflies
         assert report.wedges_processed == sequential.wedges_processed
         assert report.start_accesses == sequential.start_accesses
         assert report.middle_accesses == sequential.middle_accesses
         assert len(threads) == 1
-        assert threads[0].vertices_handled == prepared.vertex_count
+        assert threads[0].vertices_handled == g.vertex_count
 
     def test_result_independent_of_everything(self):
         graphs = random_graph_set(4, 15, (0.25,), seed=81) + [hub_graph(30)]
         for g in graphs:
-            prepared, p2, _ = prepare_vpp(g)
-            expected = count_vpp(prepared, p2)
+            p = assign_priorities(g)
+            expected = count_vpp(g, p)
             for threads in (1, 2, 4, 8, 16):
                 for mode in ("dynamic", "static"):
                     for strategy in ("priority", "random", "heuristic"):
                         cfg = ScheduleConfig(mode=mode, strategy=strategy,
                                              threads=threads, seed=threads)
-                        report, _ = count_parallel(prepared, p2, cfg)
+                        report, _ = count_parallel(g, p, cfg)
                         assert report.butterflies == expected.butterflies
                         assert report.wedges_processed == expected.wedges_processed
 
     def test_thread_totals_partition_the_work(self):
-        prepared, p2, _ = prepare_vpp(hub_graph(50))
-        sequential = count_vpp(prepared, p2)
+        g = hub_graph(50)
+        p = assign_priorities(g)
+        sequential = count_vpp(g, p)
         cfg = ScheduleConfig(mode="static", strategy="heuristic", threads=4)
-        report, threads = count_parallel(prepared, p2, cfg)
+        report, threads = count_parallel(g, p, cfg)
         assert sum(t.butterflies for t in threads) == report.butterflies
         assert sum(t.wedges_processed for t in threads) == sequential.wedges_processed
-        assert sum(t.vertices_handled for t in threads) == prepared.vertex_count
+        assert sum(t.vertices_handled for t in threads) == g.vertex_count
 
     def test_memory_guard_refuses_absurd_thread_counts(self):
-        prepared, p2, _ = prepare_vpp(four_cycle())
+        g = four_cycle()
         cfg = ScheduleConfig(threads=10 ** 14)
         with pytest.raises(ConfigError, match="threads"):
-            count_parallel(prepared, p2, cfg)
+            count_parallel(g, assign_priorities(g), cfg)
+
+    def test_worker_failure_is_raised(self, monkeypatch):
+        # A worker that dies must not leave a silently short count.
+        g = hub_graph(30)
+        p = assign_priorities(g)
+        real, calls = kernel.count_rows, []
+
+        def failing_once(csr, rows):
+            calls.append(rows)
+            if len(calls) == 2:
+                raise MemoryError("simulated")
+            return real(csr, rows)
+
+        monkeypatch.setattr(kernel, "count_rows", failing_once)
+        cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
+        with pytest.raises(MemoryError, match="simulated"):
+            count_parallel(g, p, cfg)
+
+    def test_dispatch_under_contention(self, monkeypatch):
+        # One slice per start, more workers than cores and frequent thread
+        # switches: a slice lost or handed out twice breaks the sums.
+        g = hub_graph(60)
+        p = assign_priorities(g)
+        expected = count_vpp(g, p)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                report, reports = count_parallel(g, p, ScheduleConfig(threads=8))
+                assert report.counters() == expected.counters()
+                assert sum(t.vertices_handled for t in reports) == g.vertex_count
+        finally:
+            sys.setswitchinterval(interval)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.integers(min_value=0, max_value=2 ** 16))
+    def test_matches_count_vpp_and_brute_force(self, g, seed):
+        # A chunk cap of one makes every start its own slice.
+        p = assign_priorities(g)
+        expected = count_vpp(g, p)
+        assert expected.butterflies == brute_force_count(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel, "CHUNK_WEDGES", 1)
+            for mode in MODES:
+                for strategy in STRATEGIES:
+                    for threads in (1, 2, 3):
+                        cfg = ScheduleConfig(mode=mode, strategy=strategy,
+                                             threads=threads, seed=seed)
+                        report, reports = count_parallel(g, p, cfg)
+                        assert report.counters() == expected.counters()
+                        assert sum(t.butterflies for t in reports) == report.butterflies
+                        assert sum(t.wedges_processed for t in reports) == \
+                            report.wedges_processed
+                        assert sum(t.vertices_handled for t in reports) == g.vertex_count
 
 
 class TestScheduleConfig:
