@@ -202,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("parallel", help="multi-threaded exact count")
+    p = sub.add_parser("parallel", help="exact count over scheduled lanes")
     p.add_argument("input")
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--threads", type=int, default=4,
+                   help="lanes to split start vertices over (folded in turn)")
     p.add_argument("--schedule", choices=("dynamic", "static"), default="dynamic")
     p.add_argument("--strategy", choices=("priority", "random", "heuristic"),
                    default="priority")

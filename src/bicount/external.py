@@ -31,7 +31,7 @@ from time import perf_counter
 
 from .errors import ConfigError, CountOverflowError
 from .exact import COUNT_LIMIT, CountReport
-from .graph import _iter_label_pairs, degree_priorities
+from .graph import degree_priorities, read_edges
 
 RECORD = struct.Struct("<QQ")
 RECORD_WIDTH = RECORD.size
@@ -74,7 +74,11 @@ class IoStats:
 
 
 class BlockWriter:
-    """Buffered record writer; one transfer per block-size chunk flushed."""
+    """Buffered record writer; one transfer per block-size chunk flushed.
+
+    Use it as a context manager: the file is closed even when a write
+    fails (a full disk), and the buffered tail is flushed only on success.
+    """
 
     def __init__(self, path, block_size: int, stats: IoStats):
         self._file = open(path, "wb")
@@ -92,11 +96,22 @@ class BlockWriter:
             self._stats.blocks_written += 1
 
     def close(self) -> None:
-        if self._buffer:
-            self._file.write(self._buffer)
-            self._stats.blocks_written += 1
-            self._buffer.clear()
-        self._file.close()
+        try:
+            if self._buffer:
+                self._file.write(self._buffer)
+                self._stats.blocks_written += 1
+                self._buffer.clear()
+        finally:
+            self._file.close()
+
+    def __enter__(self) -> "BlockWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()
 
 
 def iter_records(path, block_size: int, stats: IoStats):
@@ -140,10 +155,9 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
                 break
             chunk.sort()
             run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
-            writer = BlockWriter(run_path, cfg.block_size, stats)
-            for record in chunk:
-                writer.write(record)
-            writer.close()
+            with BlockWriter(run_path, cfg.block_size, stats) as writer:
+                for record in chunk:
+                    writer.write(record)
             runs.append(run_path)
 
         if not runs:
@@ -163,11 +177,10 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
                 final = len(runs) <= width
                 merged = out_path if final else os.path.join(
                     scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}")
-                writer = BlockWriter(merged, cfg.block_size, stats)
                 streams = [iter_records(path, cfg.block_size, stats) for path in group]
-                for record in heapq.merge(*streams):
-                    writer.write(record)
-                writer.close()
+                with BlockWriter(merged, cfg.block_size, stats) as writer:
+                    for record in heapq.merge(*streams):
+                        writer.write(record)
                 if not cfg.keep_scratch:
                     for path in group:
                         os.remove(path)
@@ -225,27 +238,28 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         pairs_raw = os.path.join(scratch, "pairs.raw")
         pairs_sorted = os.path.join(scratch, "pairs.sorted")
 
+        # The rank table (8 bytes a vertex) must fit the budget; the label
+        # dicts are checked as they grow, before the file is read through.
         upper_ids: dict[int, int] = {}
         lower_ids: dict[int, int] = {}
+        max_vertices = cfg.memory_budget // 8
         pack = RECORD.pack
-        writer = BlockWriter(raw_path, cfg.block_size, stats)
-        with open(edge_path, "r", encoding="utf-8") as handle:
-            for _, ulabel, vlabel in _iter_label_pairs(handle):
-                ui = upper_ids.setdefault(ulabel, len(upper_ids))
-                vi = lower_ids.setdefault(vlabel, len(lower_ids))
+        with open(edge_path, "r", encoding="utf-8") as handle, \
+                BlockWriter(raw_path, cfg.block_size, stats) as writer:
+            for ui, vi in read_edges(handle, upper_ids, lower_ids):
+                if len(upper_ids) + len(lower_ids) > max_vertices:
+                    raise ConfigError(
+                        f"more than {max_vertices} vertices: their rank table "
+                        f"needs over the {cfg.memory_budget}-byte budget; "
+                        f"raise the budget")
                 ukey = (ui << 1) | 1
                 vkey = vi << 1
                 writer.write(pack(vkey, ukey))
                 writer.write(pack(ukey, vkey))
-        writer.close()
         lower_count = len(lower_ids)
         n = lower_count + len(upper_ids)
         upper_ids.clear()
         lower_ids.clear()
-        if 8 * n > cfg.memory_budget:
-            raise ConfigError(
-                f"{n} vertices need ~{8 * n} bytes for the rank table, over "
-                f"the {cfg.memory_budget}-byte budget; raise the budget")
 
         external_sort(raw_path, sorted_path, cfg, suffix="edges",
                       scratch_dir=scratch, stats=stats)
@@ -258,27 +272,26 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
 
         priority = degree_priorities(degrees).tolist()
 
-        writer = BlockWriter(pairs_raw, cfg.block_size, stats)
         pairs_emitted = 0
         groups = 0
         records_scanned = 0
-        for center, neighbors in _iter_groups(sorted_path, cfg, stats):
-            groups += 1
-            records_scanned += len(neighbors)
-            pv = priority[_final_id(center, lower_count)]
-            members = sorted((priority[_final_id(k, lower_count)], k)
-                             for k in neighbors)
-            for i in range(len(members) - 1, -1, -1):
-                pw, wkey = members[i]
-                if pw <= pv:
-                    break
-                w_final = _final_id(wkey, lower_count)
-                for pu, ukey in members:
-                    if pu >= pw:
+        with BlockWriter(pairs_raw, cfg.block_size, stats) as writer:
+            for center, neighbors in _iter_groups(sorted_path, cfg, stats):
+                groups += 1
+                records_scanned += len(neighbors)
+                pv = priority[_final_id(center, lower_count)]
+                members = sorted((priority[_final_id(k, lower_count)], k)
+                                 for k in neighbors)
+                for i in range(len(members) - 1, -1, -1):
+                    pw, wkey = members[i]
+                    if pw <= pv:
                         break
-                    writer.write(pack(_final_id(ukey, lower_count), w_final))
-                    pairs_emitted += 1
-        writer.close()
+                    w_final = _final_id(wkey, lower_count)
+                    for pu, ukey in members:
+                        if pu >= pw:
+                            break
+                        writer.write(pack(_final_id(ukey, lower_count), w_final))
+                        pairs_emitted += 1
         stats.pairs_emitted = pairs_emitted
         if not cfg.keep_scratch:
             os.remove(sorted_path)

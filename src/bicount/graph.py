@@ -60,32 +60,30 @@ class BipartiteGraph:
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]], upper_count: int | None = None,
-              lower_count: int | None = None) -> "BipartiteGraph":
+              lower_count: int | None = None,
+              labels: list[int] | None = None) -> "BipartiteGraph":
         """Build a graph from (upper-index, lower-index) pairs.
 
         Indices are per-layer and dense; explicit layer counts allow
         degree-0 vertices.  Duplicate pairs are dropped and counted.
+        ``labels`` are the external labels, lower layer first; by default
+        each vertex is labelled with its per-layer index.
         """
         pairs = list(pairs)
+        unique = dict.fromkeys(pairs)
         if upper_count is None:
-            upper_count = max((u for u, _ in pairs), default=-1) + 1
+            upper_count = max((u for u, _ in unique), default=-1) + 1
         if lower_count is None:
-            lower_count = max((v for _, v in pairs), default=-1) + 1
-        seen = set()
-        edges = []
-        dropped = 0
-        for u, v in pairs:
+            lower_count = max((v for _, v in unique), default=-1) + 1
+        for u, v in unique:
             if not (0 <= u < upper_count and 0 <= v < lower_count):
                 raise ValueError(f"edge ({u}, {v}) outside layer ranges "
                                  f"{upper_count}x{lower_count}")
-            key = (u, v)
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            edges.append((lower_count + u, v))
-        labels = list(range(lower_count)) + list(range(upper_count))
-        return cls._assemble(upper_count, lower_count, edges, labels, dropped)
+        edges = [(lower_count + u, v) for u, v in unique]
+        if labels is None:
+            labels = list(range(lower_count)) + list(range(upper_count))
+        return cls._assemble(upper_count, lower_count, edges, labels,
+                             len(pairs) - len(edges))
 
     @classmethod
     def _assemble(cls, upper_count, lower_count, edges, labels, dropped):
@@ -129,8 +127,15 @@ class PriorityMap:
         return order
 
 
-def _iter_label_pairs(lines: Iterable[str]):
-    """Yield (line_number, upper_label, lower_label) from edge-list lines."""
+def read_edges(lines: Iterable[str], upper_ids: dict[int, int],
+               lower_ids: dict[int, int]):
+    """Yield the dense (upper, lower) index pair of every edge line.
+
+    Each layer's labels get indices in first-seen order, recorded in
+    ``upper_ids`` and ``lower_ids`` (label -> index), so a dict's insertion
+    order is its index order.  Blank lines and comments are skipped;
+    anything else that is not two nonnegative integers raises ParseError.
+    """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
@@ -144,7 +149,7 @@ def _iter_label_pairs(lines: Iterable[str]):
             raise ParseError(lineno, f"non-integer label in {line!r}") from None
         if u < 0 or v < 0:
             raise ParseError(lineno, f"negative label in {line!r}")
-        yield lineno, u, v
+        yield upper_ids.setdefault(u, len(upper_ids)), lower_ids.setdefault(v, len(lower_ids))
 
 
 def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
@@ -162,27 +167,9 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
         source = source.splitlines()
     upper_ids: dict[int, int] = {}
     lower_ids: dict[int, int] = {}
-    raw_edges = []
-    for _, ulabel, vlabel in _iter_label_pairs(source):
-        ui = upper_ids.setdefault(ulabel, len(upper_ids))
-        vi = lower_ids.setdefault(vlabel, len(lower_ids))
-        raw_edges.append((ui, vi))
-    l, r = len(lower_ids), len(upper_ids)
-    seen = set()
-    edges = []
-    dropped = 0
-    for ui, vi in raw_edges:
-        if (ui, vi) in seen:
-            dropped += 1
-            continue
-        seen.add((ui, vi))
-        edges.append((l + ui, vi))
-    labels = [0] * (l + r)
-    for label, vi in lower_ids.items():
-        labels[vi] = label
-    for label, ui in upper_ids.items():
-        labels[l + ui] = label
-    return BipartiteGraph._assemble(r, l, edges, labels, dropped)
+    pairs = list(read_edges(source, upper_ids, lower_ids))
+    return BipartiteGraph.build(pairs, len(upper_ids), len(lower_ids),
+                                list(lower_ids) + list(upper_ids))
 
 
 def load_edge_list(path) -> BipartiteGraph:

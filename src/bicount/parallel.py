@@ -1,20 +1,22 @@
-"""Shared-memory parallel butterfly counting.
+"""Scheduled butterfly counting: the paper's parallel engine, lane by lane.
 
-Workers share one read-only rank-space CSR (``kernel.rank_csr``) and run
-the kernel's chunked sort-and-fold over their own start rows, so each
-holds only the arrays of the chunk it is folding.  Dynamic mode hands out
-consecutive slices of a queue ordered by the chosen strategy, each of
-about ``kernel.CHUNK_WEDGES`` wedges, through a lock-guarded cursor;
+The paper splits start vertices over threads.  Here the schedule decides
+each thread's share, its *lane*, and the lanes are folded one after
+another in the calling thread (under CPython's GIL, threads added no
+speed): each lane is one ``kernel.count_rows`` call over one shared
+rank-space CSR (``kernel.rank_csr``).  Dynamic mode cuts a queue ordered
+by the chosen strategy into consecutive slices of about
+``kernel.CHUNK_WEDGES`` wedges and deals them out with the list-schedule
+model (``simulate_list_schedule``), each slice lasting its wedge count;
 static mode precomputes the whole partition.  Counts are integers, so the
-reduction is order-independent and the result is identical for every
-thread count, mode, strategy, and seed.
+total is identical for every lane count, mode, strategy, and seed, and
+every lane's report repeats exactly across calls.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import threading
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -27,6 +29,9 @@ from .graph import BipartiteGraph, PriorityMap
 
 MODES = ("dynamic", "static")
 STRATEGIES = ("priority", "random", "heuristic")
+
+# Bytes one lane holds besides its chunk: its rows, its load and its report.
+LANE_BYTES = 512
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,8 @@ def makespan(assignment: list[list[int]], workloads: list[int]) -> int:
 def simulate_list_schedule(workloads: list[int], threads: int,
                            order: list[int] | None = None) -> list[list[int]]:
     """Deterministic model of dynamic dispatch: jobs in queue order go to
-    the thread that frees earliest.  Used for schedule-quality checks."""
+    the thread that frees earliest.  Deals the dynamic lanes of
+    ``count_parallel``."""
     if order is None:
         order = list(range(len(workloads)))
     assignment: list[list[int]] = [[] for _ in range(threads)]
@@ -144,90 +150,51 @@ def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> li
 
 
 def _memory_guard(chunk_wedges: int, threads: int) -> None:
-    """Refuse thread counts whose chunk arrays cannot fit: each worker
-    holds a chunk's expansion, about four int64 arrays of its wedges."""
-    needed = chunk_wedges * threads * 32
+    """Refuse lane counts whose bookkeeping cannot fit.  Lanes are folded
+    one at a time, so only one chunk's expansion (about four int64 arrays
+    of its wedges) is live; each lane still holds its rows, its load in
+    the schedule and its report, about ``LANE_BYTES``."""
+    needed = chunk_wedges * 32 + threads * LANE_BYTES
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError, AttributeError):
         return
     if needed > physical // 2:
-        raise ConfigError(f"{threads} threads folding chunks of up to {chunk_wedges} "
+        raise ConfigError(f"{threads} lanes folding chunks of up to {chunk_wedges} "
                           f"wedges need ~{needed} bytes; reduce threads")
-
-
-class _Cursor:
-    """Fetch-and-increment dispatch point over a queue of row slices."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self):
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def next(self) -> int:
-        with self._lock:
-            value = self._value
-            self._value = value + 1
-            return value
 
 
 def count_parallel(g: BipartiteGraph, p: PriorityMap,
                    cfg: ScheduleConfig) -> tuple[CountReport, list[ThreadReport]]:
-    """Parallel end-dominant counting over any graph and priority map.
+    """Scheduled end-dominant counting over any graph and priority map.
 
-    The count always equals ``count_vpp``'s; per-thread wedge totals
+    The count always equals ``count_vpp``'s; per-lane wedge totals
     partition its total.
     """
     t0 = perf_counter()
     csr = kernel.rank_csr(g, p)
-    t = cfg.threads
-    _memory_guard(max(kernel.CHUNK_WEDGES, int(np.diff(csr.row_wedges).max(initial=0))), t)
+    row_wedges = np.diff(csr.row_wedges)
+    _memory_guard(max(kernel.CHUNK_WEDGES, int(row_wedges.max(initial=0))), cfg.threads)
 
-    # Each worker draws row slices through a cursor: dynamic workers share
-    # one queue of slices, a static worker owns one slice, its lane.
+    # A dynamic lane is the slices that the list schedule deals it, each
+    # slice lasting its wedge count; a static lane is its partition.
     rank = np.asarray(p.priority, dtype=np.int64) - 1
     if cfg.mode == "dynamic":
         order = rank[_dynamic_order(g, p, cfg)]
-        bounds = [0] + kernel.chunk_bounds(csr, order)
-        shared = ([order[lo:hi] for lo, hi in zip(bounds, bounds[1:])], _Cursor())
-        queues = [shared] * t
+        slices = np.split(order, kernel.chunk_bounds(csr, order)[:-1])
+        durations = [int(row_wedges[rows].sum()) for rows in slices]
+        # order[:0] keeps a lane that is dealt no slice an empty array.
+        lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
+                 for lane in simulate_list_schedule(durations, cfg.threads)]
     else:
-        queues = [([rank[lane]], _Cursor()) for lane in make_static_assignment(g, p, cfg)]
+        lanes = [rank[lane] for lane in make_static_assignment(g, p, cfg)]
 
-    results: list = [None] * t
-
-    def run(tid: int) -> None:
-        slices, cursor = queues[tid]
-        butterflies = wedges = handled = 0
-        try:
-            while (i := cursor.next()) < len(slices):
-                b, w = kernel.count_rows(csr, slices[i])
-                butterflies += b
-                wedges += w
-                handled += len(slices[i])
-        except Exception as exc:  # raised again below, once every worker is done
-            results[tid] = exc
-        else:
-            results[tid] = (butterflies, wedges, handled)
-
-    workers = [threading.Thread(target=run, args=(tid,)) for tid in range(t)]
-    for worker in workers:
-        worker.start()
-    for worker in workers:
-        worker.join()
-    for r in results:
-        if isinstance(r, Exception):
-            raise r
-
-    # Reduce in thread-index order; integer addition makes the total
-    # independent of which worker handled which start vertex.
-    butterflies = sum(r[0] for r in results)
+    reports = [ThreadReport(tid, *kernel.count_rows(csr, rows), len(rows))
+               for tid, rows in enumerate(lanes)]
+    butterflies = sum(r.butterflies for r in reports)
     if butterflies >= COUNT_LIMIT:
         raise CountOverflowError("butterfly count exceeded 128 bits")
-    wedges = sum(r[1] for r in results)
-    handled = sum(r[2] for r in results)
-    report = CountReport(butterflies, wedges, handled, 2 * g.edge_count, wedges,
+    wedges = sum(r.wedges_processed for r in reports)
+    report = CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count, wedges,
                          perf_counter() - t0)
-    thread_reports = [ThreadReport(tid, *r) for tid, r in enumerate(results)]
-    return report, thread_reports
+    return report, reports

@@ -1,11 +1,16 @@
+import errno
+import gc
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from bicount.cli import main, parse_size
+from bicount.external import BlockWriter
+from bicount.generate import pairs_to_text, random_pairs_m
 
 FOUR_CYCLE = "0 0\n0 1\n1 0\n1 1\n"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -126,6 +131,38 @@ class TestSubcommands:
         assert list(data["io"]) == ["blocks_read", "blocks_written",
                                     "pairs_emitted", "merge_passes"]
         assert data["io"]["pairs_emitted"] == 2
+
+    def test_em_full_disk_is_1_and_closes_its_files(self, capsys, tmp_path, monkeypatch):
+        # A scratch write that fails (simulated ENOSPC) at any point of the
+        # pipeline exits 1, empties the scratch dir and leaves no open file
+        # for the garbage collector.
+        path = tmp_path / "g.txt"
+        path.write_text(pairs_to_text(random_pairs_m(60, 60, 1200, seed=4)))
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        argv = ["em", str(path), "--memory-budget", "16KiB", "--block-size", "4KiB",
+                "--scratch-dir", str(scratch)]
+        real_write, calls, fail_at = BlockWriter.write, [0], [0]
+
+        def write(self, record):
+            calls[0] += 1
+            if calls[0] == fail_at[0]:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_write(self, record)
+
+        monkeypatch.setattr(BlockWriter, "write", write)
+        assert main(argv) == 0
+        total = calls[0]
+        capsys.readouterr()
+        for fail_at[0] in range(1, total, total // 8):
+            calls[0] = 0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1
+                gc.collect()
+            assert "No space left on device" in capsys.readouterr().err
+            assert list(scratch.iterdir()) == []
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_approx_p_one_matches_exact(self, capsys, four_cycle_file):
         code, data = run_json(capsys, ["approx", four_cycle_file,

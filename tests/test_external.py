@@ -153,6 +153,14 @@ class TestEmCount:
         with pytest.raises(ConfigError, match="budget"):
             em_count(path, MIN_CFG)
 
+    def test_vertex_budget_is_checked_while_reading(self, tmp_path):
+        # 16 KiB holds the rank table of 2,048 vertices.  The file has
+        # 6,000 and ends in a malformed line that the check must not reach.
+        path = tmp_path / "g.txt"
+        path.write_text(pairs_to_text([(i, i) for i in range(3000)]) + "0 0 0\n")
+        with pytest.raises(ConfigError, match="vertices"):
+            em_count(path, MIN_CFG)
+
     def test_scratch_cleanup_and_keep(self, tmp_path):
         path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
         scratch = tmp_path / "scratch"

@@ -1,6 +1,6 @@
 import random
-import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bicount import kernel
 from bicount.errors import ConfigError
 from bicount.exact import brute_force_count, count_vpp, prepare_vp
-from bicount.generate import hub_graph
+from bicount.generate import hub_graph, random_graph
 from bicount.graph import assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               estimate_all_workloads, greedy_assign,
@@ -202,22 +202,33 @@ class TestCountParallel:
         with pytest.raises(MemoryError, match="simulated"):
             count_parallel(g, p, cfg)
 
-    def test_dispatch_under_contention(self, monkeypatch):
-        # One slice per start, more workers than cores and frequent thread
-        # switches: a slice lost or handed out twice breaks the sums.
-        g = hub_graph(60)
+    def test_dynamic_lanes_follow_the_list_schedule(self, monkeypatch):
+        # Each dynamic lane folds the slices the list-schedule model deals
+        # it, a slice lasting its wedge count, so its wedges are predicted
+        # exactly and repeat across calls.
+        g = random_graph(30, 30, 0.3, seed=7)
         p = assign_priorities(g)
-        expected = count_vpp(g, p)
-        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                report, reports = count_parallel(g, p, ScheduleConfig(threads=8))
-                assert report.counters() == expected.counters()
-                assert sum(t.vertices_handled for t in reports) == g.vertex_count
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        csr = kernel.rank_csr(g, p)
+        rank = np.asarray(p.priority) - 1
+        workloads = estimate_all_workloads(g, p)
+        shuffled = list(range(g.vertex_count))
+        random.Random(7).shuffle(shuffled)
+        orders = {"priority": p.descending_vertices(), "random": shuffled,
+                  "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
+        for strategy, order in orders.items():
+            ranks = rank[order]
+            slices = np.split(ranks, kernel.chunk_bounds(csr, ranks)[:-1])
+            durations = [kernel.count_rows(csr, rows)[1] for rows in slices]
+            assert len(slices) > 8
+            for threads in (3, 8):
+                predicted = [sum(durations[i] for i in lane)
+                             for lane in simulate_list_schedule(durations, threads)]
+                cfg = ScheduleConfig(strategy=strategy, threads=threads, seed=7)
+                first = count_parallel(g, p, cfg)[1]
+                assert [t.wedges_processed for t in first] == predicted
+                for _ in range(2):
+                    assert count_parallel(g, p, cfg)[1] == first
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), st.integers(min_value=0, max_value=2 ** 16))
@@ -230,7 +241,7 @@ class TestCountParallel:
             mp.setattr(kernel, "CHUNK_WEDGES", 1)
             for mode in MODES:
                 for strategy in STRATEGIES:
-                    for threads in (1, 2, 3):
+                    for threads in (1, 2, 3, 8):
                         cfg = ScheduleConfig(mode=mode, strategy=strategy,
                                              threads=threads, seed=seed)
                         report, reports = count_parallel(g, p, cfg)
