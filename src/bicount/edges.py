@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from . import kernel
-from .errors import ConsistencyError, CountOverflowError, GuardError
-from .exact import BRUTE_FORCE_EDGE_GUARD, COUNT_LIMIT
+from .errors import ConsistencyError, GuardError
+from .exact import BRUTE_FORCE_EDGE_GUARD, check_limit
 from .graph import BipartiteGraph, PriorityMap, assign_priorities
 
 
@@ -35,9 +35,7 @@ def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap) -> EdgeCounts:
     total4 = sum(per_edge)
     if total4 % 4:
         raise ConsistencyError("per-edge counts do not sum to a multiple of 4")
-    butterflies = total4 // 4
-    if butterflies >= COUNT_LIMIT:
-        raise CountOverflowError("butterfly count exceeded 128 bits")
+    butterflies = check_limit(total4 // 4, "butterfly count")
     return EdgeCounts(per_edge, butterflies, perf_counter() - t0)
 
 

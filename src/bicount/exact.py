@@ -58,7 +58,7 @@ class CountReport:
                 self.middle_accesses, self.end_accesses)
 
 
-def _check_limit(value: int, what: str) -> int:
+def check_limit(value: int, what: str) -> int:
     if value >= COUNT_LIMIT:
         raise CountOverflowError(f"{what} exceeded 128 bits")
     return value
@@ -105,7 +105,7 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
                     butterflies += c * (c - 1) // 2
             touched.clear()
         middle_accesses += len(adjacency[u])
-    _check_limit(butterflies, "butterfly count")
+    check_limit(butterflies, "butterfly count")
     return CountReport(butterflies, wedges, len(starts), middle_accesses,
                        wedges, perf_counter() - t0)
 
@@ -148,7 +148,7 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
                 if c > 1:
                     butterflies += c * (c - 1) // 2
             touched.clear()
-    _check_limit(butterflies, "butterfly count")
+    check_limit(butterflies, "butterfly count")
     return CountReport(butterflies, wedges, n, middle_accesses, wedges,
                        perf_counter() - t0)
 
@@ -199,7 +199,7 @@ def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """
     t0 = perf_counter()
     butterflies, wedges = kernel.count_pairs(g, p)
-    _check_limit(butterflies, "butterfly count")
+    check_limit(butterflies, "butterfly count")
     return CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
                        wedges, perf_counter() - t0)
 
@@ -273,7 +273,7 @@ def count_caterpillars(g: BipartiteGraph) -> int:
     total = 0
     for u, v in g.edges:
         total += (degrees[u] - 1) * (degrees[v] - 1)
-    return _check_limit(total, "caterpillar count")
+    return check_limit(total, "caterpillar count")
 
 
 def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:

@@ -13,28 +13,31 @@ Pipeline, entirely over fixed-width binary records of two little-endian
 5. external-sort the pairs and fold equal runs: a run of length c adds
    C(c, 2) butterflies.
 
-I/O accounting counts the logical block transfers performed by this
-module's buffered readers and writers, so the numbers are deterministic;
-reading the text input is not metered.
+Records move as numpy arrays of 16-byte voids, sorted and compared
+bytewise.  I/O follows the scan model of Aggarwal and Vitter: a pass over
+S bytes costs ceil(S / B) transfers; reading the text input is not metered.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import shutil
 import struct
 import tempfile
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from time import perf_counter
 
-from .errors import ConfigError, CountOverflowError
-from .exact import COUNT_LIMIT, CountReport
+import numpy as np
+
+from . import kernel
+from .errors import ConfigError
+from .exact import CountReport, check_limit
 from .graph import degree_priorities, read_edges
 
 RECORD = struct.Struct("<QQ")
 RECORD_WIDTH = RECORD.size
+RECORD_DTYPE = np.dtype(f"V{RECORD_WIDTH}")
 MIN_BLOCK = 4096
 
 
@@ -73,34 +76,29 @@ class IoStats:
     merge_passes: int = 0
 
 
+def _records(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Records of the little-endian 64-bit fields ``(first, second)``."""
+    return np.stack((first, second), axis=1).astype("<u8").view(RECORD_DTYPE).ravel()
+
+
 class BlockWriter:
-    """Buffered record writer; one transfer per block-size chunk flushed.
+    """Sequential record writer; one transfer per block of bytes written.
 
     Use it as a context manager: the file is closed even when a write
-    fails (a full disk), and the buffered tail is flushed only on success.
+    fails (a full disk), and the transfers are metered only on success.
     """
 
     def __init__(self, path, block_size: int, stats: IoStats):
         self._file = open(path, "wb")
-        self._buffer = bytearray()
         self._block = block_size
         self._stats = stats
 
-    def write(self, record: bytes) -> None:
-        buf = self._buffer
-        buf += record
-        if len(buf) >= self._block:
-            block = self._block
-            self._file.write(buf[:block])
-            del buf[:block]
-            self._stats.blocks_written += 1
+    def write(self, records: np.ndarray) -> None:
+        self._file.write(records)
 
     def close(self) -> None:
         try:
-            if self._buffer:
-                self._file.write(self._buffer)
-                self._stats.blocks_written += 1
-                self._buffer.clear()
+            self._stats.blocks_written += -(-self._file.tell() // self._block)
         finally:
             self._file.close()
 
@@ -114,23 +112,32 @@ class BlockWriter:
             self._file.close()
 
 
-def iter_records(path, block_size: int, stats: IoStats):
-    """Stream 16-byte records, metering one read per block-size chunk.
-    Records may straddle chunk boundaries when B is not a multiple of 16."""
-    rest = b""
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(block_size)
-            if not chunk:
-                break
-            stats.blocks_read += 1
-            data = rest + chunk
-            end = len(data) - len(data) % RECORD_WIDTH
-            for offset in range(0, end, RECORD_WIDTH):
-                yield data[offset:offset + RECORD_WIDTH]
-            rest = data[end:]
-    if rest:
+def iter_records(path, block_size: int, stats: IoStats, count: int | None = None):
+    """Stream a record file as arrays of ``count`` records (the last may be
+    shorter; by default a block's worth), metering one pass over it."""
+    size = os.path.getsize(path)
+    if size % RECORD_WIDTH:
         raise ConfigError(f"record file {path} truncated mid-record")
+    stats.blocks_read += -(-size // block_size)
+    count = count or max(1, block_size // RECORD_WIDTH)
+    with open(path, "rb") as handle:
+        while len(records := np.fromfile(handle, dtype=RECORD_DTYPE, count=count)):
+            yield records
+
+
+def _merge(streams, writer: BlockWriter) -> None:
+    """Merge sorted, non-empty record streams a block at a time: every
+    buffered record up to the smallest buffered tail is final."""
+    buffers = {stream: next(stream) for stream in streams}
+    while buffers:
+        bound = np.sort(np.concatenate([b[-1:] for b in buffers.values()]))[:1]
+        taken = []
+        for stream, buffer in list(buffers.items()):
+            cut = int(np.searchsorted(buffer, bound, side="right")[0])
+            taken.append(buffer[:cut])
+            buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
+        buffers = {s: b for s, b in buffers.items() if b is not None}
+        writer.write(np.sort(np.concatenate(taken), kind="stable"))
 
 
 def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
@@ -147,17 +154,12 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
     if own_scratch:
         scratch_dir = tempfile.mkdtemp(prefix="extsort-")
     try:
-        source = iter_records(in_path, cfg.block_size, stats)
         runs = []
-        while True:
-            chunk = list(islice(source, cfg.run_records))
-            if not chunk:
-                break
+        for chunk in iter_records(in_path, cfg.block_size, stats, cfg.run_records):
             chunk.sort()
             run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
             with BlockWriter(run_path, cfg.block_size, stats) as writer:
-                for record in chunk:
-                    writer.write(record)
+                writer.write(chunk)
             runs.append(run_path)
 
         if not runs:
@@ -179,8 +181,7 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
                     scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}")
                 streams = [iter_records(path, cfg.block_size, stats) for path in group]
                 with BlockWriter(merged, cfg.block_size, stats) as writer:
-                    for record in heapq.merge(*streams):
-                        writer.write(record)
+                    _merge(streams, writer)
                 if not cfg.keep_scratch:
                     for path in group:
                         os.remove(path)
@@ -194,31 +195,35 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
             shutil.rmtree(scratch_dir, ignore_errors=True)
 
 
-def _final_id(key: int, lower_count: int) -> int:
-    # Keys tag the layer in the low bit so dense IDs can be assigned
-    # before the lower-layer size is known.
-    return lower_count + (key >> 1) if key & 1 else key >> 1
+def _final_ids(records: np.ndarray, lower_count: int) -> np.ndarray:
+    # Both fields of every record, as final IDs.  Keys tag the layer in the
+    # low bit so dense IDs can be assigned before the lower-layer size is known.
+    keys = records.view("<u8").reshape(-1, 2).astype(np.int64)
+    return (keys >> 1) + (keys & 1) * lower_count
 
 
-def _iter_groups(path, cfg: EmConfig, stats: IoStats):
-    """Yield (center_key, [neighbor_key...]) from a sorted record file,
-    dropping duplicate records (duplicate input edges)."""
-    center = None
-    neighbors: list[int] = []
-    previous = None
-    for record in iter_records(path, cfg.block_size, stats):
-        if record == previous:
-            continue
-        previous = record
-        c, w = RECORD.unpack(record)
-        if c != center:
-            if center is not None:
-                yield center, neighbors
-            center = c
-            neighbors = []
-        neighbors.append(w)
-    if center is not None:
-        yield center, neighbors
+def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
+    """Yield ``(centers, sizes, neighbors)`` of a sorted record file's
+    groups (final IDs), a block's whole groups at a time, without
+    duplicate records (duplicate input edges)."""
+    # A block's last group may go on in the next: hold it until a block shows its end.
+    pending: list[np.ndarray] = []
+
+    def groups(records):
+        records = records[np.concatenate(([True], records[1:] != records[:-1]))]
+        ids = _final_ids(records, lower_count)
+        sizes = kernel.run_lengths(ids[:, 0])
+        return ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
+
+    for block in iter_records(path, cfg.block_size, stats):
+        centers = block.view("<u8")[0::2]
+        cut = int(np.argmax(centers == centers[-1]))
+        if cut:
+            yield groups(np.concatenate(pending + [block[:cut]]))
+            pending = []
+        pending.append(block[cut:])
+    if pending:
+        yield groups(np.concatenate(pending))
 
 
 def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
@@ -239,23 +244,25 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         pairs_sorted = os.path.join(scratch, "pairs.sorted")
 
         # The rank table (8 bytes a vertex) must fit the budget; the label
-        # dicts are checked as they grow, before the file is read through.
+        # dicts are checked batch by batch, before the file is read through.
         upper_ids: dict[int, int] = {}
         lower_ids: dict[int, int] = {}
         max_vertices = cfg.memory_budget // 8
-        pack = RECORD.pack
+        batch = max(1, cfg.block_size // RECORD_WIDTH)
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 BlockWriter(raw_path, cfg.block_size, stats) as writer:
-            for ui, vi in read_edges(handle, upper_ids, lower_ids):
+            edges = read_edges(handle, upper_ids, lower_ids)
+            while len(ids := np.fromiter(chain.from_iterable(islice(edges, batch)),
+                                         dtype=np.int64)):
                 if len(upper_ids) + len(lower_ids) > max_vertices:
                     raise ConfigError(
                         f"more than {max_vertices} vertices: their rank table "
                         f"needs over the {cfg.memory_budget}-byte budget; "
                         f"raise the budget")
-                ukey = (ui << 1) | 1
-                vkey = vi << 1
-                writer.write(pack(vkey, ukey))
-                writer.write(pack(ukey, vkey))
+                # Both directions of every edge, as (center, neighbor) keys.
+                keys = ids << 1
+                keys[0::2] |= 1
+                writer.write(_records(keys.reshape(-1, 2)[:, ::-1].ravel(), keys))
         lower_count = len(lower_ids)
         n = lower_count + len(upper_ids)
         upper_ids.clear()
@@ -266,32 +273,27 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         if not cfg.keep_scratch:
             os.remove(raw_path)
 
-        degrees = [0] * n
-        for center, neighbors in _iter_groups(sorted_path, cfg, stats):
-            degrees[_final_id(center, lower_count)] = len(neighbors)
+        degrees = np.zeros(n, dtype=np.int64)
+        for centers, sizes, _ in _iter_groups(sorted_path, cfg, stats, lower_count):
+            degrees[centers] = sizes
+        rank = degree_priorities(degrees) - 1
 
-        priority = degree_priorities(degrees).tolist()
-
-        pairs_emitted = 0
-        groups = 0
-        records_scanned = 0
+        pairs_emitted = groups = records_scanned = 0
         with BlockWriter(pairs_raw, cfg.block_size, stats) as writer:
-            for center, neighbors in _iter_groups(sorted_path, cfg, stats):
-                groups += 1
+            for centers, sizes, neighbors in _iter_groups(sorted_path, cfg, stats, lower_count):
+                groups += len(centers)
                 records_scanned += len(neighbors)
-                pv = priority[_final_id(center, lower_count)]
-                members = sorted((priority[_final_id(k, lower_count)], k)
-                                 for k in neighbors)
-                for i in range(len(members) - 1, -1, -1):
-                    pw, wkey = members[i]
-                    if pw <= pv:
-                        break
-                    w_final = _final_id(wkey, lower_count)
-                    for pu, ukey in members:
-                        if pu >= pw:
-                            break
-                        writer.write(pack(_final_id(ukey, lower_count), w_final))
-                        pairs_emitted += 1
+                # Each group's members ascending by rank: an end w that
+                # outranks the center pairs with every member before it.
+                group = np.repeat(np.arange(len(centers)), sizes)
+                members = neighbors[np.lexsort((rank[neighbors], group))]
+                firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+                counts = np.where(rank[members] > rank[centers][group],
+                                  np.arange(len(members)) - firsts, 0)
+                pairs_emitted += int(counts.sum())
+                for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
+                    writer.write(_records(members[kernel.ranges(firsts[part], counts[part])],
+                                          np.repeat(members[part], counts[part])))
         stats.pairs_emitted = pairs_emitted
         if not cfg.keep_scratch:
             os.remove(sorted_path)
@@ -301,21 +303,21 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         if not cfg.keep_scratch:
             os.remove(pairs_raw)
 
-        butterflies = 0
-        run_length = 0
+        # A run of c equal pairs adds C(c, 2); the open run carries over.
+        butterflies = run = 0
         previous = None
-        for record in iter_records(pairs_sorted, cfg.block_size, stats):
-            if record == previous:
-                run_length += 1
-            else:
-                if run_length > 1:
-                    butterflies += run_length * (run_length - 1) // 2
-                previous = record
-                run_length = 1
-        if run_length > 1:
-            butterflies += run_length * (run_length - 1) // 2
-        if butterflies >= COUNT_LIMIT:
-            raise CountOverflowError("butterfly count exceeded 128 bits")
+        for records in iter_records(pairs_sorted, cfg.block_size, stats):
+            runs = kernel.run_lengths(records)
+            if previous is not None and records[0] == previous:
+                run += int(runs[0])
+                runs = runs[1:]
+            if len(runs):
+                butterflies += run * (run - 1) // 2
+                butterflies += int((runs[:-1] * (runs[:-1] - 1) // 2).sum())
+                run = int(runs[-1])
+            previous = records[-1]
+        butterflies += run * (run - 1) // 2
+        check_limit(butterflies, "butterfly count")
 
         report = CountReport(butterflies, pairs_emitted, groups,
                              records_scanned, pairs_emitted,

@@ -100,25 +100,29 @@ def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
     return RankCsr(n, m, row_offsets, row_wedges, columns, sources, first_end)
 
 
-def chunk_bounds(csr: RankCsr, rows: np.ndarray) -> list[int]:
-    """Cut ``rows`` (start ranks) into consecutive slices of whole starts:
-    the end index of every slice, the last being ``len(rows)``.  A slice
-    holds about ``CHUNK_WEDGES`` wedges, more only when its first start
-    with wedges alone has more; starts without wedges ride along."""
-    before = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(csr.row_wedges[rows + 1] - csr.row_wedges[rows], out=before[1:])
+def chunk_bounds(counts: np.ndarray) -> list[int]:
+    """Where to cut items with ``counts`` wedges each into consecutive
+    slices (``np.split`` indices).  A slice holds about ``CHUNK_WEDGES``
+    wedges, more only when its first item with wedges alone has more;
+    items without wedges ride along."""
+    before = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=before[1:])
     total = before[-1]
     stops: list[int] = []
     stop = 0
     while before[stop] < total:
         base = before[stop]
-        # At least through the first start with wedges, however many it has.
+        # At least through the first item with wedges, however many it has.
         stop = max(int(np.searchsorted(before, base + CHUNK_WEDGES, side="right")) - 1,
                    int(np.searchsorted(before, base, side="right")))
         stops.append(stop)
-    if len(rows):
-        stops[-1:] = [len(rows)]
-    return stops
+    return stops[:-1]
+
+
+def ranges(begins: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``begins[i] : begins[i] + counts[i]``."""
+    firsts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(begins - firsts, counts)
 
 
 def _expand(csr: RankCsr, rows: np.ndarray):
@@ -129,26 +133,22 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     rows = rows[csr.row_wedges[rows + 1] > csr.row_wedges[rows]]
     begins = csr.row_offsets[rows]
     degrees = csr.row_offsets[rows + 1] - begins
-    row_entries = (np.arange(int(degrees.sum()))
-                   + np.repeat(begins - (np.cumsum(degrees) - degrees), degrees))
+    row_entries = ranges(begins, degrees)
     first_end = csr.first_end[row_entries]
     ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
-    firsts = np.cumsum(ends) - ends
     entries = np.repeat(row_entries, ends)
-    positions = np.arange(len(entries)) + np.repeat(first_end - firsts, ends)
+    positions = ranges(first_end, ends)
     keys = np.repeat(np.repeat(rows * csr.n, degrees), ends) + csr.columns[positions]
     return entries, positions, keys
 
 
 def iter_chunks(csr: RankCsr, rows: np.ndarray):
     """``_expand`` over the slices ``chunk_bounds`` cuts ``rows`` into."""
-    start = 0
-    for stop in chunk_bounds(csr, rows):
-        yield _expand(csr, rows[start:stop])
-        start = stop
+    for part in np.split(rows, chunk_bounds(csr.row_wedges[rows + 1] - csr.row_wedges[rows])):
+        yield _expand(csr, part)
 
 
-def _run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
+def run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
     """Lengths of the runs of equal values in a sorted array ([0] if empty)."""
     starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     return np.diff(starts, prepend=0, append=len(sorted_keys))
@@ -161,7 +161,7 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
     butterflies = wedges = 0
     for *_, keys in iter_chunks(csr, rows):
         keys.sort()
-        runs = _run_lengths(keys)
+        runs = run_lengths(keys)
         butterflies += int((runs * (runs - 1) // 2).sum())
         wedges += len(keys)
     return butterflies, wedges
@@ -179,7 +179,7 @@ def per_edge_pairs(g: BipartiteGraph, p: PriorityMap) -> np.ndarray:
     per_edge = np.zeros(g.edge_count, dtype=np.int64)
     for entries, positions, keys in iter_chunks(csr, np.arange(csr.n)):
         order = np.argsort(keys)
-        runs = _run_lengths(keys[order])
+        runs = run_lengths(keys[order])
         credit = np.empty(len(keys), dtype=np.int64)
         credit[order] = np.repeat(runs - 1, runs)
         np.add.at(per_edge, csr.edge_ids(entries), credit)

@@ -15,6 +15,7 @@ every lane's report repeats exactly across calls.
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 from dataclasses import dataclass
@@ -23,8 +24,8 @@ from time import perf_counter
 import numpy as np
 
 from . import kernel
-from .errors import ConfigError, CountOverflowError
-from .exact import COUNT_LIMIT, CountReport
+from .errors import ConfigError
+from .exact import CountReport, check_limit
 from .graph import BipartiteGraph, PriorityMap
 
 MODES = ("dynamic", "static")
@@ -130,11 +131,12 @@ def simulate_list_schedule(workloads: list[int], threads: int,
     if order is None:
         order = list(range(len(workloads)))
     assignment: list[list[int]] = [[] for _ in range(threads)]
-    loads = [0] * threads
+    # (load, lane): the least-loaded lane pops first, the lowest index on ties.
+    free = [(0, t) for t in range(threads)]
     for j in order:
-        t = min(range(threads), key=loads.__getitem__)
+        load, t = free[0]
         assignment[t].append(j)
-        loads[t] += workloads[j]
+        heapq.heapreplace(free, (load + workloads[j], t))
     return assignment
 
 
@@ -181,7 +183,7 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
     rank = np.asarray(p.priority, dtype=np.int64) - 1
     if cfg.mode == "dynamic":
         order = rank[_dynamic_order(g, p, cfg)]
-        slices = np.split(order, kernel.chunk_bounds(csr, order)[:-1])
+        slices = np.split(order, kernel.chunk_bounds(row_wedges[order]))
         durations = [int(row_wedges[rows].sum()) for rows in slices]
         # order[:0] keeps a lane that is dealt no slice an empty array.
         lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
@@ -191,9 +193,7 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
 
     reports = [ThreadReport(tid, *kernel.count_rows(csr, rows), len(rows))
                for tid, rows in enumerate(lanes)]
-    butterflies = sum(r.butterflies for r in reports)
-    if butterflies >= COUNT_LIMIT:
-        raise CountOverflowError("butterfly count exceeded 128 bits")
+    butterflies = check_limit(sum(r.butterflies for r in reports), "butterfly count")
     wedges = sum(r.wedges_processed for r in reports)
     report = CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count, wedges,
                          perf_counter() - t0)

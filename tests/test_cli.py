@@ -135,34 +135,47 @@ class TestSubcommands:
     def test_em_full_disk_is_1_and_closes_its_files(self, capsys, tmp_path, monkeypatch):
         # A scratch write that fails (simulated ENOSPC) at any point of the
         # pipeline exits 1, empties the scratch dir and leaves no open file
-        # for the garbage collector.
+        # for the garbage collector.  Two failure points are spread over
+        # the calls of each writer: the raw adjacency, the sort runs, the
+        # merges and the wedge pairs.
         path = tmp_path / "g.txt"
         path.write_text(pairs_to_text(random_pairs_m(60, 60, 1200, seed=4)))
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         argv = ["em", str(path), "--memory-budget", "16KiB", "--block-size", "4KiB",
                 "--scratch-dir", str(scratch)]
-        real_write, calls, fail_at = BlockWriter.write, [0], [0]
+        real_write, writers, fail_at = BlockWriter.write, [], [0]
 
-        def write(self, record):
-            calls[0] += 1
-            if calls[0] == fail_at[0]:
+        def kind(name):
+            special = {"adjacency.raw": "raw", "pairs.raw": "pairs"}
+            return special.get(name) or ("run" if name.split(".")[0].isdigit() else "merge")
+
+        def write(self, records):
+            writers.append(kind(Path(self._file.name).name))
+            if len(writers) == fail_at[0]:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            real_write(self, record)
+            real_write(self, records)
 
         monkeypatch.setattr(BlockWriter, "write", write)
         assert main(argv) == 0
-        total = calls[0]
+        calls = {}
+        for call, name in enumerate(writers, 1):
+            calls.setdefault(name, []).append(call)
+        assert sorted(calls) == ["merge", "pairs", "raw", "run"]
         capsys.readouterr()
-        for fail_at[0] in range(1, total, total // 8):
-            calls[0] = 0
+        hit = set()
+        for fail_at[0] in sorted(c[i] for c in calls.values() for i in (0, len(c) // 2)):
+            writers.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main(argv) == 1
                 gc.collect()
+            hit.add(writers[-1])
+            assert len(writers) == fail_at[0]
             assert "No space left on device" in capsys.readouterr().err
             assert list(scratch.iterdir()) == []
             assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert hit == set(calls)
 
     def test_approx_p_one_matches_exact(self, capsys, four_cycle_file):
         code, data = run_json(capsys, ["approx", four_cycle_file,

@@ -1,15 +1,21 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicount import kernel
 from bicount.errors import ConfigError
 from bicount.exact import count_vpp
 from bicount.external import (EmConfig, IoStats, em_count, external_sort,
                               iter_records, RECORD)
-from bicount.generate import pairs_to_text, random_pairs_m
+from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import assign_priorities, parse_edge_list
 from helpers import random_graph_set
+from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
 MIN_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -161,6 +167,18 @@ class TestEmCount:
         with pytest.raises(ConfigError, match="vertices"):
             em_count(path, MIN_CFG)
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(), st.integers(4096, 8192), st.integers(4, 12), st.booleans())
+    def test_matches_count_vpp(self, g, block, blocks, chunk_of_one):
+        expected = count_vpp(g, assign_priorities(g))
+        cfg = EmConfig(memory_budget=blocks * block, block_size=block)
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
+            if chunk_of_one:
+                mp.setattr(kernel, "CHUNK_WEDGES", 1)
+            report, stats = em_count(write_graph(Path(scratch), graph_pairs(g)), cfg)
+        assert report.butterflies == expected.butterflies
+        assert report.wedges_processed == stats.pairs_emitted == expected.wedges_processed
+
     def test_scratch_cleanup_and_keep(self, tmp_path):
         path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
         scratch = tmp_path / "scratch"
@@ -175,3 +193,47 @@ class TestEmCount:
         assert len(kept) == 1
         names = {p.name.split(".")[-1] for p in kept[0].iterdir()}
         assert {"raw", "sorted"} <= names
+
+
+def golden_inputs():
+    uniform = random_pairs_m(150, 150, 5000, seed=11)
+    hubby = hub_pairs(60) + random_pairs_m(90, 90, 3000, seed=2) + hub_pairs(60)[::3]
+    return {"uniform": uniform + uniform[::7], "hubby": hubby}
+
+
+# Report counters (butterflies, wedges, groups, records scanned, wedges) and
+# IoStats (blocks read, blocks written, pairs, merge passes) per input and
+# (budget, block size), as the engine gave them when it still moved one
+# record at a time through block buffers.
+GOLDEN = {
+    "uniform": ((299421, 103715, 300, 10000, 103715), {
+        (4 * 4097, 4097): (3011, 2966, 103715, 8),
+        (4 * 4100, 4100): (3006, 2961, 103715, 8),
+        (7 * 4100, 4100): (2247, 2202, 103715, 5),
+        (4 * 4096, 4096): (3011, 2966, 103715, 8),
+        (6 * 4097, 4097): (2255, 2210, 103715, 5),
+        (1 << 20, 65536): (87, 84, 103715, 1),
+    }),
+    "hubby": ((408463, 68350, 180, 6334, 68350), {
+        (4 * 4097, 4097): (1727, 1701, 68350, 6),
+        (4 * 4100, 4100): (1727, 1701, 68350, 6),
+        (7 * 4100, 4100): (1424, 1398, 68350, 4),
+        (4 * 4096, 4096): (1727, 1701, 68350, 6),
+        (6 * 4097, 4097): (1439, 1413, 68350, 4),
+        (1 << 20, 65536): (57, 55, 68350, 1),
+    }),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_counters_and_io_are_pinned(self, tmp_path, name):
+        # Duplicate edges, B = 4097 and 4100 (records straddle blocks) and
+        # up to 8 merge passes over the two sorts.
+        path = write_graph(tmp_path, golden_inputs()[name])
+        counters, table = GOLDEN[name]
+        for (budget, block), io in table.items():
+            report, stats = em_count(path, EmConfig(memory_budget=budget, block_size=block))
+            assert report.counters() == counters
+            assert (stats.blocks_read, stats.blocks_written, stats.pairs_emitted,
+                    stats.merge_passes) == io

@@ -58,6 +58,13 @@ class TestStaticAssignment:
         assignment = greedy_assign([5, 3, 2], 2)
         assert assignment == [[0], [1, 2]]
         assert makespan(assignment, [5, 3, 2]) == 5
+        # Many lanes, zero and equal workloads: ties go to the lowest lane
+        # index among the least loaded, so the zero jobs share one lane.
+        assignment = greedy_assign([0, 4, 0, 4, 4, 0], 1024)
+        assert assignment == [[1], [3], [4], [0, 2, 5]] + [[]] * 1020
+        assignment = simulate_list_schedule([6] * 2048 + [0] * 3, 1024)
+        assert assignment == [[0, 1024, 2048, 2049, 2050]] + \
+            [[t, t + 1024] for t in range(1, 1024)]
 
     def test_priority_strategy_single_thread(self):
         gs, p = prepare_vp(four_cycle())
@@ -218,7 +225,7 @@ class TestCountParallel:
                   "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
         for strategy, order in orders.items():
             ranks = rank[order]
-            slices = np.split(ranks, kernel.chunk_bounds(csr, ranks)[:-1])
+            slices = np.split(ranks, kernel.chunk_bounds(np.diff(csr.row_wedges)[ranks]))
             durations = [kernel.count_rows(csr, rows)[1] for rows in slices]
             assert len(slices) > 8
             for threads in (3, 8):
