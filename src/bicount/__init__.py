@@ -14,7 +14,7 @@ from .exact import (CountReport, brute_force_count,
 from .external import EmConfig, IoStats, em_count, external_sort
 from .graph import (BipartiteGraph, PriorityMap, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
-                    read_edges, save_edge_list, sort_adjacency)
+                    read_edges, sort_adjacency)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
                        estimate_all_workloads, greedy_assign,
                        make_static_assignment, makespan)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .exact import CountReport, count_vpp
 from .graph import BipartiteGraph, assign_priorities
 
@@ -33,11 +35,12 @@ def _check_probability(p: float) -> None:
 
 def sparsify(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
     """Keep each edge independently with probability p (seeded, so the
-    same seed reproduces the same subset).  The vertex set is unchanged."""
+    same seed reproduces the same subset).  The vertex set is unchanged.
+    One draw per edge, in edge order."""
     _check_probability(p)
-    rng = random.Random(seed)
-    kept = [edge for edge in g.edges if rng.random() < p]
-    return g.replace_edges(kept)
+    draw = random.Random(seed).random
+    kept = np.array([draw() for _ in range(g.edge_count)]) < p
+    return g.replace_edges(g.uppers[kept], g.lowers[kept])
 
 
 def estimate_butterflies(g: BipartiteGraph, p: float, seed: int,

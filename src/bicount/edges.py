@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
+import numpy as np
+
 from . import kernel
-from .errors import ConsistencyError, GuardError
+from .errors import ConsistencyError, CountOverflowError, GuardError
 from .exact import BRUTE_FORCE_EDGE_GUARD, check_limit
 from .graph import BipartiteGraph, PriorityMap, assign_priorities
 
@@ -75,17 +77,18 @@ def brute_force_per_edge(g: BipartiteGraph) -> EdgeCounts:
 def per_vertex_from_edges(ec: EdgeCounts, g: BipartiteGraph) -> list[int]:
     """Derive per-vertex counts: each butterfly through a vertex uses
     exactly two of its incident edges, so the incident sum halves exactly."""
-    sums = [0] * g.vertex_count
-    for i, (u, v) in enumerate(g.edges):
-        c = ec.per_edge[i]
-        sums[u] += c
-        sums[v] += c
-    result = [0] * g.vertex_count
-    for v, s in enumerate(sums):
-        if s % 2:
-            raise ConsistencyError(f"odd incident butterfly sum {s} at vertex {v}")
-        result[v] = s // 2
-    return result
+    # No incident sum exceeds the sum of all counts, so int64 is exact below it.
+    if sum(ec.per_edge) >= 1 << 63:
+        raise CountOverflowError("per-edge counts exceed 64 bits")
+    per_edge = np.asarray(ec.per_edge, dtype=np.int64)
+    sums = np.zeros(g.vertex_count, dtype=np.int64)
+    np.add.at(sums, g.uppers, per_edge)
+    np.add.at(sums, g.lowers, per_edge)
+    odd = np.flatnonzero(sums % 2)
+    if len(odd):
+        v = int(odd[0])
+        raise ConsistencyError(f"odd incident butterfly sum {sums[v]} at vertex {v}")
+    return (sums // 2).tolist()
 
 
 def edge_counts_tsv(g: BipartiteGraph, ec: EdgeCounts) -> str:

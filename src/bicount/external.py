@@ -25,7 +25,6 @@ import shutil
 import struct
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, islice
 from time import perf_counter
 
 import numpy as np
@@ -33,7 +32,8 @@ import numpy as np
 from . import kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from .graph import degree_priorities, read_edges
+from . import graph
+from .graph import degree_priorities, dense_ids, read_label_batches
 
 RECORD = struct.Struct("<QQ")
 RECORD_WIDTH = RECORD.size
@@ -248,21 +248,20 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         upper_ids: dict[int, int] = {}
         lower_ids: dict[int, int] = {}
         max_vertices = cfg.memory_budget // 8
-        batch = max(1, cfg.block_size // RECORD_WIDTH)
+        batch = min(graph.BATCH_LINES, max(1, cfg.block_size // RECORD_WIDTH))
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 BlockWriter(raw_path, cfg.block_size, stats) as writer:
-            edges = read_edges(handle, upper_ids, lower_ids)
-            while len(ids := np.fromiter(chain.from_iterable(islice(edges, batch)),
-                                         dtype=np.int64)):
+            for upper, lower in read_label_batches(handle, batch):
+                # Both directions of every edge, as (center, neighbor) keys.
+                uppers = dense_ids(upper, upper_ids) << 1 | 1
+                lowers = dense_ids(lower, lower_ids) << 1
                 if len(upper_ids) + len(lower_ids) > max_vertices:
                     raise ConfigError(
                         f"more than {max_vertices} vertices: their rank table "
                         f"needs over the {cfg.memory_budget}-byte budget; "
                         f"raise the budget")
-                # Both directions of every edge, as (center, neighbor) keys.
-                keys = ids << 1
-                keys[0::2] |= 1
-                writer.write(_records(keys.reshape(-1, 2)[:, ::-1].ravel(), keys))
+                writer.write(_records(np.stack((lowers, uppers), axis=1).ravel(),
+                                      np.stack((uppers, lowers), axis=1).ravel()))
         lower_count = len(lower_ids)
         n = lower_count + len(upper_ids)
         upper_ids.clear()

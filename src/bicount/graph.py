@@ -9,6 +9,7 @@ so every upper ID is strictly greater than every lower ID.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -17,29 +18,48 @@ from .errors import ParseError
 
 COMMENT_PREFIXES = ("%", "#")
 
+# Lines the reader tokenizes together; a batch bounds the reader's memory.
+BATCH_LINES = 1 << 15
+# The longest label the batch tokenizer reads: below 10**18 < 2**63.
+MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(MAX_DIGITS, dtype=np.int64)
+# Byte kinds of the batch tokenizer: 1 an ASCII digit, 0 ASCII whitespace
+# (tab to carriage return, space), 2 any other byte.
+_BYTE_KIND = np.full(256, 2, dtype=np.int8)
+_BYTE_KIND[ord("0"):ord("9") + 1] = 1
+_BYTE_KIND[[9, 10, 11, 12, 13, 32]] = 0
+
 
 class BipartiteGraph:
-    """Immutable two-layer adjacency structure.
+    """Immutable two-layer graph held as arrays.
 
-    Edges are stored as (upper, lower) internal-ID pairs; the order of the
-    edge sequence is the canonical edge index used by per-edge counters.
-    `external_labels[v]` is the label the vertex had in the input file (the
-    two layers have independent label namespaces).  Treat instances as
-    frozen after construction; they are safe to share across threads.
+    Edge i joins ``uppers[i]`` and ``lowers[i]`` (int64 internal IDs); the
+    order of the arrays is the canonical edge index used by per-edge
+    counters.  `degrees[v]` is a Python int.  `external_labels[v]` is the
+    label the vertex had in the input file (the two layers have
+    independent label namespaces).  The tuple list `edges` and the
+    neighbor lists `adjacency` (each in edge order, unless given
+    explicitly) are built on first use, for the pure-Python engines and
+    the oracles.  Treat instances as frozen after construction; they are
+    safe to share across threads (a lazy view built twice is built alike).
     """
 
-    __slots__ = ("upper_count", "lower_count", "edges", "adjacency",
-                 "degrees", "external_labels", "duplicates_dropped")
+    __slots__ = ("upper_count", "lower_count", "uppers", "lowers", "degrees",
+                 "external_labels", "duplicates_dropped", "_edges", "_adjacency")
 
-    def __init__(self, upper_count, lower_count, edges, adjacency, degrees,
-                 external_labels, duplicates_dropped=0):
+    def __init__(self, upper_count, lower_count, uppers, lowers, external_labels,
+                 duplicates_dropped=0, adjacency=None):
+        n = upper_count + lower_count
         self.upper_count = upper_count
         self.lower_count = lower_count
-        self.edges = edges
-        self.adjacency = adjacency
-        self.degrees = degrees
+        self.uppers = uppers
+        self.lowers = lowers
+        self.degrees = (np.bincount(uppers, minlength=n)
+                        + np.bincount(lowers, minlength=n)).tolist()
         self.external_labels = external_labels
         self.duplicates_dropped = duplicates_dropped
+        self._edges = None
+        self._adjacency = adjacency
 
     @property
     def vertex_count(self) -> int:
@@ -47,7 +67,26 @@ class BipartiteGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.uppers)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """(upper, lower) internal-ID pairs in edge order."""
+        if self._edges is None:
+            self._edges = list(zip(self.uppers.tolist(), self.lowers.tolist()))
+        return self._edges
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """Neighbor lists; by default each in edge order."""
+        if self._adjacency is None:
+            # A stable sort by center keeps each vertex's entries in edge order.
+            order = np.argsort(np.concatenate((self.uppers, self.lowers)), kind="stable")
+            neighbors = np.concatenate((self.lowers, self.uppers))[order].tolist()
+            bounds = np.cumsum(self.degrees).tolist()
+            self._adjacency = [neighbors[stop - d:stop]
+                               for d, stop in zip(self.degrees, bounds)]
+        return self._adjacency
 
     def is_upper(self, v: int) -> bool:
         return v >= self.lower_count
@@ -70,37 +109,34 @@ class BipartiteGraph:
         each vertex is labelled with its per-layer index.
         """
         pairs = list(pairs)
-        unique = dict.fromkeys(pairs)
         if upper_count is None:
-            upper_count = max((u for u, _ in unique), default=-1) + 1
+            upper_count = max((u for u, _ in pairs), default=-1) + 1
         if lower_count is None:
-            lower_count = max((v for _, v in unique), default=-1) + 1
-        for u, v in unique:
+            lower_count = max((v for _, v in pairs), default=-1) + 1
+        for u, v in pairs:
             if not (0 <= u < upper_count and 0 <= v < lower_count):
                 raise ValueError(f"edge ({u}, {v}) outside layer ranges "
                                  f"{upper_count}x{lower_count}")
-        edges = [(lower_count + u, v) for u, v in unique]
         if labels is None:
             labels = list(range(lower_count)) + list(range(upper_count))
-        return cls._assemble(upper_count, lower_count, edges, labels,
-                             len(pairs) - len(edges))
+        indices = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls.from_indices(indices[:, 0], indices[:, 1], upper_count,
+                                lower_count, labels)
 
     @classmethod
-    def _assemble(cls, upper_count, lower_count, edges, labels, dropped):
-        """Build adjacency and degrees from internal-ID (upper, lower) edges."""
-        n = upper_count + lower_count
-        adjacency = [[] for _ in range(n)]
-        for u, v in edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        degrees = [len(a) for a in adjacency]
-        return cls(upper_count, lower_count, edges, adjacency, degrees,
-                   labels, dropped)
+    def from_indices(cls, upper: np.ndarray, lower: np.ndarray, upper_count: int,
+                     lower_count: int, labels: list[int]) -> "BipartiteGraph":
+        """The graph of the per-layer index arrays ``upper`` and ``lower``
+        (edge order), keeping the first copy of each duplicate edge."""
+        _, first = np.unique(upper * lower_count + lower, return_index=True)
+        first.sort()
+        return cls(upper_count, lower_count, upper[first] + lower_count, lower[first],
+                   labels, len(upper) - len(first))
 
-    def replace_edges(self, edges: list[tuple[int, int]]) -> "BipartiteGraph":
-        """Same vertex universe (counts and labels), different edge subset."""
-        return BipartiteGraph._assemble(self.upper_count, self.lower_count,
-                                        list(edges), self.external_labels, 0)
+    def replace_edges(self, uppers: np.ndarray, lowers: np.ndarray) -> "BipartiteGraph":
+        """Same vertex universe (counts and labels), other edges (internal IDs)."""
+        return BipartiteGraph(self.upper_count, self.lower_count, uppers, lowers,
+                              self.external_labels)
 
 
 @dataclass(frozen=True)
@@ -127,16 +163,14 @@ class PriorityMap:
         return order
 
 
-def read_edges(lines: Iterable[str], upper_ids: dict[int, int],
-               lower_ids: dict[int, int]):
-    """Yield the dense (upper, lower) index pair of every edge line.
+def read_edges(lines: Iterable[str], first_line: int = 1):
+    """Yield the (upper, lower) label pair of every edge line, as Python
+    ints; the first line is numbered ``first_line``.
 
-    Each layer's labels get indices in first-seen order, recorded in
-    ``upper_ids`` and ``lower_ids`` (label -> index), so a dict's insertion
-    order is its index order.  Blank lines and comments are skipped;
-    anything else that is not two nonnegative integers raises ParseError.
+    Blank lines and comments are skipped; anything else that is not two
+    nonnegative integers (as ``int`` reads them) raises ParseError.
     """
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
             continue
@@ -149,7 +183,77 @@ def read_edges(lines: Iterable[str], upper_ids: dict[int, int],
             raise ParseError(lineno, f"non-integer label in {line!r}") from None
         if u < 0 or v < 0:
             raise ParseError(lineno, f"negative label in {line!r}")
-        yield upper_ids.setdefault(u, len(upper_ids)), lower_ids.setdefault(v, len(lower_ids))
+        yield u, v
+
+
+def _tokenize(batch: list[str]) -> np.ndarray | None:
+    """The labels of a batch of lines, upper then lower for each edge line
+    in line order, when every line is blank or two tokens of 1 to
+    MAX_DIGITS ASCII digits between ASCII whitespace; None otherwise."""
+    text = "".join(batch)
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = _BYTE_KIND[data]
+    if (digit > 1).any():
+        return None
+    step = np.diff(digit, prepend=0, append=0)
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    lengths = ends - starts
+    # The line of each token's first and last digit: a token may not span
+    # two lines, and a line holds none or two tokens.
+    line_ends = np.cumsum(np.fromiter(map(len, batch), dtype=np.int64, count=len(batch)))
+    lines = np.searchsorted(line_ends, starts, side="right")
+    if (len(starts) % 2 or (lengths > MAX_DIGITS).any()
+            or not np.array_equal(lines, np.searchsorted(line_ends, ends - 1, side="right"))
+            or not np.array_equal(lines[0::2], lines[1::2])
+            or (lines[2::2] <= lines[1:-1:2]).any()):
+        return None
+    if not len(starts):
+        return np.zeros(0, dtype=np.int64)
+    values = data[digit.view(bool)].astype(np.int64) - ord("0")
+    values *= _POWERS[np.repeat(ends - 1, lengths) - np.flatnonzero(digit)]
+    return np.add.reduceat(values, np.cumsum(lengths) - lengths)
+
+
+def _label_array(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """``pairs`` flattened: int64, or Python ints when a label needs more."""
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        return np.array(pairs, dtype=object).reshape(-1)
+
+
+def read_label_batches(lines: Iterable[str], batch_lines: int):
+    """Yield the (upper, lower) label arrays of the edge lines, a batch of
+    ``batch_lines`` lines at a time.
+
+    A batch of plain lines is tokenized in numpy (``_tokenize``); any
+    other batch goes through ``read_edges``, which reads every form ``int``
+    accepts, labels of any size (an object array of Python ints), and
+    raises ParseError with the line number.  Each element of ``lines`` is
+    one line, as iterating a text file yields them.
+    """
+    lines = iter(lines)
+    first_line = 1
+    while batch := list(islice(lines, batch_lines)):
+        labels = _tokenize(batch)
+        if labels is None:
+            labels = _label_array(list(read_edges(batch, first_line)))
+        first_line += len(batch)
+        yield labels[0::2], labels[1::2]
+
+
+def dense_ids(labels: np.ndarray, ids: dict) -> np.ndarray:
+    """The dense indices of ``labels``: ``ids`` (label -> index) holds the
+    labels seen so far and gets the new ones, numbered in first-seen
+    order, so a dict's insertion order is its index order."""
+    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index = np.empty(len(distinct), dtype=np.int64)
+    index[order] = [ids.setdefault(label, len(ids)) for label in distinct[order].tolist()]
+    return index[inverse.reshape(-1)]
 
 
 def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
@@ -164,12 +268,18 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     empty graph.
     """
     if isinstance(source, str):
-        source = source.splitlines()
+        source = source.splitlines(keepends=True)
+    uppers = [np.zeros(0, dtype=np.int64)]
+    lowers = [np.zeros(0, dtype=np.int64)]
+    for upper, lower in read_label_batches(source, BATCH_LINES):
+        uppers.append(upper)
+        lowers.append(lower)
     upper_ids: dict[int, int] = {}
     lower_ids: dict[int, int] = {}
-    pairs = list(read_edges(source, upper_ids, lower_ids))
-    return BipartiteGraph.build(pairs, len(upper_ids), len(lower_ids),
-                                list(lower_ids) + list(upper_ids))
+    upper = dense_ids(np.concatenate(uppers), upper_ids)
+    lower = dense_ids(np.concatenate(lowers), lower_ids)
+    return BipartiteGraph.from_indices(upper, lower, len(upper_ids), len(lower_ids),
+                                       list(lower_ids) + list(upper_ids))
 
 
 def load_edge_list(path) -> BipartiteGraph:
@@ -181,11 +291,6 @@ def format_edge_list(g: BipartiteGraph) -> str:
     """Serialize back to the input format using external labels."""
     labels = g.external_labels
     return "".join(f"{labels[u]} {labels[v]}\n" for u, v in g.edges)
-
-
-def save_edge_list(g: BipartiteGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_edge_list(g))
 
 
 def degree_priorities(degrees) -> np.ndarray:
@@ -215,5 +320,5 @@ def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
     for u in p.ascending_vertices():
         for v in adjacency[u]:
             lists[v].append(u)
-    return BipartiteGraph(g.upper_count, g.lower_count, g.edges, lists,
-                          g.degrees, g.external_labels, g.duplicates_dropped)
+    return BipartiteGraph(g.upper_count, g.lower_count, g.uppers, g.lowers,
+                          g.external_labels, g.duplicates_dropped, lists)

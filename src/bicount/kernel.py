@@ -23,7 +23,6 @@ sort.  Every sum is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -66,12 +65,12 @@ def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
     """
     n, m = g.vertex_count, g.edge_count
     rank = np.asarray(p.priority, dtype=np.int64) - 1
-    ends = rank[np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * m)]
+    uppers, lowers = rank[g.uppers], rank[g.lowers]
     del rank
     keys = np.empty(2 * m, dtype=np.int64)
-    keys[:m] = ends[0::2] * n + ends[1::2]
-    keys[m:] = ends[1::2] * n + ends[0::2]
-    del ends
+    keys[:m] = uppers * n + lowers
+    keys[m:] = lowers * n + uppers
+    del uppers, lowers
     sources = np.argsort(keys)
     keys = keys[sources]
     row_offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)

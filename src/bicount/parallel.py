@@ -64,14 +64,15 @@ def estimate_all_workloads(g: BipartiteGraph, p: PriorityMap) -> list[int]:
     two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
     outranking v.  O(n + m): precompute, per middle v, how many of its
     neighbors outrank it, then sum over each start's middles."""
-    pr = p.priority
-    adjacency = g.adjacency
+    pr = np.asarray(p.priority, dtype=np.int64)
     n = g.vertex_count
-    outranked = [0] * n
-    for v in range(n):
-        pv = pr[v]
-        outranked[v] = sum(1 for w in adjacency[v] if pr[w] > pv)
-    return [sum(outranked[v] for v in adjacency[u]) for u in range(n)]
+    uppers, lowers = g.uppers, g.lowers
+    # Each edge counts once, at its end that the other end outranks.
+    outranked = np.bincount(np.where(pr[uppers] > pr[lowers], lowers, uppers), minlength=n)
+    workloads = np.zeros(n, dtype=np.int64)
+    np.add.at(workloads, uppers, outranked[lowers])
+    np.add.at(workloads, lowers, outranked[uppers])
+    return workloads.tolist()
 
 
 def _longest_first(workloads: list[int]) -> list[int]:
