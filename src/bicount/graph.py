@@ -128,9 +128,10 @@ class BipartiteGraph:
                      lower_count: int, labels: list[int]) -> "BipartiteGraph":
         """The graph of the per-layer index arrays ``upper`` and ``lower``
         (edge order), keeping the first copy of each duplicate edge."""
-        _, first = np.unique(upper * lower_count + lower, return_index=True)
-        first.sort()
-        return cls(upper_count, lower_count, upper[first] + lower_count, lower[first],
+        _, first, _ = _unique_first(upper * lower_count + lower)
+        kept = np.zeros(len(upper), dtype=bool)
+        kept[first] = True
+        return cls(upper_count, lower_count, upper[kept] + lower_count, lower[kept],
                    labels, len(upper) - len(first))
 
     def replace_edges(self, uppers: np.ndarray, lowers: np.ndarray) -> "BipartiteGraph":
@@ -245,15 +246,27 @@ def read_label_batches(lines: Iterable[str], batch_lines: int):
         yield labels[0::2], labels[1::2]
 
 
+def _unique_first(values: np.ndarray):
+    """``np.unique(values, return_index=True, return_inverse=True)``: the
+    distinct values, where each first occurs and the inverse.  The first
+    index is the minimum over each value's positions, so the sort that
+    finds them need not be stable (numpy's unstable sorts are faster)."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    first = np.full(len(distinct), len(values), dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(len(values)))
+    return distinct, first, inverse
+
+
 def dense_ids(labels: np.ndarray, ids: dict) -> np.ndarray:
     """The dense indices of ``labels``: ``ids`` (label -> index) holds the
     labels seen so far and gets the new ones, numbered in first-seen
     order, so a dict's insertion order is its index order."""
-    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    distinct, first, inverse = _unique_first(labels)
     order = np.argsort(first)
     index = np.empty(len(distinct), dtype=np.int64)
     index[order] = [ids.setdefault(label, len(ids)) for label in distinct[order].tolist()]
-    return index[inverse.reshape(-1)]
+    return index[inverse]
 
 
 def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import random
 from itertools import combinations
 
+from bicount.errors import ParseError
 from bicount.graph import BipartiteGraph
 
 
@@ -97,3 +99,37 @@ def brute_force_three_paths(g: BipartiteGraph) -> int:
                     continue
                 total += 1
     return total
+
+
+def reference_parse(text: str) -> dict:
+    """Line-by-line oracle of reading ``text`` as an edge-list file: every
+    line through ``strip``, ``split`` and ``int``, IDs from label dicts in
+    first-seen order, the first copy of each duplicate kept, adjacency in
+    edge order.  Raises ParseError at the first malformed line."""
+    upper_ids: dict[int, int] = {}
+    lower_ids: dict[int, int] = {}
+    pairs = []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith(("%", "#")):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise ParseError(lineno, "expected two columns")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(lineno, "non-integer label") from None
+        if u < 0 or v < 0:
+            raise ParseError(lineno, "negative label")
+        pairs.append((upper_ids.setdefault(u, len(upper_ids)),
+                      lower_ids.setdefault(v, len(lower_ids))))
+    lower_count = len(lower_ids)
+    edges = [(lower_count + u, v) for u, v in dict.fromkeys(pairs)]
+    adjacency: list[list[int]] = [[] for _ in range(lower_count + len(upper_ids))]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return {"edges": edges, "external_labels": list(lower_ids) + list(upper_ids),
+            "duplicates_dropped": len(pairs) - len(edges),
+            "degrees": [len(a) for a in adjacency], "adjacency": adjacency}

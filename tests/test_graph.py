@@ -4,9 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicount.approx import run_trials
+from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.errors import ParseError
+from bicount.exact import count_butterflies
+from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import (BipartiteGraph, assign_priorities, format_edge_list,
                            parse_edge_list, sort_adjacency)
+from bicount.parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
 from helpers import complete_3x2, four_cycle, priority_by_comparison
 
 
@@ -159,3 +164,20 @@ class TestSortAdjacency:
         for neighbors in gs.adjacency:
             ranks = [pr[w] for w in neighbors]
             assert all(a < b for a, b in zip(ranks, ranks[1:]))
+
+
+class TestArrayOnlyPaths:
+    def test_timed_paths_leave_the_python_views_unbuilt(self, monkeypatch):
+        g = parse_edge_list(pairs_to_text(hub_pairs(6) + random_pairs_m(9, 9, 40, seed=4)))
+
+        def unbuilt(self):
+            raise AssertionError("a Python view of the graph was built")
+        monkeypatch.setattr(BipartiteGraph, "edges", property(unbuilt))
+        monkeypatch.setattr(BipartiteGraph, "adjacency", property(unbuilt))
+        assert count_butterflies(g, "vpp").butterflies > 0
+        per_vertex_from_edges(per_edge_counts(g), g)
+        p = assign_priorities(g)
+        for mode in MODES:
+            for strategy in STRATEGIES:
+                count_parallel(g, p, ScheduleConfig(mode, strategy, threads=3))
+        run_trials(g, 0.5, 3, seed=1)

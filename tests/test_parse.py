@@ -3,13 +3,20 @@ and at which line.  Files go through ``load_edge_list``, the CLI and the
 external engine alike."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bicount import graph
 from bicount.cli import main
 from bicount.errors import ParseError
+from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
-from bicount.graph import load_edge_list, parse_edge_list
+from bicount.graph import assign_priorities, load_edge_list, parse_edge_list
+from helpers import reference_parse
 
 HUGE = 10 ** 30
 EM_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -135,3 +142,74 @@ class TestParseErrorLine:
             load_edge_list(path)
         with pytest.raises(ParseError, match=f"line {BATCH + 1}: .*{message}"):
             em_count(path, EM_CFG)
+
+
+# Lines the batch tokenizer reads, and lines only the line-by-line path
+# reads: comments, signs, underscores, NBSP, over 18 digits, labels of
+# 2**63 and more.
+label = st.integers(0, 6)
+plain_line = st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
+                       st.sampled_from([" ", "\t", "  "]), label, st.sampled_from(["", " "]))
+fallback_line = st.one_of(
+    st.sampled_from(["% comment", "# 1 2", "", "   ", "+3 1", "1_0 2", "2 +0",
+                     "3\xa04", "000000000000000000004 1", "999999999999999999 5"]),
+    st.builds("{} {}".format, st.integers(2 ** 63, 2 ** 63 + 2), label),
+    st.builds("{} {}".format, label, st.integers(2 ** 64 - 1, 2 ** 64)))
+# Mostly lines of ASCII digits, which only the tokenizer's line checks reject.
+malformed_line = st.sampled_from(["1 2 3", "4", "1 2 3 4", "7 8 9", "5", "0 0 0 0",
+                                  "1 -2", "x 1", "1 2.0", "1\x002"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.one_of(plain_line, plain_line, plain_line, fallback_line),
+                         max_size=14))
+    bad = draw(st.none() | st.tuples(st.integers(0, 14), malformed_line))
+    if bad is not None:
+        lines.insert(min(bad[0], len(lines)), bad[1])
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if lines and draw(st.booleans()) and text.endswith("\n") else text
+
+
+def parse_outcome(parse):
+    try:
+        g = parse()
+    except ParseError as exc:
+        return exc.line_number, None
+    return {"edges": g.edges, "external_labels": g.external_labels,
+            "duplicates_dropped": g.duplicates_dropped, "degrees": g.degrees,
+            "adjacency": g.adjacency}, g
+
+
+class TestBatchedAgainstLineByLine:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_list_texts(), st.integers(1, 3))
+    # Four digit runs that pair up on two lines, but one run crosses a line
+    # end when the lines come without their ends; four tokens on one line.
+    @example("0 1\n2 3 4\n", 2)
+    @example("1 2 3 4\n", 1)
+    def test_same_graph_or_same_error_line(self, text, batch_lines):
+        try:
+            expected = reference_parse(text)
+        except ParseError as exc:
+            expected = exc.line_number
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "BATCH_LINES", batch_lines)
+            path = Path(scratch) / "g.txt"
+            path.write_bytes(text.encode("utf-8"))
+            # A file, a string, and lines without their line ends.
+            for parse in (lambda: load_edge_list(path), lambda: parse_edge_list(text),
+                          lambda: parse_edge_list(text.splitlines())):
+                outcome, g = parse_outcome(parse)
+                assert outcome == expected
+            if g is None:
+                with pytest.raises(ParseError) as caught:
+                    em_count(path, EM_CFG)
+                assert caught.value.line_number == expected
+            else:
+                report, _ = em_count(path, EM_CFG)
+                vpp = count_vpp(g, assign_priorities(g))
+                assert (report.butterflies, report.wedges_processed) == \
+                    (vpp.butterflies, vpp.wedges_processed)
