@@ -252,7 +252,6 @@ def _unique_first(values: np.ndarray):
     index is the minimum over each value's positions, so the sort that
     finds them need not be stable (numpy's unstable sorts are faster)."""
     distinct, inverse = np.unique(values, return_inverse=True)
-    inverse = inverse.reshape(-1)
     first = np.full(len(distinct), len(values), dtype=np.int64)
     np.minimum.at(first, inverse, np.arange(len(values)))
     return distinct, first, inverse
@@ -278,7 +277,8 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     and blank lines are ignored.  Labels are remapped to dense internal IDs
     in first-seen order; duplicate edges are dropped and counted on the
     returned graph's `duplicates_dropped`.  An empty stream yields the
-    empty graph.
+    empty graph.  ``source`` is a string (split as ``str.splitlines``
+    does) or an iterable of lines, as iterating a text file yields them.
     """
     if isinstance(source, str):
         source = source.splitlines(keepends=True)
