@@ -29,10 +29,9 @@ from time import perf_counter
 
 import numpy as np
 
-from . import kernel
+from . import graph, kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from . import graph
 from .graph import degree_priorities, dense_ids, read_label_batches
 
 RECORD = struct.Struct("<QQ")

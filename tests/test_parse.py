@@ -144,9 +144,9 @@ class TestParseErrorLine:
             em_count(path, EM_CFG)
 
 
-# Lines the batch tokenizer reads, and lines only the line-by-line path
-# reads: comments, signs, underscores, NBSP, over 18 digits, labels of
-# 2**63 and more.
+# Lines the batch tokenizer reads (plain lines; also blanks and 18-digit
+# labels) and lines only the line-by-line path reads: comments, signs,
+# underscores, NBSP, over 18 digits, labels of 2**63 and more.
 label = st.integers(0, 6)
 plain_line = st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
                        st.sampled_from([" ", "\t", "  "]), label, st.sampled_from(["", " "]))
