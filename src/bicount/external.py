@@ -1,6 +1,6 @@
 """Out-of-core butterfly counting under a configurable memory budget.
 
-Pipeline, entirely over fixed-width binary records of two little-endian
+Pipeline, entirely over fixed-width binary records of two big-endian
 64-bit unsigned integers (byte-lexicographic sort order):
 
 1. stream the text edge list once, assigning dense per-layer IDs and
@@ -13,9 +13,16 @@ Pipeline, entirely over fixed-width binary records of two little-endian
 5. external-sort the pairs and fold equal runs: a run of length c adds
    C(c, 2) butterflies.
 
-Records move as numpy arrays of 16-byte voids, sorted and compared
-bytewise.  I/O follows the scan model of Aggarwal and Vitter: a pass over
-S bytes costs ceil(S / B) transfers; reading the text input is not metered.
+Records move as numpy arrays of 16-byte voids.  Both fields are stored
+big-endian, so a record's byte order is its numeric order, (first, second)
+ascending, and the files stay bytewise sorted.  ``_sort`` chooses its path
+per array, from the values it holds: when every field is below 2**32 (the
+engine's dense, layer-tagged IDs are, below 2**31 vertices a layer) it
+sorts the uint64 keys ``first << 32 | second``; otherwise (arbitrary
+records) it sorts by the first field alone when no two records share it,
+and by ``np.lexsort`` over the two fields when some do.  I/O follows the
+scan model of Aggarwal and Vitter: a pass over S bytes costs ceil(S / B)
+transfers; reading the text input is not metered.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ import numpy as np
 from . import graph, kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from .graph import degree_priorities, dense_ids, read_label_batches
+from .graph import LabelIndex, degree_priorities, read_label_batches
 
-RECORD = struct.Struct("<QQ")
+RECORD = struct.Struct(">QQ")
 RECORD_WIDTH = RECORD.size
 RECORD_DTYPE = np.dtype(f"V{RECORD_WIDTH}")
 MIN_BLOCK = 4096
@@ -76,8 +83,40 @@ class IoStats:
 
 
 def _records(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Records of the little-endian 64-bit fields ``(first, second)``."""
-    return np.stack((first, second), axis=1).astype("<u8").view(RECORD_DTYPE).ravel()
+    """Records of the 64-bit fields ``(first, second)``."""
+    fields = np.empty((len(first), 2), dtype=">u8")
+    fields[:, 0] = first
+    fields[:, 1] = second
+    return fields.view(RECORD_DTYPE).ravel()
+
+
+def _fields(records: np.ndarray) -> np.ndarray:
+    """The two fields of each record as native uint64, one row a record."""
+    return records.view(">u8").reshape(-1, 2).astype(np.uint64)
+
+
+def _packed(fields: np.ndarray) -> np.ndarray | None:
+    """The keys ``first << 32 | second`` of ``_fields`` rows, which order
+    and compare as the records do, or None when a field reaches 2**32."""
+    if fields.size and fields.max() >= 1 << 32:
+        return None
+    return fields[:, 0] << 32 | fields[:, 1]
+
+
+def _sort(records: np.ndarray) -> np.ndarray:
+    """``records`` in ascending order: by their packed keys when they have
+    them; else by the first field when no two records share it, and by
+    ``np.lexsort`` over both fields when some do."""
+    fields = _fields(records)
+    keys = _packed(fields)
+    if keys is not None:
+        keys.sort()
+        return _records(keys >> 32, keys & 0xFFFF_FFFF)
+    order = np.argsort(fields[:, 0])
+    firsts = fields[order, 0]
+    if (firsts[1:] == firsts[:-1]).any():
+        order = np.lexsort((fields[:, 1], fields[:, 0]))
+    return records[order]
 
 
 class BlockWriter:
@@ -129,14 +168,14 @@ def _merge(streams, writer: BlockWriter) -> None:
     buffered record up to the smallest buffered tail is final."""
     buffers = {stream: next(stream) for stream in streams}
     while buffers:
-        bound = np.sort(np.concatenate([b[-1:] for b in buffers.values()]))[:1]
+        bound = min((b[-1:] for b in buffers.values()), key=np.ndarray.tobytes)
         taken = []
         for stream, buffer in list(buffers.items()):
             cut = int(np.searchsorted(buffer, bound, side="right")[0])
             taken.append(buffer[:cut])
             buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
         buffers = {s: b for s, b in buffers.items() if b is not None}
-        writer.write(np.sort(np.concatenate(taken), kind="stable"))
+        writer.write(_sort(np.concatenate(taken)))
 
 
 def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
@@ -155,7 +194,7 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
     try:
         runs = []
         for chunk in iter_records(in_path, cfg.block_size, stats, cfg.run_records):
-            chunk.sort()
+            chunk = _sort(chunk)
             run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
             with BlockWriter(run_path, cfg.block_size, stats) as writer:
                 writer.write(chunk)
@@ -197,7 +236,7 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
 def _final_ids(records: np.ndarray, lower_count: int) -> np.ndarray:
     # Both fields of every record, as final IDs.  Keys tag the layer in the
     # low bit so dense IDs can be assigned before the lower-layer size is known.
-    keys = records.view("<u8").reshape(-1, 2).astype(np.int64)
+    keys = records.view(">u8").reshape(-1, 2).astype(np.int64)
     return (keys >> 1) + (keys & 1) * lower_count
 
 
@@ -215,7 +254,7 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
         return ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
 
     for block in iter_records(path, cfg.block_size, stats):
-        centers = block.view("<u8")[0::2]
+        centers = block.view(">u8")[0::2]
         cut = int(np.argmax(centers == centers[-1]))
         if cut:
             yield groups(np.concatenate(pending + [block[:cut]]))
@@ -243,17 +282,16 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         pairs_sorted = os.path.join(scratch, "pairs.sorted")
 
         # The rank table (8 bytes a vertex) must fit the budget; the label
-        # dicts are checked batch by batch, before the file is read through.
-        upper_ids: dict[int, int] = {}
-        lower_ids: dict[int, int] = {}
+        # indexes are checked batch by batch, before the file is read through.
+        upper_ids, lower_ids = LabelIndex(), LabelIndex()
         max_vertices = cfg.memory_budget // 8
         batch = min(graph.BATCH_LINES, max(1, cfg.block_size // RECORD_WIDTH))
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 BlockWriter(raw_path, cfg.block_size, stats) as writer:
             for upper, lower in read_label_batches(handle, batch):
                 # Both directions of every edge, as (center, neighbor) keys.
-                uppers = dense_ids(upper, upper_ids) << 1 | 1
-                lowers = dense_ids(lower, lower_ids) << 1
+                uppers = upper_ids.number(upper) << 1 | 1
+                lowers = lower_ids.number(lower) << 1
                 if len(upper_ids) + len(lower_ids) > max_vertices:
                     raise ConfigError(
                         f"more than {max_vertices} vertices: their rank table "
@@ -263,8 +301,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
                                       np.stack((uppers, lowers), axis=1).ravel()))
         lower_count = len(lower_ids)
         n = lower_count + len(upper_ids)
-        upper_ids.clear()
-        lower_ids.clear()
+        del upper_ids, lower_ids
 
         external_sort(raw_path, sorted_path, cfg, suffix="edges",
                       scratch_dir=scratch, stats=stats)
@@ -305,7 +342,8 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         butterflies = run = 0
         previous = None
         for records in iter_records(pairs_sorted, cfg.block_size, stats):
-            runs = kernel.run_lengths(records)
+            keys = _packed(_fields(records))
+            runs = kernel.run_lengths(records if keys is None else keys)
             if previous is not None and records[0] == previous:
                 run += int(runs[0])
                 runs = runs[1:]

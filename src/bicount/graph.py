@@ -257,15 +257,47 @@ def _unique_first(values: np.ndarray):
     return distinct, first, inverse
 
 
-def dense_ids(labels: np.ndarray, ids: dict) -> np.ndarray:
-    """The dense indices of ``labels``: ``ids`` (label -> index) holds the
-    labels seen so far and gets the new ones, numbered in first-seen
-    order, so a dict's insertion order is its index order."""
-    distinct, first, inverse = _unique_first(labels)
-    order = np.argsort(first)
-    index = np.empty(len(distinct), dtype=np.int64)
-    index[order] = [ids.setdefault(label, len(ids)) for label in distinct[order].tolist()]
-    return index[inverse]
+class LabelIndex:
+    """Dense indices for labels, numbered in first-seen order across
+    batches.
+
+    The distinct labels seen so far are kept sorted, beside the index of
+    each; a batch is numbered by binary search, and its new labels are
+    inserted in place.  The labels are int64 until a batch holds labels of
+    2**63 or more (an object array of Python ints); from then on they are
+    Python ints.
+    """
+
+    def __init__(self):
+        self._labels = np.zeros(0, dtype=np.int64)
+        self._indices = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def number(self, labels: np.ndarray) -> np.ndarray:
+        """The dense index of each of ``labels``; labels not seen before
+        get the next indices, in the order they first occur."""
+        distinct, first, inverse = _unique_first(labels)
+        if distinct.dtype == object:
+            self._labels = self._labels.astype(object)
+        at = np.searchsorted(self._labels, distinct)
+        known = np.zeros(len(distinct), dtype=bool)
+        inside = at < len(self._labels)
+        known[inside] = self._labels[at[inside]] == distinct[inside]
+        new = np.flatnonzero(~known)
+        indices = np.empty(len(distinct), dtype=np.int64)
+        indices[known] = self._indices[at[known]]
+        indices[new[np.argsort(first[new])]] = np.arange(len(self), len(self) + len(new))
+        self._labels = np.insert(self._labels, at[new], distinct[new])
+        self._indices = np.insert(self._indices, at[new], indices[new])
+        return indices[inverse]
+
+    def labels(self) -> list[int]:
+        """The labels as Python ints, in index order."""
+        ordered = np.empty_like(self._labels)
+        ordered[self._indices] = self._labels
+        return ordered.tolist()
 
 
 def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
@@ -287,12 +319,11 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     for upper, lower in read_label_batches(source, BATCH_LINES):
         uppers.append(upper)
         lowers.append(lower)
-    upper_ids: dict[int, int] = {}
-    lower_ids: dict[int, int] = {}
-    upper = dense_ids(np.concatenate(uppers), upper_ids)
-    lower = dense_ids(np.concatenate(lowers), lower_ids)
+    upper_ids, lower_ids = LabelIndex(), LabelIndex()
+    upper = upper_ids.number(np.concatenate(uppers))
+    lower = lower_ids.number(np.concatenate(lowers))
     return BipartiteGraph.from_indices(upper, lower, len(upper_ids), len(lower_ids),
-                                       list(lower_ids) + list(upper_ids))
+                                       lower_ids.labels() + upper_ids.labels())
 
 
 def load_edge_list(path) -> BipartiteGraph:

@@ -3,15 +3,16 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicount import kernel
+from bicount import external, kernel
 from bicount.errors import ConfigError
 from bicount.exact import count_vpp
-from bicount.external import (EmConfig, IoStats, em_count, external_sort,
-                              iter_records, RECORD)
+from bicount.external import (RECORD, RECORD_DTYPE, EmConfig, IoStats, _sort, em_count,
+                              external_sort, iter_records)
 from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import assign_priorities, parse_edge_list
 from helpers import random_graph_set
@@ -100,6 +101,57 @@ class TestExternalSort:
         src.write_bytes(b"\x00" * 20)
         with pytest.raises(ConfigError, match="truncated"):
             list(iter_records(src, 4096, IoStats()))
+
+
+# Field values on either side of the packed-key path (every field below
+# 2**32) and small values, so that records share first fields.
+EDGE_FIELDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+field = st.one_of(st.sampled_from(EDGE_FIELDS), st.integers(0, 9))
+
+
+def packed_fields(records):
+    fields = np.frombuffer(records, dtype=">u8")
+    return bool(len(fields)) and int(fields.max()) < 1 << 32
+
+
+class TestSortPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(field | st.integers(0, 2 ** 64 - 1), field), max_size=40))
+    def test_sort_orders_bytewise(self, pairs):
+        records = [RECORD.pack(a, b) for a, b in pairs]
+        data = np.frombuffer(b"".join(records), dtype=RECORD_DTYPE)
+        assert _sort(data).tobytes() == b"".join(sorted(records))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.booleans(), min_size=2, max_size=4), st.integers(0, 2 ** 32))
+    def test_external_sort_across_paths(self, tmp_path_factory, wide_runs, seed):
+        # Runs of 1,024 records: the first packs, the second does not, and
+        # their records interleave, so merge steps join the two; 4 to 6
+        # runs under a merge width of 3 take 2 merge passes.
+        rng = random.Random(seed)
+        narrow = (0, 2 ** 32 - 1) + tuple(range(10))
+        records = []
+        for wide in [False, True] + wide_runs:
+            pool = narrow + EDGE_FIELDS if wide else narrow
+            run = [(rng.choice(pool), rng.choice(pool)) for _ in range(MIN_CFG.run_records - 1)]
+            run.append((0, 2 ** 64 - 1) if wide else (1, 1))
+            records += [RECORD.pack(a, b) for a, b in run]
+        src = tmp_path_factory.mktemp("sort") / "in.bin"
+        dst = src.with_name("out.bin")
+        src.write_bytes(b"".join(records))
+        packed = []
+
+        def recording(data):
+            packed.append(packed_fields(data.tobytes()))
+            return _sort(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(external, "_sort", recording)
+            stats = external_sort(src, dst, MIN_CFG)
+        assert stats.merge_passes == 2
+        assert True in packed and False in packed
+        # Compared as a bool: a failing diff of the whole files would be slow.
+        assert_same = dst.read_bytes() == b"".join(sorted(records))
+        assert assert_same
 
 
 class TestEmCount:

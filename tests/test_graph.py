@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,8 @@ from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.errors import ParseError
 from bicount.exact import count_butterflies
 from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
-from bicount.graph import (BipartiteGraph, assign_priorities, format_edge_list,
-                           parse_edge_list, sort_adjacency)
+from bicount.graph import (BipartiteGraph, LabelIndex, assign_priorities,
+                           format_edge_list, parse_edge_list, sort_adjacency)
 from bicount.parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
 from helpers import complete_3x2, four_cycle, priority_by_comparison
 
@@ -181,3 +182,26 @@ class TestArrayOnlyPaths:
             for strategy in STRATEGIES:
                 count_parallel(g, p, ScheduleConfig(mode, strategy, threads=3))
         run_trials(g, 0.5, 3, seed=1)
+
+
+def label_batches():
+    small = st.integers(0, 40)
+    huge = st.integers(2 ** 63, 2 ** 63 + 3) | st.integers(2 ** 64 - 2, 2 ** 64 + 1)
+    as_int64 = st.lists(small, max_size=12).map(lambda xs: np.array(xs, dtype=np.int64))
+    as_object = st.lists(small | huge, max_size=12).map(lambda xs: np.array(xs, dtype=object))
+    return st.lists(as_int64, max_size=4).flatmap(
+        lambda first: st.lists(as_int64 | as_object, max_size=4).map(lambda rest: first + rest))
+
+
+class TestLabelIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(label_batches())
+    def test_numbers_labels_as_a_dict_does(self, batches):
+        # int64 batches, then object batches (labels of 2**63 and more) mixed
+        # with int64 ones; empty batches and repeated labels.
+        index, reference = LabelIndex(), {}
+        for batch in batches:
+            expected = [reference.setdefault(label, len(reference)) for label in batch.tolist()]
+            assert index.number(batch).tolist() == expected
+            assert len(index) == len(reference)
+        assert index.labels() == list(reference)
