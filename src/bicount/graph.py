@@ -164,6 +164,11 @@ class PriorityMap:
         return order
 
 
+def _skipped(line: str) -> bool:
+    """Whether a stripped line is blank or a comment."""
+    return not line or line.startswith(COMMENT_PREFIXES)
+
+
 def read_edges(lines: Iterable[str], first_line: int = 1):
     """Yield the (upper, lower) label pair of every edge line, as Python
     ints; the first line is numbered ``first_line``.
@@ -173,7 +178,7 @@ def read_edges(lines: Iterable[str], first_line: int = 1):
     """
     for lineno, raw in enumerate(lines, start=first_line):
         line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
+        if _skipped(line):
             continue
         tokens = line.split()
         if len(tokens) != 2:
@@ -230,16 +235,19 @@ def read_label_batches(lines: Iterable[str], batch_lines: int):
     """Yield the (upper, lower) label arrays of the edge lines, a batch of
     ``batch_lines`` lines at a time.
 
-    A batch of plain lines is tokenized in numpy (``_tokenize``); any
-    other batch goes through ``read_edges``, which reads every form ``int``
-    accepts, labels of any size (an object array of Python ints), and
-    raises ParseError with the line number.  Each element of ``lines`` is
-    one line, as iterating a text file yields them.
+    A batch of plain lines is tokenized in numpy (``_tokenize``), and so
+    is one whose other lines are all blank or comments, once those are
+    left out; any other batch goes through ``read_edges``, which reads
+    every form ``int`` accepts, labels of any size (an object array of
+    Python ints), and raises ParseError with the line number.  Each
+    element of ``lines`` is one line, as iterating a text file yields them.
     """
     lines = iter(lines)
     first_line = 1
     while batch := list(islice(lines, batch_lines)):
         labels = _tokenize(batch)
+        if labels is None:
+            labels = _tokenize([line for line in batch if not _skipped(line.strip())])
         if labels is None:
             labels = _label_array(list(read_edges(batch, first_line)))
         first_line += len(batch)

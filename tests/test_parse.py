@@ -94,6 +94,23 @@ class TestAcceptedForms:
         assert labelled_edges(g) == [(1, 2), (3, 4)]
         assert labelled_edges(parse_edge_list(text)) == [(1, 2), (3, 4)]
 
+    def test_comment_lines_keep_a_batch_on_the_array_path(self, tmp_path, monkeypatch):
+        # A header (as `bicount gen` and KONECT files have), a comment and
+        # blank lines among plain lines: the batch is tokenized without them.
+        body = [f"{i % 97} {i % 89}\n" for i in range(300)]
+        plain = write(tmp_path, "".join(body), "plain.txt")
+        headed = write(tmp_path, "% bip unweighted\n" + "".join(body[:100]) + "\n# note\n  \n"
+                       + "".join(body[100:]), "headed.txt")
+        expected = reference_parse(Path(plain).read_text())
+
+        def line_by_line(*args):
+            raise AssertionError("a batch went through read_edges")
+        monkeypatch.setattr(graph, "read_edges", line_by_line)
+        for g in (load_edge_list(headed), parse_edge_list(Path(headed).read_text())):
+            outcome, _ = parse_outcome(lambda: g)
+            assert outcome == expected
+        assert em_count(headed, EM_CFG)[0].counters() == em_count(plain, EM_CFG)[0].counters()
+
     def test_empty_file(self, capsys, tmp_path):
         path = write(tmp_path, "")
         g = load_edge_list(path)
