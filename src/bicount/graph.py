@@ -269,42 +269,55 @@ class LabelIndex:
     """Dense indices for labels, numbered in first-seen order across
     batches.
 
-    The distinct labels seen so far are kept sorted, beside the index of
-    each; a batch is numbered by binary search, and its new labels are
-    inserted in place.  The labels are int64 until a batch holds labels of
-    2**63 or more (an object array of Python ints); from then on they are
-    Python ints.
+    The labels seen so far are kept in sorted runs, each beside the index
+    of every label in it.  A batch is numbered by binary search in the
+    runs, and its new labels are a new run.  A run is merged into the one
+    before it (``np.insert``) until each run is at least eight times as
+    long as the next, so there are O(log n) runs, and the longest is
+    copied only once the others add up to an eighth of it: small batches
+    do not copy the whole index each.  The labels are int64 until a batch
+    holds labels of 2**63 or more (an object array of Python ints); from
+    then on they are Python ints.
     """
 
     def __init__(self):
-        self._labels = np.zeros(0, dtype=np.int64)
-        self._indices = np.zeros(0, dtype=np.int64)
+        self._runs: list[tuple[np.ndarray, np.ndarray]] = []
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self._count
 
     def number(self, labels: np.ndarray) -> np.ndarray:
         """The dense index of each of ``labels``; labels not seen before
         get the next indices, in the order they first occur."""
         distinct, first, inverse = _unique_first(labels)
         if distinct.dtype == object:
-            self._labels = self._labels.astype(object)
-        at = np.searchsorted(self._labels, distinct)
-        known = np.zeros(len(distinct), dtype=bool)
-        inside = at < len(self._labels)
-        known[inside] = self._labels[at[inside]] == distinct[inside]
-        new = np.flatnonzero(~known)
+            self._runs = [(run.astype(object), indices) for run, indices in self._runs]
         indices = np.empty(len(distinct), dtype=np.int64)
-        indices[known] = self._indices[at[known]]
-        indices[new[np.argsort(first[new])]] = np.arange(len(self), len(self) + len(new))
-        self._labels = np.insert(self._labels, at[new], distinct[new])
-        self._indices = np.insert(self._indices, at[new], indices[new])
+        new = np.arange(len(distinct))
+        for run, run_indices in self._runs:
+            at = np.minimum(np.searchsorted(run, distinct[new]), len(run) - 1)
+            found = run[at] == distinct[new]
+            indices[new[found]] = run_indices[at[found]]
+            new = new[~found]
+        indices[new[np.argsort(first[new])]] = np.arange(self._count, self._count + len(new))
+        self._count += len(new)
+        if len(new):
+            self._runs.append((distinct[new], indices[new]))
+        while len(self._runs) > 1 and len(self._runs[-2][0]) < 8 * len(self._runs[-1][0]):
+            (before, before_indices), (run, run_indices) = self._runs[-2:]
+            at = np.searchsorted(before, run)
+            self._runs[-2:] = [(np.insert(before, at, run),
+                                np.insert(before_indices, at, run_indices))]
         return indices[inverse]
 
     def labels(self) -> list[int]:
         """The labels as Python ints, in index order."""
-        ordered = np.empty_like(self._labels)
-        ordered[self._indices] = self._labels
+        if not self._runs:
+            return []
+        labels = np.concatenate([run for run, _ in self._runs])
+        ordered = np.empty_like(labels)
+        ordered[np.concatenate([indices for _, indices in self._runs])] = labels
         return ordered.tolist()
 
 

@@ -185,11 +185,11 @@ class TestArrayOnlyPaths:
 
 
 def label_batches():
-    small = st.integers(0, 40)
+    small = st.integers(0, 60)
     huge = st.integers(2 ** 63, 2 ** 63 + 3) | st.integers(2 ** 64 - 2, 2 ** 64 + 1)
-    as_int64 = st.lists(small, max_size=12).map(lambda xs: np.array(xs, dtype=np.int64))
+    as_int64 = st.lists(small, max_size=24).map(lambda xs: np.array(xs, dtype=np.int64))
     as_object = st.lists(small | huge, max_size=12).map(lambda xs: np.array(xs, dtype=object))
-    return st.lists(as_int64, max_size=4).flatmap(
+    return st.lists(as_int64, max_size=5).flatmap(
         lambda first: st.lists(as_int64 | as_object, max_size=4).map(lambda rest: first + rest))
 
 
@@ -198,7 +198,8 @@ class TestLabelIndex:
     @given(label_batches())
     def test_numbers_labels_as_a_dict_does(self, batches):
         # int64 batches, then object batches (labels of 2**63 and more) mixed
-        # with int64 ones; empty batches and repeated labels.
+        # with int64 ones; empty batches and repeated labels.  Batches of
+        # various sizes leave one or several sorted runs to search.
         index, reference = LabelIndex(), {}
         for batch in batches:
             expected = [reference.setdefault(label, len(reference)) for label in batch.tolist()]
