@@ -20,7 +20,7 @@ per array, from the values it holds: when every field is below 2**32 (the
 engine's dense, layer-tagged IDs are, below 2**31 vertices a layer) it
 sorts the uint64 keys ``first << 32 | second``; otherwise (arbitrary
 records) it sorts by the first field alone when no two records share it,
-and by ``np.lexsort`` over the two fields when some do.  I/O follows the
+and sorts the voids themselves when some do.  I/O follows the
 scan model of Aggarwal and Vitter: a pass over S bytes costs ceil(S / B)
 transfers; reading the text input is not metered.
 """
@@ -95,28 +95,30 @@ def _fields(records: np.ndarray) -> np.ndarray:
     return records.view(">u8").reshape(-1, 2).astype(np.uint64)
 
 
-def _packed(fields: np.ndarray) -> np.ndarray | None:
-    """The keys ``first << 32 | second`` of ``_fields`` rows, which order
-    and compare as the records do, or None when a field reaches 2**32."""
-    if fields.size and fields.max() >= 1 << 32:
-        return None
-    return fields[:, 0] << 32 | fields[:, 1]
-
-
 def _sort(records: np.ndarray) -> np.ndarray:
-    """``records`` in ascending order: by their packed keys when they have
-    them; else by the first field when no two records share it, and by
-    ``np.lexsort`` over both fields when some do."""
+    """``records`` in ascending order.  When every field is below 2**32 it
+    sorts the uint64 keys ``first << 32 | second``, which order as the
+    records do; else it sorts by the first field when no two records share
+    it, and sorts the voids (numpy's generic compare) when some do."""
     fields = _fields(records)
-    keys = _packed(fields)
-    if keys is not None:
+    if not fields.size or fields.max() < 1 << 32:
+        keys = fields[:, 0] << 32 | fields[:, 1]
         keys.sort()
         return _records(keys >> 32, keys & 0xFFFF_FFFF)
     order = np.argsort(fields[:, 0])
     firsts = fields[order, 0]
     if (firsts[1:] == firsts[:-1]).any():
-        order = np.lexsort((fields[:, 1], fields[:, 0]))
+        return np.sort(records)
     return records[order]
+
+
+def _starts(records: np.ndarray) -> np.ndarray:
+    """Whether each record differs from the one before it (the first
+    does).  Compares the two fields as integers: numpy compares 16-byte
+    voids about twice as slowly."""
+    fields = records.view(np.uint64).reshape(-1, 2)
+    differ = fields[1:] != fields[:-1]
+    return np.concatenate(([True], differ[:, 0] | differ[:, 1]))
 
 
 class BlockWriter:
@@ -248,7 +250,7 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
     pending: list[np.ndarray] = []
 
     def groups(records):
-        records = records[np.concatenate(([True], records[1:] != records[:-1]))]
+        records = records[_starts(records)]
         ids = _final_ids(records, lower_count)
         sizes = kernel.run_lengths(ids[:, 0])
         return ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
@@ -342,8 +344,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         butterflies = run = 0
         previous = None
         for records in iter_records(pairs_sorted, cfg.block_size, stats):
-            keys = _packed(_fields(records))
-            runs = kernel.run_lengths(records if keys is None else keys)
+            runs = np.diff(np.flatnonzero(_starts(records)), append=len(records))
             if previous is not None and records[0] == previous:
                 run += int(runs[0])
                 runs = runs[1:]

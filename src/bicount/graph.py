@@ -247,7 +247,9 @@ def read_label_batches(lines: Iterable[str], batch_lines: int):
     while batch := list(islice(lines, batch_lines)):
         labels = _tokenize(batch)
         if labels is None:
-            labels = _tokenize([line for line in batch if not _skipped(line.strip())])
+            kept = [line for line in batch if not _skipped(line.strip())]
+            if len(kept) < len(batch):
+                labels = _tokenize(kept)
         if labels is None:
             labels = _label_array(list(read_edges(batch, first_line)))
         first_line += len(batch)
@@ -292,7 +294,8 @@ class LabelIndex:
         get the next indices, in the order they first occur."""
         distinct, first, inverse = _unique_first(labels)
         if distinct.dtype == object:
-            self._runs = [(run.astype(object), indices) for run, indices in self._runs]
+            self._runs = [(run.astype(object, copy=False), indices)
+                          for run, indices in self._runs]
         indices = np.empty(len(distinct), dtype=np.int64)
         new = np.arange(len(distinct))
         for run, run_indices in self._runs:

@@ -206,3 +206,14 @@ class TestLabelIndex:
             assert index.number(batch).tolist() == expected
             assert len(index) == len(reference)
         assert index.labels() == list(reference)
+
+    def test_object_runs_are_not_copied_again(self):
+        # Each batch with a label of 2**63 or more promotes the runs to
+        # object; runs promoted before are kept as they are, not copied.
+        index = LabelIndex()
+        index.number(np.arange(100, dtype=np.int64))
+        index.number(np.array([2 ** 63, 5], dtype=object))
+        runs = [run for run, _ in index._runs]
+        assert [run.dtype for run in runs] == [object, object]
+        assert index.number(np.array([7, 2 ** 63], dtype=object)).tolist() == [7, 100]
+        assert all(now is before for (now, _), before in zip(index._runs, runs))

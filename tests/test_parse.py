@@ -83,6 +83,21 @@ class TestAcceptedForms:
         assert labelled_edges(g) == [(5, 1000), (7, 1), (0, 0)]
         assert g.duplicates_dropped == 1
 
+    def test_rejected_batch_without_skipped_lines_is_tokenized_once(self, monkeypatch):
+        # Leaving out blank and comment lines cannot help a batch that has none.
+        calls = []
+
+        def tokenize(batch):
+            calls.append(len(batch))
+            return tokenize.real(batch)
+        tokenize.real = graph._tokenize
+        monkeypatch.setattr(graph, "_tokenize", tokenize)
+        assert labelled_edges(parse_edge_list("+5 1_000\n007 1\n")) == [(5, 1000), (7, 1)]
+        assert calls == [2]
+        calls.clear()
+        assert labelled_edges(parse_edge_list("% h\n+5 1_000\n007 1\n")) == [(5, 1000), (7, 1)]
+        assert calls == [3, 2]
+
     def test_non_ascii_digit(self, tmp_path):
         g = load_edge_list(write(tmp_path, "٣ 1\n3 2\n"))
         assert labelled_edges(g) == [(3, 1), (3, 2)]
