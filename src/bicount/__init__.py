@@ -9,14 +9,14 @@ from .errors import (ConfigError, ConsistencyError, CountOverflowError,
                      GuardError, ParseError)
 from .exact import (CountReport, brute_force_count,
                     clustering_coefficient, count_butterflies,
-                    count_caterpillars, count_ibs, count_per_vertex, count_vp,
-                    count_vpp, prepare_vp, prepare_vpp)
+                    count_caterpillars, count_ibs, count_vp, count_vpp,
+                    prepare_vp, prepare_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
 from .graph import (BipartiteGraph, PriorityMap, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
                     read_edges, sort_adjacency)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
                        estimate_all_workloads, greedy_assign,
-                       make_static_assignment, makespan)
+                       make_static_assignment)
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Each edge survives independently with probability p; a butterfly survives
 iff its four edges do, so exact-counting the sample and scaling by p**-4
 gives an unbiased estimate.  The exact counter is an injected dependency
-(the cache-aware engine by default), and all randomness flows through a
-seeded generator so trials replay bit-for-bit.
+(``count_butterflies``, the vpp engine, by default), and all randomness
+flows through a seeded generator so trials replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -16,16 +16,12 @@ from typing import Callable
 
 import numpy as np
 
-from .exact import CountReport, count_vpp
-from .graph import BipartiteGraph, assign_priorities
+from .exact import CountReport, count_butterflies
+from .graph import BipartiteGraph
 
 SEED_STRIDE = 1_000_003
 
 Counter = Callable[[BipartiteGraph], CountReport]
-
-
-def _default_counter(g: BipartiteGraph) -> CountReport:
-    return count_vpp(g, assign_priorities(g))
 
 
 def _check_probability(p: float) -> None:
@@ -44,7 +40,7 @@ def sparsify(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
 
 
 def estimate_butterflies(g: BipartiteGraph, p: float, seed: int,
-                         counter: Counter = _default_counter) -> Fraction:
+                         counter: Counter = count_butterflies) -> Fraction:
     """Unbiased estimate: exact count of the sample divided by p**4.
 
     Returned as an exact rational; with p = 1 it equals the exact count.
@@ -85,7 +81,7 @@ class TrialSummary:
 
 
 def run_trials(g: BipartiteGraph, p: float, trials: int, seed: int,
-               counter: Counter = _default_counter,
+               counter: Counter = count_butterflies,
                with_exact: bool = True) -> tuple[TrialSet, TrialSummary]:
     """Run seeded trials (trial i uses seed*stride + i) and summarize.
 

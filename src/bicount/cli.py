@@ -40,11 +40,14 @@ def _report_lines(data: dict) -> str:
     return "".join(f"{key}\t{value}\n" for key, value in data.items())
 
 
-def _emit(args, data: dict, tsv_text: str | None = None) -> None:
+def _emit(args, data: dict) -> None:
     if args.format == "tsv":
-        text = tsv_text if tsv_text is not None else _report_lines(data)
+        _write(args, _report_lines(data))
     else:
-        text = json.dumps(data, indent=2) + "\n"
+        _write(args, json.dumps(data, indent=2) + "\n")
+
+
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -82,11 +85,13 @@ def cmd_count(args) -> int:
 def cmd_edges(args) -> int:
     g = _load(args)
     ec = per_edge_counts(g)
+    if args.format == "tsv":
+        _write(args, edge_counts_tsv(g, ec))
+        return 0
     labels = g.external_labels
     rows = [[labels[u], labels[v], ec.per_edge[i]]
             for i, (u, v) in enumerate(g.edges)]
-    data = {"butterflies": ec.butterflies, "edges": rows}
-    _emit(args, data, tsv_text=edge_counts_tsv(g, ec))
+    _emit(args, {"butterflies": ec.butterflies, "edges": rows})
     return 0
 
 

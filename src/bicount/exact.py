@@ -14,8 +14,8 @@ Three global counters over the same wedge-counting skeleton:
   vertex by its priority rank, under the same priorities as ``count_vp``:
   the two differ only in their wedge rule.
 
-Plus a quadruple-enumeration brute-force oracle, per-vertex counts, and
-the caterpillar / clustering-coefficient statistics.
+Plus a quadruple-enumeration brute-force oracle and the caterpillar /
+clustering-coefficient statistics.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     t0 = perf_counter()
     n = g.vertex_count
     adjacency = g.adjacency
-    pr = p.priority
+    pr = p.priority.tolist()
     counts = [0] * n
     touched: list[int] = []
     append = touched.append
@@ -153,42 +153,6 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
                        perf_counter() - t0)
 
 
-def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int, int]:
-    """One start-vertex pass of the end-dominant rule; returns
-    (butterflies, wedges, middle_accesses) and leaves counters zeroed.
-    The pure-Python reference the rank-space kernel is tested against,
-    over the priority-sorted adjacency of ``prepare_vp``.
-
-    Neighbor lists ascend by priority, so walking them reversed visits
-    candidates in descending priority and the walk stops at the first end
-    vertex that fails to outrank both the start and the middle.
-    """
-    pu = pr[u]
-    wedges = 0
-    middles = 0
-    append = touched.append
-    for v in adjacency[u]:
-        middles += 1
-        pv = pr[v]
-        limit = pv if pv > pu else pu
-        for w in reversed(adjacency[v]):
-            if pr[w] <= limit:
-                break
-            c = counts[w]
-            if not c:
-                append(w)
-            counts[w] = c + 1
-            wedges += 1
-    butterflies = 0
-    for w in touched:
-        c = counts[w]
-        counts[w] = 0
-        if c > 1:
-            butterflies += c * (c - 1) // 2
-    touched.clear()
-    return butterflies, wedges, middles
-
-
 def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """End-dominant counter over any graph and priority map.
 
@@ -214,9 +178,9 @@ def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, None]:
     """``(g, assign_priorities(g), None)``: the graph as it is, its
     priorities, and no projection mapping.
 
-    The rank-space kernel relabels vertices by priority itself, so the
-    thread engine and ``count_vpp`` need no projected or sorted copy.  The
-    three-value shape is kept for callers that still unpack one.
+    The rank-space kernel relabels vertices by priority itself, so no
+    engine needs a projected or sorted copy.  The three-value shape is kept
+    for callers that still unpack one (``perfbench/ops.py``).
     """
     return g, assign_priorities(g), None
 
@@ -256,12 +220,6 @@ def brute_force_count(g: BipartiteGraph) -> int:
     return total
 
 
-def count_per_vertex(g: BipartiteGraph) -> list[int]:
-    """Butterflies containing each vertex, derived from per-edge counts."""
-    from .edges import per_edge_counts, per_vertex_from_edges  # edges imports this module
-    return per_vertex_from_edges(per_edge_counts(g), g)
-
-
 def count_caterpillars(g: BipartiteGraph) -> int:
     """Exact number of three-edge simple paths, in O(m).
 
@@ -282,32 +240,3 @@ def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:
     if cate == 0:
         return None
     return Fraction(4 * count_butterflies(g, "vpp").butterflies, cate)
-
-
-def iter_start_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
-    """Yield every wedge (start, middle, end) the start-dominant rule
-    processes: start outranks middle and end.  Instrumentation-grade (no
-    early breaks); order-independent of adjacency sorting."""
-    pr = p.priority
-    adjacency = g.adjacency
-    for u in range(g.vertex_count):
-        pu = pr[u]
-        for v in adjacency[u]:
-            if pr[v] < pu:
-                for w in adjacency[v]:
-                    if pr[w] < pu:
-                        yield (u, v, w)
-
-
-def iter_end_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
-    """Yield every wedge the end-dominant rule processes: end outranks
-    middle and start.  Instrumentation-grade."""
-    pr = p.priority
-    adjacency = g.adjacency
-    for u in range(g.vertex_count):
-        pu = pr[u]
-        for v in adjacency[u]:
-            pv = pr[v]
-            for w in adjacency[v]:
-                if pr[w] > pu and pr[w] > pv:
-                    yield (u, v, w)

@@ -88,9 +88,6 @@ class BipartiteGraph:
                                for d, stop in zip(self.degrees, bounds)]
         return self._adjacency
 
-    def is_upper(self, v: int) -> bool:
-        return v >= self.lower_count
-
     def upper_vertices(self) -> range:
         return range(self.lower_count, self.lower_count + self.upper_count)
 
@@ -144,24 +141,12 @@ class BipartiteGraph:
 class PriorityMap:
     """Total order over vertices: degree-major, internal-ID-minor.
 
-    `priority[v]` is an integer in [1, n]; the n values form a permutation.
-    A vertex outranks another iff its degree is larger, or the degrees tie
-    and its internal ID is larger (uppers therefore win cross-layer ties).
+    `priority[v]` is in [1, n]; the int64 array is a permutation.  A vertex
+    outranks another iff its degree is larger, or the degrees tie and its
+    internal ID is larger (uppers therefore win cross-layer ties).
     """
 
-    priority: list[int]
-
-    def ascending_vertices(self) -> list[int]:
-        """Vertex IDs ordered by ascending priority."""
-        order = [0] * len(self.priority)
-        for v, p in enumerate(self.priority):
-            order[p - 1] = v
-        return order
-
-    def descending_vertices(self) -> list[int]:
-        order = self.ascending_vertices()
-        order.reverse()
-        return order
+    priority: np.ndarray
 
 
 def _skipped(line: str) -> bool:
@@ -373,19 +358,19 @@ def degree_priorities(degrees) -> np.ndarray:
 
 def assign_priorities(g: BipartiteGraph) -> PriorityMap:
     """Compute the unique degree-major, ID-minor priority permutation."""
-    return PriorityMap(degree_priorities(g.degrees).tolist())
+    return PriorityMap(degree_priorities(g.degrees))
 
 
 def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
     """Return a copy whose adjacency lists ascend by neighbor priority.
 
-    Linear time: emitting vertices in ascending priority order into fresh
-    lists leaves every list sorted.  Idempotent.
+    Emitting vertices in ascending priority order into fresh lists leaves
+    every list sorted.  Idempotent.
     """
     n = g.vertex_count
     lists: list[list[int]] = [[] for _ in range(n)]
     adjacency = g.adjacency
-    for u in p.ascending_vertices():
+    for u in np.argsort(p.priority).tolist():
         for v in adjacency[u]:
             lists[v].append(u)
     return BipartiteGraph(g.upper_count, g.lower_count, g.uppers, g.lowers,

@@ -12,7 +12,7 @@ Wedges are expanded for a slice of start rows at a time, each slice
 holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
 more), so memory is bounded by the chunk rather than by the total wedge
 count.  The rows may be any subset in any order: the sequential engines
-pass every row, and each worker of the thread engine passes its own.
+pass every row, and each lane of ``parallel.count_parallel`` its own.
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
@@ -64,7 +64,7 @@ def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
     four arrays of 2m entries at a time.
     """
     n, m = g.vertex_count, g.edge_count
-    rank = np.asarray(p.priority, dtype=np.int64) - 1
+    rank = p.priority - 1
     uppers, lowers = rank[g.uppers], rank[g.lowers]
     del rank
     keys = np.empty(2 * m, dtype=np.int64)

@@ -64,7 +64,7 @@ def estimate_all_workloads(g: BipartiteGraph, p: PriorityMap) -> list[int]:
     two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
     outranking v.  O(n + m): precompute, per middle v, how many of its
     neighbors outrank it, then sum over each start's middles."""
-    pr = np.asarray(p.priority, dtype=np.int64)
+    pr = p.priority
     n = g.vertex_count
     uppers, lowers = g.uppers, g.lowers
     # Each edge counts once, at its end that the other end outranks.
@@ -98,7 +98,7 @@ def make_static_assignment(g: BipartiteGraph, p: PriorityMap,
     t = cfg.threads
     if cfg.strategy == "priority":
         assignment: list[list[int]] = [[] for _ in range(t)]
-        pr = p.priority
+        pr = p.priority.tolist()
         for u in range(n):
             assignment[pr[u] % t].append(u)
         return assignment
@@ -109,19 +109,6 @@ def make_static_assignment(g: BipartiteGraph, p: PriorityMap,
             assignment[rng.randrange(t)].append(u)
         return assignment
     return greedy_assign(estimate_all_workloads(g, p), t)
-
-
-def makespan(assignment: list[list[int]], workloads: list[int]) -> int:
-    """Maximum per-thread workload sum; every vertex must appear exactly once."""
-    seen = [False] * len(workloads)
-    for lane in assignment:
-        for u in lane:
-            if u < 0 or u >= len(workloads) or seen[u]:
-                raise ValueError(f"vertex {u} missing or assigned twice")
-            seen[u] = True
-    if not all(seen):
-        raise ValueError(f"vertex {seen.index(False)} unassigned")
-    return max((sum(workloads[u] for u in lane) for lane in assignment), default=0)
 
 
 def simulate_list_schedule(workloads: list[int], threads: int,
@@ -141,10 +128,11 @@ def simulate_list_schedule(workloads: list[int], threads: int,
     return assignment
 
 
-def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> list[int]:
+def _dynamic_order(g: BipartiteGraph, p: PriorityMap,
+                   cfg: ScheduleConfig) -> np.ndarray | list[int]:
     n = g.vertex_count
     if cfg.strategy == "priority":
-        return p.descending_vertices()
+        return np.argsort(p.priority)[::-1]
     if cfg.strategy == "random":
         order = list(range(n))
         random.Random(cfg.seed).shuffle(order)
@@ -181,7 +169,7 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
 
     # A dynamic lane is the slices that the list schedule deals it, each
     # slice lasting its wedge count; a static lane is its partition.
-    rank = np.asarray(p.priority, dtype=np.int64) - 1
+    rank = p.priority - 1
     if cfg.mode == "dynamic":
         order = rank[_dynamic_order(g, p, cfg)]
         slices = np.split(order, kernel.chunk_bounds(row_wedges[order]))

@@ -1,4 +1,5 @@
-"""Shared graph builders and independent oracles for the test suite."""
+"""Shared graph builders, independent oracles and pure-Python references
+for the test suite."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 from itertools import combinations
 
 from bicount.errors import ParseError
-from bicount.graph import BipartiteGraph
+from bicount.graph import BipartiteGraph, PriorityMap
 
 
 def four_cycle() -> BipartiteGraph:
@@ -133,3 +134,81 @@ def reference_parse(text: str) -> dict:
     return {"edges": edges, "external_labels": list(lower_ids) + list(upper_ids),
             "duplicates_dropped": len(pairs) - len(edges),
             "degrees": [len(a) for a in adjacency], "adjacency": adjacency}
+
+
+def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int, int]:
+    """One start-vertex pass of the end-dominant rule; returns
+    (butterflies, wedges, middle_accesses) and leaves counters zeroed.
+    The pure-Python reference the rank-space kernel is tested against,
+    over the priority-sorted adjacency of ``prepare_vp``.
+
+    Neighbor lists ascend by priority, so walking them reversed visits
+    candidates in descending priority and the walk stops at the first end
+    vertex that fails to outrank both the start and the middle.
+    """
+    pu = pr[u]
+    wedges = 0
+    middles = 0
+    append = touched.append
+    for v in adjacency[u]:
+        middles += 1
+        pv = pr[v]
+        limit = pv if pv > pu else pu
+        for w in reversed(adjacency[v]):
+            if pr[w] <= limit:
+                break
+            c = counts[w]
+            if not c:
+                append(w)
+            counts[w] = c + 1
+            wedges += 1
+    butterflies = 0
+    for w in touched:
+        c = counts[w]
+        counts[w] = 0
+        if c > 1:
+            butterflies += c * (c - 1) // 2
+    touched.clear()
+    return butterflies, wedges, middles
+
+
+def iter_start_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
+    """Yield every wedge (start, middle, end) the start-dominant rule
+    processes: start outranks middle and end.  Instrumentation-grade (no
+    early breaks); order-independent of adjacency sorting."""
+    pr = p.priority.tolist()
+    adjacency = g.adjacency
+    for u in range(g.vertex_count):
+        pu = pr[u]
+        for v in adjacency[u]:
+            if pr[v] < pu:
+                for w in adjacency[v]:
+                    if pr[w] < pu:
+                        yield (u, v, w)
+
+
+def iter_end_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
+    """Yield every wedge the end-dominant rule processes: end outranks
+    middle and start.  Instrumentation-grade."""
+    pr = p.priority.tolist()
+    adjacency = g.adjacency
+    for u in range(g.vertex_count):
+        pu = pr[u]
+        for v in adjacency[u]:
+            pv = pr[v]
+            for w in adjacency[v]:
+                if pr[w] > pu and pr[w] > pv:
+                    yield (u, v, w)
+
+
+def makespan(assignment: list[list[int]], workloads: list[int]) -> int:
+    """Maximum per-thread workload sum; every vertex must appear exactly once."""
+    seen = [False] * len(workloads)
+    for lane in assignment:
+        for u in lane:
+            if u < 0 or u >= len(workloads) or seen[u]:
+                raise ValueError(f"vertex {u} missing or assigned twice")
+            seen[u] = True
+    if not all(seen):
+        raise ValueError(f"vertex {seen.index(False)} unassigned")
+    return max((sum(workloads[u] for u in lane) for lane in assignment), default=0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bicount import cli
 from bicount.cli import main, parse_size
 from bicount.external import BlockWriter
 from bicount.generate import pairs_to_text, random_pairs_m
@@ -111,6 +112,21 @@ class TestSubcommands:
         code, data = run_json(capsys, ["edges", four_cycle_file])
         assert data["butterflies"] == 1
         assert data["edges"][0] == [0, 0, 1]
+
+    def test_edges_builds_the_tsv_only_for_tsv_output(self, capsys, monkeypatch,
+                                                      four_cycle_file):
+        real, calls = cli.edge_counts_tsv, []
+
+        def spy(g, ec):
+            calls.append((g, ec))
+            return real(g, ec)
+
+        monkeypatch.setattr(cli, "edge_counts_tsv", spy)
+        run_json(capsys, ["edges", four_cycle_file])
+        assert calls == []
+        assert main(["edges", "--format", "tsv", four_cycle_file]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == real(*calls[0])
 
     def test_parallel(self, capsys, four_cycle_file):
         code, data = run_json(capsys, ["parallel", four_cycle_file,

@@ -105,12 +105,12 @@ class TestPriorities:
 
     def test_singleton_gets_priority_one(self):
         g = BipartiteGraph.build([], upper_count=0, lower_count=1)
-        assert assign_priorities(g).priority == [1]
+        assert assign_priorities(g).priority.tolist() == [1]
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
     def test_matches_comparison_sort_oracle(self, g):
-        assert assign_priorities(g).priority == priority_by_comparison(g)
+        assert assign_priorities(g).priority.tolist() == priority_by_comparison(g)
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())

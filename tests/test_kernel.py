@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from bicount import kernel
 from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import (brute_force_count, count_butterflies, count_vp, count_vpp,
-                           end_dominant_pass, prepare_vp)
+                           prepare_vp)
 from bicount.generate import hub_graph
 from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities, sort_adjacency
-from helpers import transpose
+from helpers import end_dominant_pass, transpose
 
 
 @st.composite
@@ -41,7 +41,7 @@ def loop_reference(g):
     counts = [0] * prepared.vertex_count
     totals = [0, 0, 0]
     for u in range(prepared.vertex_count):
-        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p.priority,
+        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p.priority.tolist(),
                                                 counts, [])):
             totals[i] += x
     return tuple(totals)
@@ -68,7 +68,7 @@ class TestKernel:
     def test_count_vpp_equals_count_vp_under_either_priority(self, g, seed):
         shuffled = list(range(1, g.vertex_count + 1))
         random.Random(seed).shuffle(shuffled)
-        for p in (assign_priorities(g), PriorityMap(shuffled)):
+        for p in (assign_priorities(g), PriorityMap(np.array(shuffled))):
             vpp = count_vpp(g, p)
             vp = count_vp(sort_adjacency(g, p), p)
             assert (vpp.butterflies, vpp.wedges_processed) == \

@@ -12,9 +12,8 @@ from bicount.generate import hub_graph, random_graph
 from bicount.graph import assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               estimate_all_workloads, greedy_assign,
-                              make_static_assignment, makespan,
-                              simulate_list_schedule)
-from helpers import four_cycle, random_graph_set, star
+                              make_static_assignment, simulate_list_schedule)
+from helpers import four_cycle, makespan, random_graph_set, star
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -221,7 +220,7 @@ class TestCountParallel:
         workloads = estimate_all_workloads(g, p)
         shuffled = list(range(g.vertex_count))
         random.Random(7).shuffle(shuffled)
-        orders = {"priority": p.descending_vertices(), "random": shuffled,
+        orders = {"priority": np.argsort(p.priority)[::-1], "random": shuffled,
                   "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
         for strategy, order in orders.items():
             ranks = rank[order]
@@ -257,6 +256,57 @@ class TestCountParallel:
                         assert sum(t.wedges_processed for t in reports) == \
                             report.wedges_processed
                         assert sum(t.vertices_handled for t in reports) == g.vertex_count
+
+
+# Each lane's (butterflies, wedges, vertices handled) per (mode, strategy,
+# lanes) on random_graph(30, 40, 0.2, seed=12), with seed 5 and a chunk cap
+# of 50 wedges, so the dynamic queue is cut into many slices.
+LANE_SPLIT = {
+    ("dynamic", "priority", 2): [(249, 397, 40), (228, 387, 30)],
+    ("dynamic", "priority", 7): [
+        (118, 133, 17), (68, 95, 9), (46, 91, 11), (74, 124, 8), (60, 90, 4),
+        (57, 122, 10), (54, 129, 11),
+    ],
+    ("dynamic", "random", 2): [(261, 393, 34), (216, 391, 36)],
+    ("dynamic", "random", 7): [
+        (76, 120, 11), (63, 93, 8), (52, 123, 12), (85, 124, 11), (72, 109, 8),
+        (53, 89, 8), (76, 126, 12),
+    ],
+    ("dynamic", "heuristic", 2): [(255, 384, 39), (222, 400, 31)],
+    ("dynamic", "heuristic", 7): [
+        (113, 93, 10), (66, 135, 13), (85, 129, 10), (49, 93, 6), (53, 116, 17),
+        (61, 93, 5), (50, 125, 9),
+    ],
+    ("static", "priority", 2): [(228, 408, 35), (249, 376, 35)],
+    ("static", "priority", 7): [
+        (49, 93, 10), (74, 128, 10), (77, 134, 10), (64, 116, 10), (91, 136, 10),
+        (56, 100, 10), (66, 77, 10),
+    ],
+    ("static", "random", 2): [(231, 359, 37), (246, 425, 33)],
+    ("static", "random", 7): [
+        (77, 107, 9), (135, 213, 18), (87, 97, 8), (32, 65, 7), (35, 79, 7), (59, 101, 9),
+        (52, 122, 12),
+    ],
+    ("static", "heuristic", 2): [(242, 392, 36), (235, 392, 34)],
+    ("static", "heuristic", 7): [
+        (38, 102, 10), (69, 108, 10), (56, 103, 10), (94, 123, 12), (63, 113, 9),
+        (90, 121, 9), (67, 114, 10),
+    ],
+}
+
+
+class TestLaneSplit:
+    @pytest.mark.parametrize("key", sorted(LANE_SPLIT))
+    def test_every_lane_is_pinned(self, monkeypatch, key):
+        mode, strategy, threads = key
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        g = random_graph(30, 40, 0.2, seed=12)
+        cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=5)
+        report, lanes = count_parallel(g, assign_priorities(g), cfg)
+        assert [t.thread for t in lanes] == list(range(threads))
+        assert [(t.butterflies, t.wedges_processed, t.vertices_handled)
+                for t in lanes] == LANE_SPLIT[key]
+        assert report.counters() == (477, 784, 70, 464, 784)
 
 
 class TestScheduleConfig:
