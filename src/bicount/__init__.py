@@ -10,11 +10,11 @@ from .errors import (ConfigError, ConsistencyError, CountOverflowError,
 from .exact import (CountReport, brute_force_count,
                     clustering_coefficient, count_butterflies,
                     count_caterpillars, count_ibs, count_vp, count_vpp,
-                    prepare_vp, prepare_vpp)
+                    prepare_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
 from .graph import (BipartiteGraph, PriorityMap, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
-                    read_edges, sort_adjacency)
+                    ranked_neighbors, read_edges)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
                        estimate_all_workloads, greedy_assign,
                        make_static_assignment)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import approx as approx_mod
 from . import generate
@@ -117,12 +118,7 @@ def cmd_parallel(args) -> int:
     data = _count_payload(report, "vpp")
     data["mode"] = cfg.mode
     data["strategy"] = cfg.strategy
-    data["threads"] = [
-        {"thread": tr.thread, "butterflies": tr.butterflies,
-         "wedges_processed": tr.wedges_processed,
-         "vertices_handled": tr.vertices_handled}
-        for tr in thread_reports
-    ]
+    data["threads"] = [asdict(tr) for tr in thread_reports]
     _emit(args, data)
     return 0
 
@@ -134,12 +130,7 @@ def cmd_em(args) -> int:
                    keep_scratch=args.keep_scratch)
     report, io_stats = em_count(args.input, cfg)
     data = _count_payload(report, "em")
-    data["io"] = {
-        "blocks_read": io_stats.blocks_read,
-        "blocks_written": io_stats.blocks_written,
-        "pairs_emitted": io_stats.pairs_emitted,
-        "merge_passes": io_stats.merge_passes,
-    }
+    data["io"] = asdict(io_stats)
     _emit(args, data)
     return 0
 
@@ -170,12 +161,7 @@ def cmd_gen(args) -> int:
         else:
             pairs = generate.random_pairs(args.a, b, args.p, args.seed)
             header = f"random {args.a}x{b} p={args.p} seed={args.seed}"
-    text = generate.pairs_to_text(pairs, header)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, generate.pairs_to_text(pairs, header))
     return 0
 
 

@@ -1,18 +1,21 @@
 """Exact butterfly counting.
 
-Three global counters over the same wedge-counting skeleton:
+Three global counters, each a wedge rule under a priority:
 
-* ``count_ibs``  -- layer-selected baseline; picks the start layer whose
-  opposite side has the smaller sum of squared degrees, then processes
-  every wedge whose end ID exceeds its start ID.
-* ``count_vp``   -- vertex-priority counter; processes only wedges whose
-  start vertex outranks both the middle and the end, with early breaks
-  over priority-sorted adjacency.
-* ``count_vpp``  -- end-dominant counter; processes the same number of
-  wedges but requires the END vertex to outrank start and middle.  It runs
-  the vectorized rank-space kernel (``kernel.py``), which relabels every
-  vertex by its priority rank, under the same priorities as ``count_vp``:
-  the two differ only in their wedge rule.
+* ``count_vp``   -- vertex-priority counter; the start-dominant rule
+  (the start outranks the middle and the end) under a vertex priority,
+  run as one Python loop over neighbor lists in rank space
+  (``graph.ranked_neighbors``), each start's walk stopping at the first
+  neighbor that outranks it.
+* ``count_ibs``  -- layer-selected baseline; the same loop under a layer
+  priority.  The start layer is the one whose opposite side has the
+  larger sum of squared degrees; it outranks the other layer, and inside
+  it a lower ID outranks a higher one, so every wedge runs from a start
+  to a start of higher ID.
+* ``count_vpp``  -- end-dominant counter; processes as many wedges as
+  ``count_vp`` but requires the END vertex to outrank start and middle.
+  It runs the vectorized rank-space kernel (``kernel.py``) under the same
+  priorities as ``count_vp``: the two differ only in their wedge rule.
 
 Plus a quadruple-enumeration brute-force oracle and the caterpillar /
 clustering-coefficient statistics.
@@ -20,15 +23,18 @@ clustering-coefficient statistics.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
 
+import numpy as np
+
 from . import kernel
 from .errors import CountOverflowError, GuardError
-from .graph import BipartiteGraph, PriorityMap, assign_priorities, sort_adjacency
+from .graph import (BipartiteGraph, PriorityMap, assign_priorities, degree_priorities,
+                    ranked_neighbors)
 
 COUNT_LIMIT = 1 << 128
 BRUTE_FORCE_EDGE_GUARD = 10_000
@@ -64,92 +70,75 @@ def check_limit(value: int, what: str) -> int:
     return value
 
 
+def _start_dominant(rows: list[list[int]]) -> tuple[int, int, int]:
+    """(butterflies, wedges, middle accesses) of the start-dominant rule
+    over rank-space neighbor lists, each ascending (``ranked_neighbors``).
+
+    Wedge (u, v, w) counts when u outranks both v and w: the middles of u
+    and the ends of each middle are the prefixes of their rows ranked
+    below u.  A middle access is one examination of a neighbor of u as a
+    middle, including the one that stops the walk: min(deg, below + 1).
+    """
+    counts = [0] * len(rows)
+    touched: list[int] = []
+    append = touched.append
+    butterflies = 0
+    wedges = 0
+    middle_accesses = 0
+    for u, row in enumerate(rows):
+        below = bisect_left(row, u)
+        middle_accesses += min(len(row), below + 1)
+        for v in row[:below]:
+            lst = rows[v]
+            ends = lst[:bisect_left(lst, u)]
+            wedges += len(ends)
+            for w in ends:
+                c = counts[w]
+                if not c:
+                    append(w)
+                counts[w] = c + 1
+        if touched:
+            for w in touched:
+                c = counts[w]
+                counts[w] = 0
+                if c > 1:
+                    butterflies += c * (c - 1) // 2
+            touched.clear()
+    check_limit(butterflies, "butterfly count")
+    return butterflies, wedges, middle_accesses
+
+
 def count_ibs(g: BipartiteGraph) -> CountReport:
     """Layer-selected baseline counter; exact on any graph.
 
     Starts from the upper layer unless the upper layer's squared-degree sum
     is strictly smaller (then the lower layer starts, keeping the heavier
-    wedge work off the middles).  Ties keep the upper layer.
-    """
-    t0 = perf_counter()
-    adjacency = g.adjacency
-    degrees = g.degrees
-    upper_sq = sum(degrees[u] * degrees[u] for u in g.upper_vertices())
-    lower_sq = sum(degrees[v] * degrees[v] for v in g.lower_vertices())
-    starts = g.lower_vertices() if upper_sq < lower_sq else g.upper_vertices()
-
-    # Per-middle adjacency sorted by ID so the (end > start) suffix can be
-    # sliced instead of filtered; wedge membership is unchanged.
-    by_id = [sorted(a) for a in adjacency]
-    counts = [0] * g.vertex_count
-    touched: list[int] = []
-    append = touched.append
-    butterflies = 0
-    wedges = 0
-    middle_accesses = 0
-    for u in starts:
-        for v in adjacency[u]:
-            lst = by_id[v]
-            suffix = lst[bisect_right(lst, u):]
-            wedges += len(suffix)
-            for w in suffix:
-                c = counts[w]
-                if not c:
-                    append(w)
-                counts[w] = c + 1
-        if touched:
-            for w in touched:
-                c = counts[w]
-                counts[w] = 0
-                if c > 1:
-                    butterflies += c * (c - 1) // 2
-            touched.clear()
-        middle_accesses += len(adjacency[u])
-    check_limit(butterflies, "butterfly count")
-    return CountReport(butterflies, wedges, len(starts), middle_accesses,
-                       wedges, perf_counter() - t0)
-
-
-def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
-    """Vertex-priority counter.  Requires priority-sorted adjacency.
-
-    Processes wedge (u, v, w) only when u outranks both v and w; because
-    neighbor lists ascend by priority, each inner loop stops at the first
-    neighbor that ties or outranks the start.
+    wedge work off the middles).  Ties keep the upper layer.  The start
+    layer outranks the other, and inside it a lower ID outranks a higher
+    one; every start visits all its neighbors as middles.
     """
     t0 = perf_counter()
     n = g.vertex_count
-    adjacency = g.adjacency
-    pr = p.priority.tolist()
-    counts = [0] * n
-    touched: list[int] = []
-    append = touched.append
-    butterflies = 0
-    wedges = 0
-    middle_accesses = 0
-    for u in range(n):
-        pu = pr[u]
-        for v in adjacency[u]:
-            middle_accesses += 1
-            if pr[v] >= pu:
-                break
-            for w in adjacency[v]:
-                if pr[w] >= pu:
-                    break
-                c = counts[w]
-                if not c:
-                    append(w)
-                counts[w] = c + 1
-                wedges += 1
-        if touched:
-            for w in touched:
-                c = counts[w]
-                counts[w] = 0
-                if c > 1:
-                    butterflies += c * (c - 1) // 2
-            touched.clear()
-    check_limit(butterflies, "butterfly count")
-    return CountReport(butterflies, wedges, n, middle_accesses, wedges,
+    ids = np.arange(n)
+    upper = ids >= g.lower_count
+    squares = np.asarray(g.degrees, dtype=np.int64) ** 2
+    start = ~upper if squares[upper].sum() < squares[~upper].sum() else upper
+    rows = ranked_neighbors(g, degree_priorities(np.where(start, 2 * n - ids, ids)))
+    butterflies, wedges, _ = _start_dominant(rows)
+    return CountReport(butterflies, wedges, int(start.sum()), g.edge_count, wedges,
+                       perf_counter() - t0)
+
+
+def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
+    """Vertex-priority counter over any graph and priority map.
+
+    Processes wedge (u, v, w) only when u outranks both v and w; each
+    start's walk over its neighbors, ascending by priority, stops at the
+    first neighbor that outranks it.
+    """
+    t0 = perf_counter()
+    butterflies, wedges, middle_accesses = _start_dominant(ranked_neighbors(g, p.priority))
+    return CountReport(butterflies, wedges, g.vertex_count, middle_accesses, wedges,
                        perf_counter() - t0)
 
 
@@ -168,12 +157,6 @@ def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
                        wedges, perf_counter() - t0)
 
 
-def prepare_vp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap]:
-    """Priorities assigned and adjacency sorted, ready for ``count_vp``."""
-    p = assign_priorities(g)
-    return sort_adjacency(g, p), p
-
-
 def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, None]:
     """``(g, assign_priorities(g), None)``: the graph as it is, its
     priorities, and no projection mapping.
@@ -190,7 +173,7 @@ def count_butterflies(g: BipartiteGraph, algo: str = "vpp") -> CountReport:
     if algo == "ibs":
         return count_ibs(g)
     if algo == "vp":
-        return count_vp(*prepare_vp(g))
+        return count_vp(g, assign_priorities(g))
     if algo == "vpp":
         return count_vpp(g, assign_priorities(g))
     raise ValueError(f"unknown algorithm {algo!r}")

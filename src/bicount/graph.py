@@ -1,5 +1,11 @@
 """Bipartite graph representation, edge-list parsing, vertex priorities,
-and priority-sorted adjacency.
+and neighbor lists in priority-rank space.
+
+``degree_priorities`` builds both priorities the exact engines use: the
+degree-major, ID-minor order of ``assign_priorities`` and the layer
+order of ``exact.count_ibs``.  ``ranked_neighbors`` lays the adjacency
+out under either one for the start-dominant loop of ``exact.py``; the
+end-dominant kernel builds its own CSR (``kernel.rank_csr``).
 
 Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
 and upper-layer vertices occupy [lower_count, lower_count + upper_count),
@@ -38,17 +44,17 @@ class BipartiteGraph:
     counters.  `degrees[v]` is a Python int.  `external_labels[v]` is the
     label the vertex had in the input file (the two layers have
     independent label namespaces).  The tuple list `edges` and the
-    neighbor lists `adjacency` (each in edge order, unless given
-    explicitly) are built on first use, for the pure-Python engines and
-    the oracles.  Treat instances as frozen after construction; they are
-    safe to share across threads (a lazy view built twice is built alike).
+    neighbor lists `adjacency` (each in edge order) are built on first
+    use, for the oracles.  Treat instances as frozen after construction;
+    they are safe to share across threads (a lazy view built twice is
+    built alike).
     """
 
     __slots__ = ("upper_count", "lower_count", "uppers", "lowers", "degrees",
                  "external_labels", "duplicates_dropped", "_edges", "_adjacency")
 
     def __init__(self, upper_count, lower_count, uppers, lowers, external_labels,
-                 duplicates_dropped=0, adjacency=None):
+                 duplicates_dropped=0):
         n = upper_count + lower_count
         self.upper_count = upper_count
         self.lower_count = lower_count
@@ -59,7 +65,7 @@ class BipartiteGraph:
         self.external_labels = external_labels
         self.duplicates_dropped = duplicates_dropped
         self._edges = None
-        self._adjacency = adjacency
+        self._adjacency = None
 
     @property
     def vertex_count(self) -> int:
@@ -78,7 +84,7 @@ class BipartiteGraph:
 
     @property
     def adjacency(self) -> list[list[int]]:
-        """Neighbor lists; by default each in edge order."""
+        """Neighbor lists, each in edge order."""
         if self._adjacency is None:
             # A stable sort by center keeps each vertex's entries in edge order.
             order = np.argsort(np.concatenate((self.uppers, self.lowers)), kind="stable")
@@ -137,13 +143,14 @@ class BipartiteGraph:
                               self.external_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorityMap:
     """Total order over vertices: degree-major, internal-ID-minor.
 
     `priority[v]` is in [1, n]; the int64 array is a permutation.  A vertex
     outranks another iff its degree is larger, or the degrees tie and its
-    internal ID is larger (uppers therefore win cross-layer ties).
+    internal ID is larger (uppers therefore win cross-layer ties).  Maps
+    compare and hash by identity.
     """
 
     priority: np.ndarray
@@ -361,17 +368,16 @@ def assign_priorities(g: BipartiteGraph) -> PriorityMap:
     return PriorityMap(degree_priorities(g.degrees))
 
 
-def sort_adjacency(g: BipartiteGraph, p: PriorityMap) -> BipartiteGraph:
-    """Return a copy whose adjacency lists ascend by neighbor priority.
-
-    Emitting vertices in ascending priority order into fresh lists leaves
-    every list sorted.  Idempotent.
-    """
+def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]:
+    """Neighbor lists in rank space (``priority - 1``) under the
+    permutation ``priority``: row r holds the ranks of the neighbors of
+    the vertex of rank r, ascending."""
     n = g.vertex_count
-    lists: list[list[int]] = [[] for _ in range(n)]
-    adjacency = g.adjacency
-    for u in np.argsort(p.priority).tolist():
-        for v in adjacency[u]:
-            lists[v].append(u)
-    return BipartiteGraph(g.upper_count, g.lower_count, g.uppers, g.lowers,
-                          g.external_labels, g.duplicates_dropped, lists)
+    rank = np.asarray(priority, dtype=np.int64) - 1
+    centers = rank[np.concatenate((g.uppers, g.lowers))]
+    # One sort of (center, neighbor) packed in an int64 orders both.
+    keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]
+    keys.sort()
+    flat = (keys % n).tolist()
+    stops = np.cumsum(np.bincount(centers, minlength=n)).tolist()
+    return [flat[start:stop] for start, stop in zip([0] + stops, stops)]

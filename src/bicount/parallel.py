@@ -128,16 +128,17 @@ def simulate_list_schedule(workloads: list[int], threads: int,
     return assignment
 
 
-def _dynamic_order(g: BipartiteGraph, p: PriorityMap,
-                   cfg: ScheduleConfig) -> np.ndarray | list[int]:
+def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> np.ndarray:
+    """The dynamic queue of start vertices, as ranks."""
     n = g.vertex_count
     if cfg.strategy == "priority":
-        return np.argsort(p.priority)[::-1]
+        return np.arange(n)[::-1]
     if cfg.strategy == "random":
         order = list(range(n))
         random.Random(cfg.seed).shuffle(order)
-        return order
-    return _longest_first(estimate_all_workloads(g, p))
+    else:
+        order = _longest_first(estimate_all_workloads(g, p))
+    return (p.priority - 1)[order]
 
 
 def _memory_guard(chunk_wedges: int, threads: int) -> None:
@@ -169,15 +170,15 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
 
     # A dynamic lane is the slices that the list schedule deals it, each
     # slice lasting its wedge count; a static lane is its partition.
-    rank = p.priority - 1
     if cfg.mode == "dynamic":
-        order = rank[_dynamic_order(g, p, cfg)]
+        order = _dynamic_order(g, p, cfg)
         slices = np.split(order, kernel.chunk_bounds(row_wedges[order]))
         durations = [int(row_wedges[rows].sum()) for rows in slices]
         # order[:0] keeps a lane that is dealt no slice an empty array.
         lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
                  for lane in simulate_list_schedule(durations, cfg.threads)]
     else:
+        rank = p.priority - 1
         lanes = [rank[lane] for lane in make_static_assignment(g, p, cfg)]
 
     reports = [ThreadReport(tid, *kernel.count_rows(csr, rows), len(rows))

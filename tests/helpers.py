@@ -140,7 +140,7 @@ def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int,
     """One start-vertex pass of the end-dominant rule; returns
     (butterflies, wedges, middle_accesses) and leaves counters zeroed.
     The pure-Python reference the rank-space kernel is tested against,
-    over the priority-sorted adjacency of ``prepare_vp``.
+    over neighbor lists sorted by ascending priority.
 
     Neighbor lists ascend by priority, so walking them reversed visits
     candidates in descending priority and the walk stops at the first end

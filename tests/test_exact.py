@@ -1,25 +1,30 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bicount.exact as exact
 from bicount.errors import CountOverflowError, GuardError
 from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.exact import (brute_force_count, clustering_coefficient,
                            count_caterpillars, count_ibs, count_vp, count_vpp,
-                           prepare_vp, prepare_vpp)
+                           prepare_vpp)
 from bicount.generate import hub_graph
-from bicount.graph import BipartiteGraph, assign_priorities
+from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
 from helpers import (brute_force_per_vertex, brute_force_three_paths,
                      complete_3x2, end_dominance_example, four_cycle,
                      iter_end_dominant_wedges, iter_start_dominant_wedges,
                      random_graph_set, star, three_path)
+from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
 
 
 def vp_report(g):
-    return count_vp(*prepare_vp(g))
+    return count_vp(g, assign_priorities(g))
 
 
 def vpp_report(g):
@@ -91,7 +96,7 @@ class TestEndDominantRule:
     def test_wedges_through_the_shared_middle(self):
         g = end_dominance_example()
         middle = 4  # the shared upper vertex
-        _, p = prepare_vp(g)
+        p = assign_priorities(g)
         start_rule = [w for w in iter_start_dominant_wedges(g, p) if w[1] == middle]
         end_rule = [w for w in iter_end_dominant_wedges(g, p) if w[1] == middle]
         assert len(start_rule) == len(end_rule) == 5
@@ -100,9 +105,9 @@ class TestEndDominantRule:
 
     def test_enumerations_match_reports(self):
         for g in random_graph_set(25, 12, PROBS, seed=5150):
-            gs, p = prepare_vp(g)
-            assert len(list(iter_start_dominant_wedges(gs, p))) == \
-                count_vp(gs, p).wedges_processed
+            p = assign_priorities(g)
+            assert len(list(iter_start_dominant_wedges(g, p))) == \
+                count_vp(g, p).wedges_processed
             assert len(list(iter_end_dominant_wedges(g, p))) == \
                 count_vpp(g, p).wedges_processed
 
@@ -145,6 +150,56 @@ class TestRandomEquivalence:
         for g in random_graph_set(5, 20, (0.3,), seed=3):
             assert vp_report(g).counters() == vp_report(g).counters()
             assert count_ibs(g).counters() == count_ibs(g).counters()
+
+
+def ibs_closed_form(g):
+    """(wedges, start accesses, middle accesses) of the layer-selected
+    baseline from degrees alone: the upper layer starts unless its
+    squared-degree sum is strictly smaller, every pair of neighbors of a
+    middle is one wedge, and every edge is one middle access."""
+    d = g.degrees
+    upper = [d[u] for u in g.upper_vertices()]
+    lower = [d[v] for v in g.lower_vertices()]
+    if sum(x * x for x in upper) < sum(x * x for x in lower):
+        upper, lower = lower, upper
+    return sum(x * (x - 1) // 2 for x in lower), len(upper), g.edge_count
+
+
+def vp_middle_accesses(g, priority):
+    """Sum over u of min(deg u, neighbors ranked below u + 1)."""
+    return sum(min(len(neighbors), sum(priority[w] < priority[u] for w in neighbors) + 1)
+               for u, neighbors in enumerate(g.adjacency))
+
+
+class TestClosedForms:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.integers(min_value=0))
+    def test_ibs_and_vp_counters(self, g, seed):
+        ibs = count_ibs(g)
+        wedges, starts, middles = ibs_closed_form(g)
+        assert (ibs.wedges_processed, ibs.start_accesses, ibs.middle_accesses) == \
+            (wedges, starts, middles)
+        assert ibs.end_accesses == wedges
+        assert ibs.butterflies == brute_force_count(g)
+        shuffled = list(range(1, g.vertex_count + 1))
+        random.Random(seed).shuffle(shuffled)
+        p = PriorityMap(np.array(shuffled, dtype=np.int64))
+        vp = count_vp(g, p)
+        assert vp.middle_accesses == vp_middle_accesses(g, shuffled)
+        assert vp.wedges_processed == len(list(iter_start_dominant_wedges(g, p)))
+        assert vp.start_accesses == g.vertex_count
+        assert vp.butterflies == ibs.butterflies
+
+    def test_squared_degree_tie_starts_from_the_upper_layer(self):
+        # Both layers of a four-cycle sum to 8; an isolated vertex makes
+        # the layer sizes differ, so the start count shows the layer.
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for g, starts in ((four_cycle(), 2),
+                          (BipartiteGraph.build(pairs, upper_count=3, lower_count=2), 3),
+                          (BipartiteGraph.build(pairs, upper_count=2, lower_count=3), 2)):
+            report = count_ibs(g)
+            assert (report.butterflies, report.wedges_processed) == (1, 2)
+            assert report.start_accesses == starts == ibs_closed_form(g)[1]
 
 
 class TestPerVertex:

@@ -1,4 +1,4 @@
-from bicount.exact import count_ibs, count_vp, prepare_vp
+from bicount.exact import count_butterflies, count_ibs
 from bicount.generate import (complete_graph, complete_pairs, hub_graph,
                               hub_pairs, hub_path_graph, hub_path_pairs,
                               pairs_to_text, random_pairs, random_pairs_m)
@@ -60,6 +60,6 @@ class TestRoundTrip:
         parsed = parse_edge_list(pairs_to_text(pairs))
         assert built.edges == parsed.edges
         assert built.degrees == parsed.degrees
-        a = count_vp(*prepare_vp(built))
-        b = count_vp(*prepare_vp(parsed))
+        a = count_butterflies(built, "vp")
+        b = count_butterflies(parsed, "vp")
         assert a.counters() == b.counters()

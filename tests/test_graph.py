@@ -11,7 +11,7 @@ from bicount.errors import ParseError
 from bicount.exact import count_butterflies
 from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import (BipartiteGraph, LabelIndex, assign_priorities,
-                           format_edge_list, parse_edge_list, sort_adjacency)
+                           format_edge_list, parse_edge_list, ranked_neighbors)
 from bicount.parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
 from helpers import complete_3x2, four_cycle, priority_by_comparison
 
@@ -137,34 +137,35 @@ class TestPriorities:
                     assert (p[a] > p[b]) == expected
 
 
-class TestSortAdjacency:
+class TestRankedNeighbors:
     def test_complete_3x2_neighbor_order(self):
+        # Ranks: u0, u1, u2 (degree 2) are 0, 1, 2; v0, v1 (degree 3) 3, 4.
         g = complete_3x2()
-        p = assign_priorities(g)
-        gs = sort_adjacency(g, p)
-        assert gs.adjacency[0] == [2, 3, 4]  # u0, u1, u2 ascending priority
+        rows = ranked_neighbors(g, assign_priorities(g).priority)
+        assert rows == [[3, 4], [3, 4], [3, 4], [0, 1, 2], [0, 1, 2]]
 
-    def test_degree_zero_vertex_stays_empty(self):
+    def test_degree_zero_vertex_row_is_empty(self):
+        # v1 has degree 0, so rank 0.
         g = BipartiteGraph.build([(0, 0)], upper_count=1, lower_count=2)
-        gs = sort_adjacency(g, assign_priorities(g))
-        assert gs.adjacency[1] == []
-
-    def test_idempotent(self):
-        g = four_cycle()
-        p = assign_priorities(g)
-        once = sort_adjacency(g, p)
-        twice = sort_adjacency(once, p)
-        assert twice.adjacency == once.adjacency
+        assert ranked_neighbors(g, assign_priorities(g).priority) == [[], [2], [1]]
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
-    def test_neighbor_priorities_strictly_increase(self, g):
-        p = assign_priorities(g)
-        gs = sort_adjacency(g, p)
-        pr = p.priority
-        for neighbors in gs.adjacency:
-            ranks = [pr[w] for w in neighbors]
-            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+    def test_rows_ascend_by_neighbor_rank(self, g):
+        priority = assign_priorities(g).priority
+        rows = ranked_neighbors(g, priority)
+        rank = (priority - 1).tolist()
+        assert len(rows) == g.vertex_count
+        for v, neighbors in enumerate(g.adjacency):
+            assert rows[rank[v]] == sorted(rank[w] for w in neighbors)
+
+
+class TestPriorityMap:
+    def test_equality_and_hash_do_not_raise(self):
+        p = assign_priorities(four_cycle())
+        assert p == p
+        assert isinstance(p == assign_priorities(four_cycle()), bool)
+        assert hash(p) == hash(p)
 
 
 class TestArrayOnlyPaths:
@@ -176,6 +177,8 @@ class TestArrayOnlyPaths:
         monkeypatch.setattr(BipartiteGraph, "edges", property(unbuilt))
         monkeypatch.setattr(BipartiteGraph, "adjacency", property(unbuilt))
         assert count_butterflies(g, "vpp").butterflies > 0
+        assert count_butterflies(g, "vp").butterflies > 0
+        assert count_butterflies(g, "ibs").butterflies > 0
         per_vertex_from_edges(per_edge_counts(g), g)
         p = assign_priorities(g)
         for mode in MODES:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from bicount import kernel
 from bicount.edges import brute_force_per_edge, per_edge_counts
-from bicount.exact import (brute_force_count, count_butterflies, count_vp, count_vpp,
-                           prepare_vp)
+from bicount.exact import brute_force_count, count_butterflies, count_vp, count_vpp
 from bicount.generate import hub_graph
-from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities, sort_adjacency
+from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
 from helpers import end_dominant_pass, transpose
 
 
@@ -36,13 +35,13 @@ def graphs(draw):
 
 def loop_reference(g):
     """(butterflies, wedges, middle accesses) from the per-start Python loop
-    of the end-dominant rule over the priority-sorted graph."""
-    prepared, p = prepare_vp(g)
-    counts = [0] * prepared.vertex_count
+    of the end-dominant rule over neighbor lists sorted by priority."""
+    pr = assign_priorities(g).priority.tolist()
+    adjacency = [sorted(neighbors, key=pr.__getitem__) for neighbors in g.adjacency]
+    counts = [0] * g.vertex_count
     totals = [0, 0, 0]
-    for u in range(prepared.vertex_count):
-        for i, x in enumerate(end_dominant_pass(u, prepared.adjacency, p.priority.tolist(),
-                                                counts, [])):
+    for u in range(g.vertex_count):
+        for i, x in enumerate(end_dominant_pass(u, adjacency, pr, counts, [])):
             totals[i] += x
     return tuple(totals)
 
@@ -70,7 +69,7 @@ class TestKernel:
         random.Random(seed).shuffle(shuffled)
         for p in (assign_priorities(g), PriorityMap(np.array(shuffled))):
             vpp = count_vpp(g, p)
-            vp = count_vp(sort_adjacency(g, p), p)
+            vp = count_vp(g, p)
             assert (vpp.butterflies, vpp.wedges_processed) == \
                 (vp.butterflies, vp.wedges_processed)
 

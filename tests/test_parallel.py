@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bicount import kernel
 from bicount.errors import ConfigError
-from bicount.exact import brute_force_count, count_vpp, prepare_vp
+from bicount.exact import brute_force_count, count_vpp
 from bicount.generate import hub_graph, random_graph
 from bicount.graph import assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
@@ -30,26 +30,28 @@ class TestWorkloadEstimate:
     def test_isolated_vertex_is_zero(self):
         from bicount.graph import BipartiteGraph
         g = BipartiteGraph.build([(0, 0)], upper_count=1, lower_count=2)
-        gs, p = prepare_vp(g)
-        assert estimate_all_workloads(gs, p)[1] == 0
+        p = assign_priorities(g)
+        assert estimate_all_workloads(g, p)[1] == 0
 
     def test_four_cycle_top_vertex_matches_enumeration(self):
-        gs, p = prepare_vp(four_cycle())
+        g = four_cycle()
+        p = assign_priorities(g)
         top = max(range(4), key=lambda v: p.priority[v])
-        assert estimate_all_workloads(gs, p)[top] == direct_estimate(gs, p, top)
+        assert estimate_all_workloads(g, p)[top] == direct_estimate(g, p, top)
 
     def test_star_leaves_estimate_zero(self):
-        gs, p = prepare_vp(star(6))
-        workloads = estimate_all_workloads(gs, p)
-        for leaf in gs.lower_vertices():
+        g = star(6)
+        p = assign_priorities(g)
+        workloads = estimate_all_workloads(g, p)
+        for leaf in g.lower_vertices():
             assert workloads[leaf] == 0
 
     def test_oracle_agreement_on_random_graphs(self):
         for g in random_graph_set(15, 12, PROBS, seed=72):
-            gs, p = prepare_vp(g)
-            workloads = estimate_all_workloads(gs, p)
-            for u in range(gs.vertex_count):
-                assert workloads[u] == direct_estimate(gs, p, u)
+            p = assign_priorities(g)
+            workloads = estimate_all_workloads(g, p)
+            for u in range(g.vertex_count):
+                assert workloads[u] == direct_estimate(g, p, u)
 
 
 class TestStaticAssignment:
@@ -66,32 +68,35 @@ class TestStaticAssignment:
             [[t, t + 1024] for t in range(1, 1024)]
 
     def test_priority_strategy_single_thread(self):
-        gs, p = prepare_vp(four_cycle())
+        g = four_cycle()
+        p = assign_priorities(g)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=1)
-        assert make_static_assignment(gs, p, cfg) == [[0, 1, 2, 3]]
+        assert make_static_assignment(g, p, cfg) == [[0, 1, 2, 3]]
 
     def test_priority_strategy_mod_rule(self):
-        gs, p = prepare_vp(four_cycle())
+        g = four_cycle()
+        p = assign_priorities(g)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
-        assignment = make_static_assignment(gs, p, cfg)
+        assignment = make_static_assignment(g, p, cfg)
         for tid, lane in enumerate(assignment):
             assert all(p.priority[u] % 2 == tid for u in lane)
 
     def test_random_strategy_is_seeded(self):
-        gs, p = prepare_vp(star(8))
+        g = star(8)
+        p = assign_priorities(g)
         cfg = ScheduleConfig(mode="static", strategy="random", threads=3, seed=42)
-        assert make_static_assignment(gs, p, cfg) == \
-            make_static_assignment(gs, p, cfg)
+        assert make_static_assignment(g, p, cfg) == \
+            make_static_assignment(g, p, cfg)
 
     def test_partitions_cover_every_vertex_once(self):
         for g in random_graph_set(10, 15, PROBS, seed=73):
-            gs, p = prepare_vp(g)
+            p = assign_priorities(g)
             for strategy in ("priority", "random", "heuristic"):
                 cfg = ScheduleConfig(mode="static", strategy=strategy,
                                      threads=3, seed=1)
-                assignment = make_static_assignment(gs, p, cfg)
+                assignment = make_static_assignment(g, p, cfg)
                 flat = sorted(u for lane in assignment for u in lane)
-                assert flat == list(range(gs.vertex_count))
+                assert flat == list(range(g.vertex_count))
 
 
 class TestMakespan:
