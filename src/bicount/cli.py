@@ -57,15 +57,9 @@ def _write(args, text: str) -> None:
 
 
 def _count_payload(report, algo: str) -> dict:
-    return {
-        "algorithm": algo,
-        "butterflies": report.butterflies,
-        "wedges_processed": report.wedges_processed,
-        "start_accesses": report.start_accesses,
-        "middle_accesses": report.middle_accesses,
-        "end_accesses": report.end_accesses,
-        "elapsed_seconds": report.elapsed,
-    }
+    data = {"algorithm": algo, **asdict(report)}
+    data["elapsed_seconds"] = data.pop("elapsed")
+    return data
 
 
 def _load(args):

@@ -13,6 +13,10 @@ Pipeline, entirely over fixed-width binary records of two big-endian
 5. external-sort the pairs and fold equal runs: a run of length c adds
    C(c, 2) butterflies.
 
+The passes after each sort read the sorted file as whole runs
+(``_whole_runs``): every array they get holds complete groups, or complete
+runs of equal pairs, so no pass keeps state from one array to the next.
+
 Records move as numpy arrays of 16-byte voids.  Both fields are stored
 big-endian, so a record's byte order is its numeric order, (first, second)
 ascending, and the files stay bytewise sorted.  ``_sort`` chooses its path
@@ -31,6 +35,7 @@ import os
 import shutil
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -71,7 +76,7 @@ class EmConfig:
 
     @property
     def run_records(self) -> int:
-        return max(1, self.memory_budget // RECORD_WIDTH)
+        return self.memory_budget // RECORD_WIDTH
 
 
 @dataclass
@@ -121,51 +126,32 @@ def _starts(records: np.ndarray) -> np.ndarray:
     return np.concatenate(([True], differ[:, 0] | differ[:, 1]))
 
 
-class BlockWriter:
-    """Sequential record writer; one transfer per block of bytes written.
-
-    Use it as a context manager: the file is closed even when a write
-    fails (a full disk), and the transfers are metered only on success.
-    """
-
-    def __init__(self, path, block_size: int, stats: IoStats):
-        self._file = open(path, "wb")
-        self._block = block_size
-        self._stats = stats
-
-    def write(self, records: np.ndarray) -> None:
-        self._file.write(records)
-
-    def close(self) -> None:
-        try:
-            self._stats.blocks_written += -(-self._file.tell() // self._block)
-        finally:
-            self._file.close()
-
-    def __enter__(self) -> "BlockWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self._file.close()
+@contextmanager
+def _writer(path, block_size: int, stats: IoStats):
+    """Yield the ``write`` of ``path`` opened for writing; meter one
+    transfer per block written once the body is done.  A failed write still
+    closes the file (a full disk), and meters nothing."""
+    with open(path, "wb") as handle:
+        yield handle.write
+        stats.blocks_written += -(-handle.tell() // block_size)
 
 
 def iter_records(path, block_size: int, stats: IoStats, count: int | None = None):
     """Stream a record file as arrays of ``count`` records (the last may be
-    shorter; by default a block's worth), metering one pass over it."""
+    shorter; by default a block's worth), metering one pass over it.  No
+    array is asked for beyond the file's records: numpy sizes its buffer
+    from ``count``."""
     size = os.path.getsize(path)
     if size % RECORD_WIDTH:
         raise ConfigError(f"record file {path} truncated mid-record")
     stats.blocks_read += -(-size // block_size)
-    count = count or max(1, block_size // RECORD_WIDTH)
+    count = min(count or block_size // RECORD_WIDTH, max(1, size // RECORD_WIDTH))
     with open(path, "rb") as handle:
         while len(records := np.fromfile(handle, dtype=RECORD_DTYPE, count=count)):
             yield records
 
 
-def _merge(streams, writer: BlockWriter) -> None:
+def _merge(streams, write) -> None:
     """Merge sorted, non-empty record streams a block at a time: every
     buffered record up to the smallest buffered tail is final."""
     buffers = {stream: next(stream) for stream in streams}
@@ -177,7 +163,7 @@ def _merge(streams, writer: BlockWriter) -> None:
             taken.append(buffer[:cut])
             buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
         buffers = {s: b for s, b in buffers.items() if b is not None}
-        writer.write(_sort(np.concatenate(taken)))
+        write(_sort(np.concatenate(taken)))
 
 
 def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
@@ -198,8 +184,8 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
         for chunk in iter_records(in_path, cfg.block_size, stats, cfg.run_records):
             chunk = _sort(chunk)
             run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
-            with BlockWriter(run_path, cfg.block_size, stats) as writer:
-                writer.write(chunk)
+            with _writer(run_path, cfg.block_size, stats) as write:
+                write(chunk)
             runs.append(run_path)
 
         if not runs:
@@ -220,8 +206,8 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
                 merged = out_path if final else os.path.join(
                     scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}")
                 streams = [iter_records(path, cfg.block_size, stats) for path in group]
-                with BlockWriter(merged, cfg.block_size, stats) as writer:
-                    _merge(streams, writer)
+                with _writer(merged, cfg.block_size, stats) as write:
+                    _merge(streams, write)
                 if not cfg.keep_scratch:
                     for path in group:
                         os.remove(path)
@@ -242,28 +228,34 @@ def _final_ids(records: np.ndarray, lower_count: int) -> np.ndarray:
     return (keys >> 1) + (keys & 1) * lower_count
 
 
+def _whole_runs(blocks, key):
+    """Regroup sorted ``blocks`` so that no run of rows with equal
+    ``key(block)`` spans two arrays.  Each block is cut at the start of its
+    last run, which is held until a later block starts another; so at most
+    one block plus one run is held."""
+    held: list[np.ndarray] = []
+    for block in blocks:
+        keys = key(block)
+        cut = int(np.searchsorted(keys, keys[-1:])[0])
+        # A block of one run goes on with the held run, or starts another.
+        if cut or (held and key(held[-1][-1:]).tobytes() != keys[:1].tobytes()):
+            yield np.concatenate(held + [block[:cut]])
+            held = []
+        held.append(block[cut:])
+    if held:
+        yield np.concatenate(held)
+
+
 def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
     """Yield ``(centers, sizes, neighbors)`` of a sorted record file's
     groups (final IDs), a block's whole groups at a time, without
     duplicate records (duplicate input edges)."""
-    # A block's last group may go on in the next: hold it until a block shows its end.
-    pending: list[np.ndarray] = []
-
-    def groups(records):
+    blocks = iter_records(path, cfg.block_size, stats)
+    for records in _whole_runs(blocks, lambda records: records.view(">u8")[0::2]):
         records = records[_starts(records)]
         ids = _final_ids(records, lower_count)
         sizes = kernel.run_lengths(ids[:, 0])
-        return ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
-
-    for block in iter_records(path, cfg.block_size, stats):
-        centers = block.view(">u8")[0::2]
-        cut = int(np.argmax(centers == centers[-1]))
-        if cut:
-            yield groups(np.concatenate(pending + [block[:cut]]))
-            pending = []
-        pending.append(block[cut:])
-    if pending:
-        yield groups(np.concatenate(pending))
+        yield ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
 
 
 def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
@@ -273,6 +265,10 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     In the report, ``start_accesses`` is the number of vertices scanned as
     wedge middles and ``middle_accesses`` the number of adjacency records
     streamed in the emission pass.
+
+    Besides the rank table, a pass over a sorted file holds at most one
+    block plus one run: a group, as long as its vertex's degree, or a run
+    of equal pairs, no longer than the smaller degree of its two ends.
     """
     t0 = perf_counter()
     stats = IoStats()
@@ -287,9 +283,9 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # indexes are checked batch by batch, before the file is read through.
         upper_ids, lower_ids = LabelIndex(), LabelIndex()
         max_vertices = cfg.memory_budget // 8
-        batch = min(graph.BATCH_LINES, max(1, cfg.block_size // RECORD_WIDTH))
+        batch = min(graph.BATCH_LINES, cfg.block_size // RECORD_WIDTH)
         with open(edge_path, "r", encoding="utf-8") as handle, \
-                BlockWriter(raw_path, cfg.block_size, stats) as writer:
+                _writer(raw_path, cfg.block_size, stats) as write:
             for upper, lower in read_label_batches(handle, batch):
                 # Both directions of every edge, as (center, neighbor) keys.
                 uppers = upper_ids.number(upper) << 1 | 1
@@ -299,8 +295,8 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
                         f"more than {max_vertices} vertices: their rank table "
                         f"needs over the {cfg.memory_budget}-byte budget; "
                         f"raise the budget")
-                writer.write(_records(np.stack((lowers, uppers), axis=1).ravel(),
-                                      np.stack((uppers, lowers), axis=1).ravel()))
+                write(_records(np.stack((lowers, uppers), axis=1).ravel(),
+                               np.stack((uppers, lowers), axis=1).ravel()))
         lower_count = len(lower_ids)
         n = lower_count + len(upper_ids)
         del upper_ids, lower_ids
@@ -316,7 +312,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         rank = degree_priorities(degrees) - 1
 
         pairs_emitted = groups = records_scanned = 0
-        with BlockWriter(pairs_raw, cfg.block_size, stats) as writer:
+        with _writer(pairs_raw, cfg.block_size, stats) as write:
             for centers, sizes, neighbors in _iter_groups(sorted_path, cfg, stats, lower_count):
                 groups += len(centers)
                 records_scanned += len(neighbors)
@@ -329,8 +325,8 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
                                   np.arange(len(members)) - firsts, 0)
                 pairs_emitted += int(counts.sum())
                 for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
-                    writer.write(_records(members[kernel.ranges(firsts[part], counts[part])],
-                                          np.repeat(members[part], counts[part])))
+                    write(_records(members[kernel.ranges(firsts[part], counts[part])],
+                                   np.repeat(members[part], counts[part])))
         stats.pairs_emitted = pairs_emitted
         if not cfg.keep_scratch:
             os.remove(sorted_path)
@@ -340,20 +336,13 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         if not cfg.keep_scratch:
             os.remove(pairs_raw)
 
-        # A run of c equal pairs adds C(c, 2); the open run carries over.
-        butterflies = run = 0
-        previous = None
-        for records in iter_records(pairs_sorted, cfg.block_size, stats):
+        # A run of c equal pairs adds C(c, 2).  The int64 sum is exact
+        # while an array holds fewer than 2**32 records.
+        butterflies = 0
+        for records in _whole_runs(iter_records(pairs_sorted, cfg.block_size, stats),
+                                   lambda records: records):
             runs = np.diff(np.flatnonzero(_starts(records)), append=len(records))
-            if previous is not None and records[0] == previous:
-                run += int(runs[0])
-                runs = runs[1:]
-            if len(runs):
-                butterflies += run * (run - 1) // 2
-                butterflies += int((runs[:-1] * (runs[:-1] - 1) // 2).sum())
-                run = int(runs[-1])
-            previous = records[-1]
-        butterflies += run * (run - 1) // 2
+            butterflies += int((runs * (runs - 1) // 2).sum())
         check_limit(butterflies, "butterfly count")
 
         report = CountReport(butterflies, pairs_emitted, groups,

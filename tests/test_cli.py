@@ -4,13 +4,13 @@ import json
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from bicount import cli
+from bicount import cli, external
 from bicount.cli import main, parse_size
-from bicount.external import BlockWriter
 from bicount.generate import pairs_to_text, random_pairs_m
 
 FOUR_CYCLE = "0 0\n0 1\n1 0\n1 1\n"
@@ -148,6 +148,16 @@ class TestSubcommands:
                                     "pairs_emitted", "merge_passes"]
         assert data["io"]["pairs_emitted"] == 2
 
+    def test_em_budget_beyond_the_file(self, capsys, tmp_path):
+        # No read asks numpy for more records than the file holds, however
+        # large the budget.
+        path = tmp_path / "g.txt"
+        path.write_text(pairs_to_text(random_pairs_m(30, 30, 300, seed=7)))
+        _, expected = run_json(capsys, ["count", str(path)])
+        code, data = run_json(capsys, ["em", str(path), "--memory-budget", "1e30MiB"])
+        assert code == 0
+        assert data["butterflies"] == expected["butterflies"] > 0
+
     def test_em_full_disk_is_1_and_closes_its_files(self, capsys, tmp_path, monkeypatch):
         # A scratch write that fails (simulated ENOSPC) at any point of the
         # pipeline exits 1, empties the scratch dir and leaves no open file
@@ -160,19 +170,23 @@ class TestSubcommands:
         scratch.mkdir()
         argv = ["em", str(path), "--memory-budget", "16KiB", "--block-size", "4KiB",
                 "--scratch-dir", str(scratch)]
-        real_write, writers, fail_at = BlockWriter.write, [], [0]
+        real_writer, writers, fail_at = external._writer, [], [0]
 
         def kind(name):
             special = {"adjacency.raw": "raw", "pairs.raw": "pairs"}
             return special.get(name) or ("run" if name.split(".")[0].isdigit() else "merge")
 
-        def write(self, records):
-            writers.append(kind(Path(self._file.name).name))
-            if len(writers) == fail_at[0]:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            real_write(self, records)
+        @contextmanager
+        def writer(path, block_size, stats):
+            with real_writer(path, block_size, stats) as real_write:
+                def write(records):
+                    writers.append(kind(Path(path).name))
+                    if len(writers) == fail_at[0]:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    real_write(records)
+                yield write
 
-        monkeypatch.setattr(BlockWriter, "write", write)
+        monkeypatch.setattr(external, "_writer", writer)
         assert main(argv) == 0
         calls = {}
         for call, name in enumerate(writers, 1):

@@ -13,7 +13,7 @@ from bicount.errors import ConfigError
 from bicount.exact import count_vpp
 from bicount.external import (RECORD, RECORD_DTYPE, EmConfig, IoStats, _sort, em_count,
                               external_sort, iter_records)
-from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
+from bicount.generate import complete_pairs, hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import assign_priorities, parse_edge_list
 from helpers import random_graph_set
 from test_kernel import graphs
@@ -226,6 +226,13 @@ class TestEmCount:
         assert report.butterflies == expected.butterflies
         assert report.wedges_processed == stats.pairs_emitted == expected.wedges_processed
 
+    def test_budget_beyond_the_file_reads_only_the_file(self, tmp_path):
+        # Run formation reads up to budget // 16 records at a time; numpy
+        # is asked for no more than the file holds.
+        path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        report, _ = em_count(path, EmConfig(memory_budget=1 << 70))
+        assert report.butterflies == 1
+
     def test_scratch_cleanup_and_keep(self, tmp_path):
         path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
         scratch = tmp_path / "scratch"
@@ -242,16 +249,40 @@ class TestEmCount:
         assert {"raw", "sorted"} <= names
 
 
+class TestWholeRuns:
+    def test_runs_that_fill_whole_blocks_are_yielded_apart(self):
+        blocks = [[1, 1], [2, 2], [2, 3], [3, 3], [4, 5]]
+        arrays = external._whole_runs((np.array(b) for b in blocks), lambda keys: keys)
+        assert [a.tolist() for a in arrays] == [[1, 1], [2, 2, 2], [3, 3, 3, 4], [5]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=60), st.sets(st.integers(1, 59)))
+    def test_no_run_spans_two_arrays(self, values, cuts):
+        values.sort()
+        blocks = np.split(np.array(values), sorted(c for c in cuts if c < len(values)))
+        arrays = [a.tolist() for a in external._whole_runs(iter(blocks), lambda keys: keys)]
+        assert sum(arrays, []) == values
+        assert all(a[-1] < b[0] for a, b in zip(arrays, arrays[1:]))
+        # An array is at most one block plus one run.
+        longest = max(map(len, blocks)) + max(values.count(v) for v in values)
+        assert all(a and len(a) <= longest for a in arrays)
+
+
 def golden_inputs():
     uniform = random_pairs_m(150, 150, 5000, seed=11)
     hubby = hub_pairs(60) + random_pairs_m(90, 90, 3000, seed=2) + hub_pairs(60)[::3]
-    return {"uniform": uniform + uniform[::7], "hubby": hubby}
+    # Three uppers of degree 1,500: their groups, and the runs of 1,500
+    # equal pairs between them, span several blocks.
+    long_runs = complete_pairs(3, 1500) + [(u + 3, v) for u, v in
+                                           random_pairs_m(40, 40, 300, seed=5)]
+    return {"uniform": uniform + uniform[::7], "hubby": hubby, "long_runs": long_runs}
 
 
 # Report counters (butterflies, wedges, groups, records scanned, wedges) and
 # IoStats (blocks read, blocks written, pairs, merge passes) per input and
 # (budget, block size), as the engine gave them when it still moved one
-# record at a time through block buffers.
+# record at a time through block buffers; the ``long_runs`` row as it gave
+# them when it still carried the open group and pair run from block to block.
 GOLDEN = {
     "uniform": ((299421, 103715, 300, 10000, 103715), {
         (4 * 4097, 4097): (3011, 2966, 103715, 8),
@@ -268,6 +299,11 @@ GOLDEN = {
         (4 * 4096, 4096): (1727, 1701, 68350, 6),
         (6 * 4097, 4097): (1439, 1413, 68350, 4),
         (1 << 20, 65536): (57, 55, 68350, 1),
+    }),
+    "long_runs": ((3376682, 6564, 1543, 9600, 6564), {
+        (16 * 4096, 4096): (230, 192, 6564, 2),
+        (4 * 4100, 4100): (326, 288, 6564, 5),
+        (1 << 20, 65536): (13, 10, 6564, 0),
     }),
 }
 
