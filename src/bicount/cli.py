@@ -83,9 +83,7 @@ def cmd_edges(args) -> int:
     if args.format == "tsv":
         _write(args, edge_counts_tsv(g, ec))
         return 0
-    labels = g.external_labels
-    rows = [[labels[u], labels[v], ec.per_edge[i]]
-            for i, (u, v) in enumerate(g.edges)]
+    rows = list(zip(*g.edge_labels(), ec.per_edge))
     _emit(args, {"butterflies": ec.butterflies, "edges": rows})
     return 0
 
@@ -138,6 +136,12 @@ def cmd_approx(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag in ("a", "b", "edges"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag} must be nonnegative, got {value}")
+    if not 0 <= args.p <= 1:
+        raise ConfigError(f"--p must be in [0, 1], got {args.p}")
     b = args.b if args.b is not None else args.a
     if args.kind == "hub":
         pairs = generate.hub_pairs(args.a, b)

@@ -121,7 +121,7 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
     n = g.vertex_count
     ids = np.arange(n)
     upper = ids >= g.lower_count
-    squares = np.asarray(g.degrees, dtype=np.int64) ** 2
+    squares = g.degrees ** 2
     start = ~upper if squares[upper].sum() < squares[~upper].sum() else upper
     rows = ranked_neighbors(g, degree_priorities(np.where(start, 2 * n - ids, ids)))
     butterflies, wedges, _ = _start_dominant(rows)
@@ -210,11 +210,11 @@ def count_caterpillars(g: BipartiteGraph) -> int:
     one extra neighbor on each side, giving (deg(u)-1) * (deg(v)-1) paths
     anchored at that edge.
     """
-    degrees = g.degrees
-    total = 0
-    for u, v in g.edges:
-        total += (degrees[u] - 1) * (degrees[v] - 1)
-    return check_limit(total, "caterpillar count")
+    spare = g.degrees - 1
+    # The paths through upper vertex u's edges number at most (deg(u)-1) * m,
+    # so each term and the total stay below m**2: exact in int64 for any
+    # graph that fits in memory.
+    return check_limit(int((spare[g.uppers] * spare[g.lowers]).sum()), "caterpillar count")
 
 
 def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:

@@ -41,13 +41,14 @@ class BipartiteGraph:
 
     Edge i joins ``uppers[i]`` and ``lowers[i]`` (int64 internal IDs); the
     order of the arrays is the canonical edge index used by per-edge
-    counters.  `degrees[v]` is a Python int.  `external_labels[v]` is the
-    label the vertex had in the input file (the two layers have
-    independent label namespaces).  The tuple list `edges` and the
-    neighbor lists `adjacency` (each in edge order) are built on first
-    use, for the oracles.  Treat instances as frozen after construction;
-    they are safe to share across threads (a lazy view built twice is
-    built alike).
+    counters.  ``degrees`` is the int64 array of vertex degrees.
+    ``external_labels[v]`` is the label the vertex had in the input file
+    (the two layers have independent label namespaces); ``edge_labels``
+    gathers them per edge.  The tuple list ``edges`` and the neighbor
+    lists ``adjacency`` (each in edge order) are Python views built on
+    first use, for the brute-force oracles.  Treat instances as frozen
+    after construction; they are safe to share across threads (a lazy
+    view built twice is built alike).
     """
 
     __slots__ = ("upper_count", "lower_count", "uppers", "lowers", "degrees",
@@ -60,8 +61,7 @@ class BipartiteGraph:
         self.lower_count = lower_count
         self.uppers = uppers
         self.lowers = lowers
-        self.degrees = (np.bincount(uppers, minlength=n)
-                        + np.bincount(lowers, minlength=n)).tolist()
+        self.degrees = np.bincount(uppers, minlength=n) + np.bincount(lowers, minlength=n)
         self.external_labels = external_labels
         self.duplicates_dropped = duplicates_dropped
         self._edges = None
@@ -91,8 +91,14 @@ class BipartiteGraph:
             neighbors = np.concatenate((self.lowers, self.uppers))[order].tolist()
             bounds = np.cumsum(self.degrees).tolist()
             self._adjacency = [neighbors[stop - d:stop]
-                               for d, stop in zip(self.degrees, bounds)]
+                               for d, stop in zip(self.degrees.tolist(), bounds)]
         return self._adjacency
+
+    def edge_labels(self) -> tuple[list[int], list[int]]:
+        """The external labels of the upper and of the lower end of each
+        edge, in edge order, as Python ints (a label may exceed int64)."""
+        labels = np.array(self.external_labels, dtype=object)
+        return labels[self.uppers].tolist(), labels[self.lowers].tolist()
 
     def upper_vertices(self) -> range:
         return range(self.lower_count, self.lower_count + self.upper_count)
@@ -349,15 +355,14 @@ def load_edge_list(path) -> BipartiteGraph:
 
 def format_edge_list(g: BipartiteGraph) -> str:
     """Serialize back to the input format using external labels."""
-    labels = g.external_labels
-    return "".join(f"{labels[u]} {labels[v]}\n" for u, v in g.edges)
+    return "".join(f"{u} {v}\n" for u, v in zip(*g.edge_labels()))
 
 
-def degree_priorities(degrees) -> np.ndarray:
+def degree_priorities(degrees: np.ndarray) -> np.ndarray:
     """The degree-major, ID-minor priority of vertices 0..n-1 with the
-    given degrees: a permutation of 1..n in which ties in degree resolve
-    by ascending vertex ID (a stable sort by degree)."""
-    order = np.argsort(np.asarray(degrees, dtype=np.int64), kind="stable")
+    given int64 degrees: a permutation of 1..n in which ties in degree
+    resolve by ascending vertex ID (a stable sort by degree)."""
+    order = np.argsort(degrees, kind="stable")
     priority = np.empty(len(order), dtype=np.int64)
     priority[order] = np.arange(1, len(order) + 1)
     return priority

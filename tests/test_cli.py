@@ -244,6 +244,19 @@ class TestSubcommands:
         assert main(["gen", "random", "--a", "2", "--b", "2",
                      "--edges", "9"]) == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["random", "--a", "-1"], "--a"),
+        (["hub", "--a", "-3"], "--a"),
+        (["complete", "--a", "2", "--b", "-2"], "--b"),
+        (["random", "--a", "3", "--p", "7"], "--p"),
+        (["random", "--a", "2", "--edges", "-1"], "--edges"),
+    ], ids=["negative-a", "negative-hub-a", "negative-b", "p-above-1", "negative-edges"])
+    def test_gen_unusable_parameters_are_2(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "g.txt"
+        assert main(["gen", *argv, "--output", str(out)]) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParseSize:
     def test_plain_bytes(self):

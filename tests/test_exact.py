@@ -12,7 +12,7 @@ from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.exact import (brute_force_count, clustering_coefficient,
                            count_caterpillars, count_ibs, count_vp, count_vpp,
                            prepare_vpp)
-from bicount.generate import hub_graph
+from bicount.generate import complete_graph, hub_graph
 from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
 from helpers import (brute_force_per_vertex, brute_force_three_paths,
                      complete_3x2, end_dominance_example, four_cycle,
@@ -240,6 +240,12 @@ class TestCaterpillars:
     def test_matches_path_enumeration(self):
         for g in random_graph_set(25, 12, PROBS, seed=31):
             assert count_caterpillars(g) == brute_force_three_paths(g)
+
+    def test_complete_300x300_exceeds_32_bits(self):
+        # K(r, l) has r * l * (r - 1) * (l - 1) three-paths; this is above 2**32.
+        g = complete_graph(300, 300)
+        assert g.degrees.dtype == np.int64
+        assert count_caterpillars(g) == 300 * 300 * 299 * 299 == 8_046_090_000
 
 
 class TestClusteringCoefficient:

@@ -15,7 +15,8 @@ from bicount.cli import main
 from bicount.errors import ParseError
 from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
-from bicount.graph import assign_priorities, load_edge_list, parse_edge_list
+from bicount.graph import (assign_priorities, format_edge_list, load_edge_list,
+                           parse_edge_list)
 from helpers import reference_parse
 
 HUGE = 10 ** 30
@@ -51,6 +52,7 @@ class TestHugeLabels:
         g = load_edge_list(write(tmp_path, self.TEXT))
         assert labelled_edges(g) == [(HUGE, 1), (HUGE, 2), (HUGE + 1, 1), (HUGE + 1, 2)]
         assert all(type(label) is int for label in g.external_labels)
+        assert labelled_edges(parse_edge_list(format_edge_list(g))) == labelled_edges(g)
 
     def test_count_edges_and_em_exit_0(self, capsys, tmp_path):
         path = write(tmp_path, self.TEXT)
@@ -59,6 +61,8 @@ class TestHugeLabels:
         code, data = cli_json(capsys, ["edges", path])
         assert code == 0
         assert data["edges"] == [[HUGE, 1, 1], [HUGE, 2, 1], [HUGE + 1, 1, 1], [HUGE + 1, 2, 1]]
+        assert main(["edges", "--format", "tsv", path]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "1000000000000000000000000000000\t1\t1"
         code, data = cli_json(capsys, ["em", path, "--memory-budget", "1MiB"])
         assert (code, data["butterflies"]) == (0, 1)
 
@@ -211,7 +215,7 @@ def parse_outcome(parse):
     except ParseError as exc:
         return exc.line_number, None
     return {"edges": g.edges, "external_labels": g.external_labels,
-            "duplicates_dropped": g.duplicates_dropped, "degrees": g.degrees,
+            "duplicates_dropped": g.duplicates_dropped, "degrees": g.degrees.tolist(),
             "adjacency": g.adjacency}, g
 
 
