@@ -4,18 +4,18 @@ Three global counters, each a wedge rule under a priority:
 
 * ``count_vp``   -- vertex-priority counter; the start-dominant rule
   (the start outranks the middle and the end) under a vertex priority,
-  run as one Python loop over neighbor lists in rank space
-  (``graph.ranked_neighbors``), each start's walk stopping at the first
-  neighbor that outranks it.
-* ``count_ibs``  -- layer-selected baseline; the same loop under a layer
-  priority.  The start layer is the one whose opposite side has the
-  larger sum of squared degrees; it outranks the other layer, and inside
-  it a lower ID outranks a higher one, so every wedge runs from a start
-  to a start of higher ID.
+  run by the vectorized rank-space kernel (``kernel.py``).
 * ``count_vpp``  -- end-dominant counter; processes as many wedges as
   ``count_vp`` but requires the END vertex to outrank start and middle.
-  It runs the vectorized rank-space kernel (``kernel.py``) under the same
-  priorities as ``count_vp``: the two differ only in their wedge rule.
+  It runs the same kernel under the same priorities: the two differ only
+  in their wedge rule.
+* ``count_ibs``  -- layer-selected baseline; the start-dominant rule under
+  a layer priority, run as one Python loop over neighbor lists in rank
+  space (``graph.ranked_neighbors``), off the kernel so that it checks
+  it.  The start layer is the one whose opposite side has the larger sum
+  of squared degrees; it outranks the other layer, and inside it a lower
+  ID outranks a higher one, so every wedge runs from a start to a start
+  of higher ID.
 
 Plus a quadruple-enumeration brute-force oracle and the caterpillar /
 clustering-coefficient statistics.
@@ -70,25 +70,21 @@ def check_limit(value: int, what: str) -> int:
     return value
 
 
-def _start_dominant(rows: list[list[int]]) -> tuple[int, int, int]:
-    """(butterflies, wedges, middle accesses) of the start-dominant rule
-    over rank-space neighbor lists, each ascending (``ranked_neighbors``).
+def _start_dominant(rows: list[list[int]]) -> tuple[int, int]:
+    """(butterflies, wedges) of the start-dominant rule over rank-space
+    neighbor lists, each ascending (``ranked_neighbors``).
 
     Wedge (u, v, w) counts when u outranks both v and w: the middles of u
     and the ends of each middle are the prefixes of their rows ranked
-    below u.  A middle access is one examination of a neighbor of u as a
-    middle, including the one that stops the walk: min(deg, below + 1).
+    below u.
     """
     counts = [0] * len(rows)
     touched: list[int] = []
     append = touched.append
     butterflies = 0
     wedges = 0
-    middle_accesses = 0
     for u, row in enumerate(rows):
-        below = bisect_left(row, u)
-        middle_accesses += min(len(row), below + 1)
-        for v in row[:below]:
+        for v in row[:bisect_left(row, u)]:
             lst = rows[v]
             ends = lst[:bisect_left(lst, u)]
             wedges += len(ends)
@@ -105,7 +101,7 @@ def _start_dominant(rows: list[list[int]]) -> tuple[int, int, int]:
                     butterflies += c * (c - 1) // 2
             touched.clear()
     check_limit(butterflies, "butterfly count")
-    return butterflies, wedges, middle_accesses
+    return butterflies, wedges
 
 
 def count_ibs(g: BipartiteGraph) -> CountReport:
@@ -124,7 +120,7 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
     squares = g.degrees ** 2
     start = ~upper if squares[upper].sum() < squares[~upper].sum() else upper
     rows = ranked_neighbors(g, degree_priorities(np.where(start, 2 * n - ids, ids)))
-    butterflies, wedges, _ = _start_dominant(rows)
+    butterflies, wedges = _start_dominant(rows)
     return CountReport(butterflies, wedges, int(start.sum()), g.edge_count, wedges,
                        perf_counter() - t0)
 
@@ -132,12 +128,17 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
 def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """Vertex-priority counter over any graph and priority map.
 
-    Processes wedge (u, v, w) only when u outranks both v and w; each
-    start's walk over its neighbors, ascending by priority, stops at the
-    first neighbor that outranks it.
+    Processes wedge (u, v, w) only when u outranks both v and w.  A middle
+    access is a neighbor visited by a start's walk, ascending by priority,
+    that stops at the first neighbor outranking the start: each edge once
+    at its higher end, plus one stop at each vertex some neighbor outranks.
     """
     t0 = perf_counter()
-    butterflies, wedges, middle_accesses = _start_dominant(ranked_neighbors(g, p.priority))
+    csr = kernel.rank_csr(g, p, start_dominant=True)
+    butterflies, wedges = kernel.count_rows(csr, np.arange(csr.n))
+    check_limit(butterflies, "butterfly count")
+    outranked = np.where(p.priority[g.uppers] < p.priority[g.lowers], g.uppers, g.lowers)
+    middle_accesses = g.edge_count + int(np.count_nonzero(np.bincount(outranked)))
     return CountReport(butterflies, wedges, g.vertex_count, middle_accesses, wedges,
                        perf_counter() - t0)
 
@@ -151,7 +152,8 @@ def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     visited once, so the access counters are n and 2m.
     """
     t0 = perf_counter()
-    butterflies, wedges = kernel.count_pairs(g, p)
+    csr = kernel.rank_csr(g, p)
+    butterflies, wedges = kernel.count_rows(csr, np.arange(csr.n))
     check_limit(butterflies, "butterfly count")
     return CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
                        wedges, perf_counter() - t0)

@@ -4,8 +4,9 @@ and neighbor lists in priority-rank space.
 ``degree_priorities`` builds both priorities the exact engines use: the
 degree-major, ID-minor order of ``assign_priorities`` and the layer
 order of ``exact.count_ibs``.  ``ranked_neighbors`` lays the adjacency
-out under either one for the start-dominant loop of ``exact.py``; the
-end-dominant kernel builds its own CSR (``kernel.rank_csr``).
+out as Python lists for the start-dominant loop of ``count_ibs``; the
+other engines run the rank-space kernel, which builds its own CSR
+(``kernel.rank_csr``).
 
 Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
 and upper-layer vertices occupy [lower_count, lower_count + upper_count),
@@ -374,11 +375,11 @@ def assign_priorities(g: BipartiteGraph) -> PriorityMap:
 
 
 def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]:
-    """Neighbor lists in rank space (``priority - 1``) under the
+    """Neighbor lists in rank space (``priority - 1``) under the int64
     permutation ``priority``: row r holds the ranks of the neighbors of
-    the vertex of rank r, ascending."""
+    the vertex of rank r, ascending.  Only ``exact.count_ibs`` reads them."""
     n = g.vertex_count
-    rank = np.asarray(priority, dtype=np.int64) - 1
+    rank = priority - 1
     centers = rank[np.concatenate((g.uppers, g.lowers))]
     # One sort of (center, neighbor) packed in an int64 orders both.
     keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]

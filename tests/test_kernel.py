@@ -1,7 +1,9 @@
-"""Property tests for the rank-space wedge kernel behind ``count_vpp`` and
-the per-edge counts, against the pure-Python engines and the oracles."""
+"""Property tests for the rank-space wedge kernel behind ``count_vp``,
+``count_vpp`` and the per-edge counts, against the pure-Python engines, the
+wedge enumerators and the oracles."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import brute_force_count, count_butterflies, count_vp, count_vpp
 from bicount.generate import hub_graph
 from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
-from helpers import end_dominant_pass, transpose
+from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
+                     transpose)
 
 
 @st.composite
@@ -47,7 +50,8 @@ def loop_reference(g):
 
 
 def counted(g):
-    return count_butterflies(g, "vpp"), per_edge_counts(g).per_edge
+    return (count_butterflies(g, "vpp"), per_edge_counts(g).per_edge,
+            count_vp(g, assign_priorities(g)).counters())
 
 
 class TestKernel:
@@ -73,6 +77,25 @@ class TestKernel:
             assert (vpp.butterflies, vpp.wedges_processed) == \
                 (vp.butterflies, vp.wedges_processed)
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.integers(min_value=0))
+    def test_each_rule_expands_exactly_its_wedges(self, g, seed):
+        priority = np.arange(1, g.vertex_count + 1)
+        random.Random(seed).shuffle(priority)
+        p = PriorityMap(priority)
+        vertex = np.argsort(p.priority)
+        for start_dominant, enumerate_wedges in ((True, iter_start_dominant_wedges),
+                                                 (False, iter_end_dominant_wedges)):
+            csr = kernel.rank_csr(g, p, start_dominant)
+            expanded = Counter()
+            for entries, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):
+                triples = np.stack([keys // csr.n, csr.columns[entries], keys % csr.n])
+                expanded.update(zip(*vertex[triples].tolist()))
+            expected = Counter(enumerate_wedges(g, p))
+            assert expanded == expected
+            starts = Counter(u for u, _, _ in expected.elements())
+            assert np.diff(csr.row_wedges).tolist() == [starts[u] for u in vertex.tolist()]
+
     @settings(max_examples=150, deadline=None)
     @given(graphs())
     def test_per_edge_matches_brute_force(self, g):
@@ -87,9 +110,10 @@ class TestKernel:
         expected = counted(g)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "CHUNK_WEDGES", 1)
-            report, per_edge = counted(g)
+            report, per_edge, vp = counted(g)
         assert report.counters() == expected[0].counters()
         assert per_edge == expected[1]
+        assert vp == expected[2]
 
     def test_cap_of_one_splits_and_overruns(self, monkeypatch):
         # Every start of a hub graph with wedges gets its own chunk, and the
@@ -100,6 +124,7 @@ class TestKernel:
         csr = kernel.rank_csr(g, assign_priorities(g))
         chunks = [len(keys) for *_, keys in kernel.iter_chunks(csr, np.arange(csr.n))]
         assert len(chunks) > 1 and max(chunks) > 1
-        report, per_edge = counted(g)
+        report, per_edge, vp = counted(g)
         assert report.counters() == expected[0].counters()
         assert per_edge == expected[1]
+        assert vp == expected[2]
