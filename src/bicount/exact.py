@@ -3,12 +3,12 @@
 Three global counters, each a wedge rule under a priority:
 
 * ``count_vp``   -- vertex-priority counter; the start-dominant rule
-  (the start outranks the middle and the end) under a vertex priority,
-  run by the vectorized rank-space kernel (``kernel.py``).
-* ``count_vpp``  -- end-dominant counter; processes as many wedges as
-  ``count_vp`` but requires the END vertex to outrank start and middle.
-  It runs the same kernel under the same priorities: the two differ only
-  in their wedge rule.
+  (the start outranks the middle and the end) under a vertex priority.
+  Its wedges are those of ``count_vpp`` read from the other end, so it
+  runs the same vectorized rank-space kernel (``kernel.py``); only its
+  middle-access count, that of the paper's early-stopping walk, differs.
+* ``count_vpp``  -- end-dominant counter; the END vertex outranks start
+  and middle, under the same priorities as ``count_vp``.
 * ``count_ibs``  -- layer-selected baseline; the start-dominant rule under
   a layer priority, run as one Python loop over neighbor lists in rank
   space (``graph.ranked_neighbors``), off the kernel so that it checks
@@ -47,8 +47,9 @@ class CountReport:
     ``wedges_processed`` counts wedges that passed the active predicate and
     updated a counter; ``end_accesses`` always equals it.  A middle access
     is one examination of a neighbor as a potential wedge middle (including
-    the examination that triggers an early break); a start access is one
-    start-vertex visit.  Everything except ``elapsed`` is deterministic.
+    the examination that triggers an early break; for ``count_vp`` those of
+    the paper's walk, in closed form); a start access is one start-vertex
+    visit.  Everything except ``elapsed`` is deterministic.
     """
 
     butterflies: int
@@ -128,26 +129,27 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
 def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """Vertex-priority counter over any graph and priority map.
 
-    Processes wedge (u, v, w) only when u outranks both v and w.  A middle
-    access is a neighbor visited by a start's walk, ascending by priority,
-    that stops at the first neighbor outranking the start: each edge once
-    at its higher end, plus one stop at each vertex some neighbor outranks.
+    Processes wedge (u, v, w) only when u outranks both v and w.  These are
+    the end-dominant wedges (w, v, u) of ``count_vpp``, so its kernel gives
+    the butterflies and wedges.  The middle accesses are those of the
+    paper's walk, which visits a start's neighbors ascending by priority
+    and stops at the first one outranking the start: each edge once at its
+    higher end, plus one stop at each vertex some neighbor outranks.  They
+    are computed in closed form, not counted by the kernel.
     """
     t0 = perf_counter()
-    csr = kernel.rank_csr(g, p, start_dominant=True)
-    butterflies, wedges = kernel.count_rows(csr, np.arange(csr.n))
-    check_limit(butterflies, "butterfly count")
+    report = count_vpp(g, p)
     outranked = np.where(p.priority[g.uppers] < p.priority[g.lowers], g.uppers, g.lowers)
-    middle_accesses = g.edge_count + int(np.count_nonzero(np.bincount(outranked)))
-    return CountReport(butterflies, wedges, g.vertex_count, middle_accesses, wedges,
-                       perf_counter() - t0)
+    report.middle_accesses = g.edge_count + int(np.count_nonzero(np.bincount(outranked)))
+    report.elapsed = perf_counter() - t0
+    return report
 
 
 def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """End-dominant counter over any graph and priority map.
 
-    Processes exactly as many wedges as ``count_vp`` under the same
-    priorities; the rank-space kernel aggregates them in sorted chunks.
+    Processes wedge (u, v, w) only when w outranks both u and v; the
+    rank-space kernel aggregates them in sorted chunks.
     Every start and every directed adjacency entry (as a middle) is
     visited once, so the access counters are n and 2m.
     """

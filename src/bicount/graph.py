@@ -375,11 +375,12 @@ def assign_priorities(g: BipartiteGraph) -> PriorityMap:
 
 
 def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]:
-    """Neighbor lists in rank space (``priority - 1``) under the int64
+    """Neighbor lists in rank space (``priority - 1``) under the
     permutation ``priority``: row r holds the ranks of the neighbors of
-    the vertex of rank r, ascending.  Only ``exact.count_ibs`` reads them."""
+    the vertex of rank r, ascending.  In the package only ``exact.count_ibs``
+    reads them."""
     n = g.vertex_count
-    rank = priority - 1
+    rank = np.asarray(priority, dtype=np.int64) - 1
     centers = rank[np.concatenate((g.uppers, g.lowers))]
     # One sort of (center, neighbor) packed in an int64 orders both.
     keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]

@@ -2,13 +2,12 @@
 
 Every vertex is relabeled by its rank in a priority map (priority - 1),
 and the adjacency becomes one CSR whose rows, and the entries within each
-row, ascend by rank.  The wedge rule gives each directed entry u -> v the
-range of v's row that holds the ends of its wedges (start u, middle v).
-The end-dominant rule (``count_vpp``, per-edge counts, the parallel
-lanes) keeps the ends that outrank both u and v: a suffix of v's row,
-past u and past v.  The start-dominant rule (``count_vp``) keeps the ends
-that u outranks, when u outranks v: a prefix of v's row, up to u.  The
-expansion below reads only the ranges, so both rules share it.
+row, ascend by rank.  The end-dominant rule processes a wedge
+(start u, middle v, end w) when w outranks both u and v, so the ends of
+the directed entry u -> v are the neighbors of v ranked above max(u, v):
+a suffix of v's row, past the reverse entry v -> u and past v itself.
+The start-dominant wedges of ``count_vp`` are the same wedges read from
+the other end, so every engine on this kernel runs the end rule.
 
 Wedges are expanded for a slice of start rows at a time, each slice
 holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
@@ -41,11 +40,10 @@ class RankCsr:
     Row r holds entries ``row_offsets[r] : row_offsets[r + 1]``;
     ``columns[e]`` is the rank of entry e's head.  Entry e is direction
     ``sources[e]`` of the edge list: edge ``sources[e]`` of ``g.edges`` read
-    upper to lower, or edge ``sources[e] - m`` read lower to upper.  Under
-    the wedge rule the CSR was built for, the wedges with start r and
-    middle ``columns[e]`` end at the entries ``end_begins[e] : end_stops[e]``
-    of the middle's row; ``row_wedges[r]`` is the number of wedges of all
-    starts before r.
+    upper to lower, or edge ``sources[e] - m`` read lower to upper.  The
+    wedges with start r and middle ``columns[e]`` end at the entries from
+    ``first_end[e]`` to the end of the middle's row; ``row_wedges[r]`` is
+    the number of wedges of all starts before r.
     """
 
     n: int
@@ -54,19 +52,17 @@ class RankCsr:
     row_wedges: np.ndarray
     columns: np.ndarray
     sources: np.ndarray
-    end_begins: np.ndarray
-    end_stops: np.ndarray
+    first_end: np.ndarray
 
     def edge_ids(self, entries: np.ndarray) -> np.ndarray:
         return self.sources[entries] % self.m
 
 
-def rank_csr(g: BipartiteGraph, p: PriorityMap, start_dominant: bool = False) -> RankCsr:
-    """Build the rank-space CSR of ``g`` under priority map ``p`` for the
-    end-dominant wedge rule, or the start-dominant one if ``start_dominant``.
+def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
+    """Build the rank-space CSR of ``g`` under priority map ``p``.
 
     Arrays are freed as soon as they are used: the build holds at most
-    five arrays of 2m entries at a time.
+    four arrays of 2m entries at a time.
     """
     n, m = g.vertex_count, g.edge_count
     rank = p.priority - 1
@@ -82,28 +78,22 @@ def rank_csr(g: BipartiteGraph, p: PriorityMap, start_dominant: bool = False) ->
     above_self = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1), side="right")
     columns = keys % n
     del keys
-    # reverse[e] is the entry v -> u of the edge of entry e = u -> v: the
-    # position of u in v's row.
+    # The ends of u -> v start past the reverse entry v -> u (the position
+    # of u in v's row) and past v's own rank.
     position = np.empty(2 * m, dtype=np.int64)
     position[sources] = np.arange(2 * m)
-    reverse = np.empty(2 * m, dtype=np.int64)
-    reverse[position[:m]] = position[m:]
-    reverse[position[m:]] = position[:m]
+    first_end = np.empty(2 * m, dtype=np.int64)
+    first_end[position[:m]] = position[m:]
+    first_end[position[m:]] = position[:m]
     del position
-    if start_dominant:
-        # v's row up to u when u outranks v, else nothing.
-        end_begins = row_offsets[columns]
-        end_stops = np.where(reverse >= above_self[columns], reverse, end_begins)
-    else:
-        # v's row past u and past v.
-        end_begins = np.maximum(reverse + 1, above_self[columns], out=reverse)
-        end_stops = row_offsets[1:][columns]
-    del reverse
+    first_end += 1
+    np.maximum(first_end, above_self[columns], out=first_end)
     wedges_before = np.zeros(2 * m + 1, dtype=np.int64)
-    np.subtract(end_stops, end_begins, out=wedges_before[1:])
+    np.take(row_offsets[1:], columns, out=wedges_before[1:])
+    wedges_before[1:] -= first_end
     np.cumsum(wedges_before, out=wedges_before)
     row_wedges = wedges_before[row_offsets]
-    return RankCsr(n, m, row_offsets, row_wedges, columns, sources, end_begins, end_stops)
+    return RankCsr(n, m, row_offsets, row_wedges, columns, sources, first_end)
 
 
 def chunk_bounds(counts: np.ndarray) -> list[int]:
@@ -140,10 +130,10 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     begins = csr.row_offsets[rows]
     degrees = csr.row_offsets[rows + 1] - begins
     row_entries = ranges(begins, degrees)
-    end_begins = csr.end_begins[row_entries]
-    ends = csr.end_stops[row_entries] - end_begins
+    first_end = csr.first_end[row_entries]
+    ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
     entries = np.repeat(row_entries, ends)
-    positions = ranges(end_begins, ends)
+    positions = ranges(first_end, ends)
     keys = np.repeat(np.repeat(rows * csr.n, degrees), ends) + csr.columns[positions]
     return entries, positions, keys
 
