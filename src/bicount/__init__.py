@@ -12,7 +12,7 @@ from .exact import (CountReport, brute_force_count,
                     count_caterpillars, count_ibs, count_vp, count_vpp,
                     prepare_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
-from .graph import (BipartiteGraph, PriorityMap, assign_priorities,
+from .graph import (BipartiteGraph, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
                     ranked_neighbors, read_edges)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,

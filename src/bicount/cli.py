@@ -37,8 +37,20 @@ def parse_size(text: str) -> int:
                           f"KiB/MiB/GiB suffix") from None
 
 
+def _scalars(value, key: str = ""):
+    """(key, scalar) for every leaf of a report; a nested mapping or list
+    adds its keys or indices, dotted: ``io.blocks_read``,
+    ``threads.0.wedges_processed``."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for sub, item in items:
+            yield from _scalars(item, f"{key}.{sub}" if key else str(sub))
+    else:
+        yield key, value
+
+
 def _report_lines(data: dict) -> str:
-    return "".join(f"{key}\t{value}\n" for key, value in data.items())
+    return "".join(f"{key}\t{value}\n" for key, value in _scalars(data))
 
 
 def _emit(args, data: dict) -> None:

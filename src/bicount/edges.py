@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, CountOverflowError, GuardError
 from .exact import BRUTE_FORCE_EDGE_GUARD, check_limit
-from .graph import BipartiteGraph, PriorityMap, assign_priorities
+from .graph import BipartiteGraph, assign_priorities
 
 
 @dataclass
@@ -27,8 +27,8 @@ class EdgeCounts:
     butterflies: int
 
 
-def count_per_edge_evpp(g: BipartiteGraph, p: PriorityMap) -> EdgeCounts:
-    """Per-edge counts of ``g`` under any priority map ``p``, following
+def count_per_edge_evpp(g: BipartiteGraph, p: np.ndarray) -> EdgeCounts:
+    """Per-edge counts of ``g`` under any priorities ``p``, following
     g's edge index."""
     per_edge = kernel.per_edge_pairs(g, p).tolist()
     total4 = sum(per_edge)

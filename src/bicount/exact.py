@@ -33,8 +33,7 @@ import numpy as np
 
 from . import kernel
 from .errors import CountOverflowError, GuardError
-from .graph import (BipartiteGraph, PriorityMap, assign_priorities, degree_priorities,
-                    ranked_neighbors)
+from .graph import BipartiteGraph, assign_priorities, degree_priorities, ranked_neighbors
 
 COUNT_LIMIT = 1 << 128
 BRUTE_FORCE_EDGE_GUARD = 10_000
@@ -126,8 +125,8 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
                        perf_counter() - t0)
 
 
-def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
-    """Vertex-priority counter over any graph and priority map.
+def count_vp(g: BipartiteGraph, p: np.ndarray) -> CountReport:
+    """Vertex-priority counter over any graph and priorities ``p``.
 
     Processes wedge (u, v, w) only when u outranks both v and w.  These are
     the end-dominant wedges (w, v, u) of ``count_vpp``, so its kernel gives
@@ -139,14 +138,14 @@ def count_vp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
     """
     t0 = perf_counter()
     report = count_vpp(g, p)
-    outranked = np.where(p.priority[g.uppers] < p.priority[g.lowers], g.uppers, g.lowers)
+    outranked = np.where(p[g.uppers] < p[g.lowers], g.uppers, g.lowers)
     report.middle_accesses = g.edge_count + int(np.count_nonzero(np.bincount(outranked)))
     report.elapsed = perf_counter() - t0
     return report
 
 
-def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
-    """End-dominant counter over any graph and priority map.
+def count_vpp(g: BipartiteGraph, p: np.ndarray) -> CountReport:
+    """End-dominant counter over any graph and priorities ``p``.
 
     Processes wedge (u, v, w) only when w outranks both u and v; the
     rank-space kernel aggregates them in sorted chunks.
@@ -161,7 +160,7 @@ def count_vpp(g: BipartiteGraph, p: PriorityMap) -> CountReport:
                        wedges, perf_counter() - t0)
 
 
-def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, PriorityMap, None]:
+def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray, None]:
     """``(g, assign_priorities(g), None)``: the graph as it is, its
     priorities, and no projection mapping.
 

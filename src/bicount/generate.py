@@ -1,4 +1,5 @@
-"""Synthetic bipartite graphs for tests, demos, and benchmarks.
+"""Synthetic bipartite graphs for tests, demos and ``bicount gen``
+(the benchmark in ``perfbench/`` draws its own inputs).
 
 All generators return (upper-label, lower-label) pairs in a deterministic
 order, so the dense first-seen ID assignment of the parser (and of

@@ -15,7 +15,6 @@ so every upper ID is strictly greater than every lower ID.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
@@ -148,19 +147,6 @@ class BipartiteGraph:
         """Same vertex universe (counts and labels), other edges (internal IDs)."""
         return BipartiteGraph(self.upper_count, self.lower_count, uppers, lowers,
                               self.external_labels)
-
-
-@dataclass(frozen=True, eq=False)
-class PriorityMap:
-    """Total order over vertices: degree-major, internal-ID-minor.
-
-    `priority[v]` is in [1, n]; the int64 array is a permutation.  A vertex
-    outranks another iff its degree is larger, or the degrees tie and its
-    internal ID is larger (uppers therefore win cross-layer ties).  Maps
-    compare and hash by identity.
-    """
-
-    priority: np.ndarray
 
 
 def _skipped(line: str) -> bool:
@@ -360,18 +346,20 @@ def format_edge_list(g: BipartiteGraph) -> str:
 
 
 def degree_priorities(degrees: np.ndarray) -> np.ndarray:
-    """The degree-major, ID-minor priority of vertices 0..n-1 with the
-    given int64 degrees: a permutation of 1..n in which ties in degree
-    resolve by ascending vertex ID (a stable sort by degree)."""
+    """The degree-major, ID-minor priorities of vertices 0..n-1 with the
+    given int64 degrees: an int64 permutation of 1..n.  A vertex outranks
+    another iff its degree is larger, or the degrees tie and its ID is
+    larger (a stable sort by degree), so upper vertices win ties across
+    layers.  Every engine takes priorities in this form."""
     order = np.argsort(degrees, kind="stable")
     priority = np.empty(len(order), dtype=np.int64)
     priority[order] = np.arange(1, len(order) + 1)
     return priority
 
 
-def assign_priorities(g: BipartiteGraph) -> PriorityMap:
-    """Compute the unique degree-major, ID-minor priority permutation."""
-    return PriorityMap(degree_priorities(g.degrees))
+def assign_priorities(g: BipartiteGraph) -> np.ndarray:
+    """``degree_priorities`` of ``g``'s vertex degrees."""
+    return degree_priorities(g.degrees)
 
 
 def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]:
@@ -380,7 +368,7 @@ def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]
     the vertex of rank r, ascending.  In the package only ``exact.count_ibs``
     reads them."""
     n = g.vertex_count
-    rank = np.asarray(priority, dtype=np.int64) - 1
+    rank = priority - 1
     centers = rank[np.concatenate((g.uppers, g.lowers))]
     # One sort of (center, neighbor) packed in an int64 orders both.
     keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]

@@ -1,6 +1,7 @@
 """Vectorized wedge aggregation in priority-rank space.
 
-Every vertex is relabeled by its rank in a priority map (priority - 1),
+Every vertex is relabeled by its rank, priority - 1, under int64
+priorities such as ``graph.assign_priorities`` returns (a permutation of 1..n),
 and the adjacency becomes one CSR whose rows, and the entries within each
 row, ascend by rank.  The end-dominant rule processes a wedge
 (start u, middle v, end w) when w outranks both u and v, so the ends of
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph, PriorityMap
+from .graph import BipartiteGraph
 
 # Wedges expanded per chunk; a chunk exceeds it only to keep one start whole.
 CHUNK_WEDGES = 1 << 16
@@ -58,14 +59,14 @@ class RankCsr:
         return self.sources[entries] % self.m
 
 
-def rank_csr(g: BipartiteGraph, p: PriorityMap) -> RankCsr:
-    """Build the rank-space CSR of ``g`` under priority map ``p``.
+def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
+    """Build the rank-space CSR of ``g`` under the priorities ``p``.
 
     Arrays are freed as soon as they are used: the build holds at most
     four arrays of 2m entries at a time.
     """
     n, m = g.vertex_count, g.edge_count
-    rank = p.priority - 1
+    rank = p - 1
     uppers, lowers = rank[g.uppers], rank[g.lowers]
     del rank
     keys = np.empty(2 * m, dtype=np.int64)
@@ -163,7 +164,7 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
     return butterflies, wedges
 
 
-def per_edge_pairs(g: BipartiteGraph, p: PriorityMap) -> np.ndarray:
+def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
     """Butterflies through each edge of ``g`` (int64, indexed like ``g.edges``)."""
     csr = rank_csr(g, p)
     per_edge = np.zeros(g.edge_count, dtype=np.int64)

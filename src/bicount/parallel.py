@@ -26,7 +26,7 @@ import numpy as np
 from . import kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from .graph import BipartiteGraph, PriorityMap
+from .graph import BipartiteGraph
 
 MODES = ("dynamic", "static")
 STRATEGIES = ("priority", "random", "heuristic")
@@ -59,16 +59,15 @@ class ThreadReport:
     vertices_handled: int
 
 
-def estimate_all_workloads(g: BipartiteGraph, p: PriorityMap) -> list[int]:
+def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> list[int]:
     """Cheap workload estimate of every start vertex u: the number of
     two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
     outranking v.  O(n + m): precompute, per middle v, how many of its
     neighbors outrank it, then sum over each start's middles."""
-    pr = p.priority
     n = g.vertex_count
     uppers, lowers = g.uppers, g.lowers
     # Each edge counts once, at its end that the other end outranks.
-    outranked = np.bincount(np.where(pr[uppers] > pr[lowers], lowers, uppers), minlength=n)
+    outranked = np.bincount(np.where(p[uppers] > p[lowers], lowers, uppers), minlength=n)
     workloads = np.zeros(n, dtype=np.int64)
     np.add.at(workloads, uppers, outranked[lowers])
     np.add.at(workloads, lowers, outranked[uppers])
@@ -86,7 +85,7 @@ def greedy_assign(workloads: list[int], threads: int) -> list[list[int]]:
     return simulate_list_schedule(workloads, threads, _longest_first(workloads))
 
 
-def make_static_assignment(g: BipartiteGraph, p: PriorityMap,
+def make_static_assignment(g: BipartiteGraph, p: np.ndarray,
                            cfg: ScheduleConfig) -> list[list[int]]:
     """Partition all vertices over cfg.threads per the named strategy:
     priority sends p(u) mod t to thread index p(u) mod t, random draws a
@@ -98,7 +97,7 @@ def make_static_assignment(g: BipartiteGraph, p: PriorityMap,
     t = cfg.threads
     if cfg.strategy == "priority":
         assignment: list[list[int]] = [[] for _ in range(t)]
-        pr = p.priority.tolist()
+        pr = p.tolist()
         for u in range(n):
             assignment[pr[u] % t].append(u)
         return assignment
@@ -128,7 +127,7 @@ def simulate_list_schedule(workloads: list[int], threads: int,
     return assignment
 
 
-def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> np.ndarray:
+def _dynamic_order(g: BipartiteGraph, p: np.ndarray, cfg: ScheduleConfig) -> np.ndarray:
     """The dynamic queue of start vertices, as ranks."""
     n = g.vertex_count
     if cfg.strategy == "priority":
@@ -138,7 +137,7 @@ def _dynamic_order(g: BipartiteGraph, p: PriorityMap, cfg: ScheduleConfig) -> np
         random.Random(cfg.seed).shuffle(order)
     else:
         order = _longest_first(estimate_all_workloads(g, p))
-    return (p.priority - 1)[order]
+    return (p - 1)[order]
 
 
 def _memory_guard(chunk_wedges: int, threads: int) -> None:
@@ -156,9 +155,9 @@ def _memory_guard(chunk_wedges: int, threads: int) -> None:
                           f"wedges need ~{needed} bytes; reduce threads")
 
 
-def count_parallel(g: BipartiteGraph, p: PriorityMap,
+def count_parallel(g: BipartiteGraph, p: np.ndarray,
                    cfg: ScheduleConfig) -> tuple[CountReport, list[ThreadReport]]:
-    """Scheduled end-dominant counting over any graph and priority map.
+    """Scheduled end-dominant counting over any graph and priorities ``p``.
 
     The count always equals ``count_vpp``'s; per-lane wedge totals
     partition its total.
@@ -178,7 +177,7 @@ def count_parallel(g: BipartiteGraph, p: PriorityMap,
         lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
                  for lane in simulate_list_schedule(durations, cfg.threads)]
     else:
-        rank = p.priority - 1
+        rank = p - 1
         lanes = [rank[lane] for lane in make_static_assignment(g, p, cfg)]
 
     reports = [ThreadReport(tid, *kernel.count_rows(csr, rows), len(rows))

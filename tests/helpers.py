@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 from bicount.errors import ParseError
-from bicount.graph import BipartiteGraph, PriorityMap
+from bicount.graph import BipartiteGraph
 
 
 def four_cycle() -> BipartiteGraph:
@@ -172,11 +172,11 @@ def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int,
     return butterflies, wedges, middles
 
 
-def iter_start_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
+def iter_start_dominant_wedges(g: BipartiteGraph, p):
     """Yield every wedge (start, middle, end) the start-dominant rule
     processes: start outranks middle and end.  Instrumentation-grade (no
     early breaks); order-independent of adjacency sorting."""
-    pr = p.priority.tolist()
+    pr = p.tolist()
     adjacency = g.adjacency
     for u in range(g.vertex_count):
         pu = pr[u]
@@ -187,10 +187,10 @@ def iter_start_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
                         yield (u, v, w)
 
 
-def iter_end_dominant_wedges(g: BipartiteGraph, p: PriorityMap):
+def iter_end_dominant_wedges(g: BipartiteGraph, p):
     """Yield every wedge the end-dominant rule processes: end outranks
     middle and start.  Instrumentation-grade."""
-    pr = p.priority.tolist()
+    pr = p.tolist()
     adjacency = g.adjacency
     for u in range(g.vertex_count):
         pu = pr[u]

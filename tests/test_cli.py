@@ -148,6 +148,22 @@ class TestSubcommands:
                                     "pairs_emitted", "merge_passes"]
         assert data["io"]["pairs_emitted"] == 2
 
+    def test_tsv_gives_nested_fields_dotted_keys(self, capsys, four_cycle_file):
+        # One key and one scalar per line, for the em I/O mapping and the
+        # parallel list of lanes alike.
+        for argv, field in ((["em", "--memory-budget", "1MiB"], "io"),
+                            (["parallel", "--threads", "2"], "threads")):
+            _, data = run_json(capsys, argv + [four_cycle_file])
+            assert main(argv + ["--format", "tsv", four_cycle_file]) == 0
+            rows = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+            nested = data.pop(field)
+            items = nested.items() if field == "io" else (
+                (f"{i}.{key}", value) for i, lane in enumerate(nested)
+                for key, value in lane.items())
+            expected = {**data, **{f"{field}.{key}": value for key, value in items}}
+            del rows["elapsed_seconds"], expected["elapsed_seconds"]
+            assert rows == {key: str(value) for key, value in expected.items()}
+
     def test_em_budget_beyond_the_file(self, capsys, tmp_path):
         # No read asks numpy for more records than the file holds, however
         # large the budget.

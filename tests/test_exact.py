@@ -13,7 +13,7 @@ from bicount.exact import (brute_force_count, clustering_coefficient,
                            count_caterpillars, count_ibs, count_vp, count_vpp,
                            prepare_vpp)
 from bicount.generate import complete_graph, hub_graph
-from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
+from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import (brute_force_per_vertex, brute_force_three_paths,
                      complete_3x2, end_dominance_example, four_cycle,
                      iter_end_dominant_wedges, iter_start_dominant_wedges,
@@ -115,7 +115,7 @@ class TestEndDominantRule:
         g = end_dominance_example()
         prepared, p, mapping = prepare_vpp(g)
         assert prepared is g and mapping is None
-        assert p.priority.tolist() == assign_priorities(g).priority.tolist()
+        assert p.tolist() == assign_priorities(g).tolist()
 
 
 class TestRandomEquivalence:
@@ -183,7 +183,7 @@ class TestClosedForms:
         assert ibs.butterflies == brute_force_count(g)
         shuffled = list(range(1, g.vertex_count + 1))
         random.Random(seed).shuffle(shuffled)
-        p = PriorityMap(np.array(shuffled, dtype=np.int64))
+        p = np.array(shuffled, dtype=np.int64)
         vp = count_vp(g, p)
         assert vp.middle_accesses == vp_middle_accesses(g, shuffled)
         assert vp.wedges_processed == len(list(iter_start_dominant_wedges(g, p)))

@@ -13,7 +13,7 @@ from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import (BipartiteGraph, LabelIndex, assign_priorities,
                            format_edge_list, parse_edge_list, ranked_neighbors)
 from bicount.parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
-from helpers import complete_3x2, four_cycle, priority_by_comparison
+from helpers import complete_3x2, priority_by_comparison
 
 
 @st.composite
@@ -92,30 +92,30 @@ class TestPriorities:
     def test_complete_3x2_order(self):
         # Lowers out-degree the uppers; ties break by internal ID.
         g = complete_3x2()
-        p = assign_priorities(g).priority
+        p = assign_priorities(g)
         v0, v1, u0, u1, u2 = 0, 1, 2, 3, 4
         assert p[v1] > p[v0] > p[u2] > p[u1] > p[u0]
 
     def test_distinct_degrees_follow_degree_order(self):
         g = BipartiteGraph.build([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)])
-        p = assign_priorities(g).priority
+        p = assign_priorities(g)
         order = sorted(range(g.vertex_count), key=lambda v: p[v])
         degs = [g.degrees[v] for v in order]
         assert degs == sorted(degs)
 
     def test_singleton_gets_priority_one(self):
         g = BipartiteGraph.build([], upper_count=0, lower_count=1)
-        assert assign_priorities(g).priority.tolist() == [1]
+        assert assign_priorities(g).tolist() == [1]
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
     def test_matches_comparison_sort_oracle(self, g):
-        assert assign_priorities(g).priority.tolist() == priority_by_comparison(g)
+        assert assign_priorities(g).tolist() == priority_by_comparison(g)
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
     def test_is_a_permutation_satisfying_the_comparator(self, g):
-        p = assign_priorities(g).priority
+        p = assign_priorities(g)
         n = g.vertex_count
         assert sorted(p) == list(range(1, n + 1))
         for a in range(n):
@@ -128,7 +128,7 @@ class TestPriorities:
     def test_totality_exhaustive_up_to_fifty_vertices(self):
         from helpers import random_graph_set
         for g in random_graph_set(12, 25, (0.1, 0.3), seed=2024):
-            p = assign_priorities(g).priority
+            p = assign_priorities(g)
             n = g.vertex_count
             assert sorted(p) == list(range(1, n + 1))
             for a in range(n):
@@ -141,31 +141,23 @@ class TestRankedNeighbors:
     def test_complete_3x2_neighbor_order(self):
         # Ranks: u0, u1, u2 (degree 2) are 0, 1, 2; v0, v1 (degree 3) 3, 4.
         g = complete_3x2()
-        rows = ranked_neighbors(g, assign_priorities(g).priority)
+        rows = ranked_neighbors(g, assign_priorities(g))
         assert rows == [[3, 4], [3, 4], [3, 4], [0, 1, 2], [0, 1, 2]]
 
     def test_degree_zero_vertex_row_is_empty(self):
         # v1 has degree 0, so rank 0.
         g = BipartiteGraph.build([(0, 0)], upper_count=1, lower_count=2)
-        assert ranked_neighbors(g, assign_priorities(g).priority) == [[], [2], [1]]
+        assert ranked_neighbors(g, assign_priorities(g)) == [[], [2], [1]]
 
     @settings(max_examples=60, deadline=None)
     @given(bipartite_graphs())
     def test_rows_ascend_by_neighbor_rank(self, g):
-        priority = assign_priorities(g).priority
+        priority = assign_priorities(g)
         rows = ranked_neighbors(g, priority)
         rank = (priority - 1).tolist()
         assert len(rows) == g.vertex_count
         for v, neighbors in enumerate(g.adjacency):
             assert rows[rank[v]] == sorted(rank[w] for w in neighbors)
-
-
-class TestPriorityMap:
-    def test_equality_and_hash_do_not_raise(self):
-        p = assign_priorities(four_cycle())
-        assert p == p
-        assert isinstance(p == assign_priorities(four_cycle()), bool)
-        assert hash(p) == hash(p)
 
 
 class TestArrayOnlyPaths:

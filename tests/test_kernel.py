@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from bicount import kernel
 from bicount.edges import brute_force_per_edge, per_edge_counts
-from bicount.exact import brute_force_count, count_butterflies, count_vp, count_vpp
+from bicount.exact import _start_dominant, brute_force_count, count_butterflies, count_vp
 from bicount.generate import hub_graph
-from bicount.graph import BipartiteGraph, PriorityMap, assign_priorities
+from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
                      transpose)
 
@@ -39,7 +39,7 @@ def graphs(draw):
 def loop_reference(g):
     """(butterflies, wedges, middle accesses) from the per-start Python loop
     of the end-dominant rule over neighbor lists sorted by priority."""
-    pr = assign_priorities(g).priority.tolist()
+    pr = assign_priorities(g).tolist()
     adjacency = [sorted(neighbors, key=pr.__getitem__) for neighbors in g.adjacency]
     counts = [0] * g.vertex_count
     totals = [0, 0, 0]
@@ -68,22 +68,21 @@ class TestKernel:
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(), st.integers(min_value=0))
-    def test_count_vpp_equals_count_vp_under_either_priority(self, g, seed):
+    def test_count_vp_equals_the_start_dominant_loop_under_either_priority(self, g, seed):
+        # The Python loop of count_ibs runs no kernel code.
         shuffled = list(range(1, g.vertex_count + 1))
         random.Random(seed).shuffle(shuffled)
-        for p in (assign_priorities(g), PriorityMap(np.array(shuffled))):
-            vpp = count_vpp(g, p)
+        for p in (assign_priorities(g), np.array(shuffled, dtype=np.int64)):
             vp = count_vp(g, p)
-            assert (vpp.butterflies, vpp.wedges_processed) == \
-                (vp.butterflies, vp.wedges_processed)
+            assert (vp.butterflies, vp.wedges_processed) == \
+                _start_dominant(ranked_neighbors(g, p))
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(), st.integers(min_value=0))
     def test_expands_exactly_the_end_dominant_wedges(self, g, seed):
-        priority = np.arange(1, g.vertex_count + 1)
-        random.Random(seed).shuffle(priority)
-        p = PriorityMap(priority)
-        vertex = np.argsort(p.priority)
+        p = np.arange(1, g.vertex_count + 1)
+        random.Random(seed).shuffle(p)
+        vertex = np.argsort(p)
         csr = kernel.rank_csr(g, p)
         expanded = Counter()
         for entries, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):

@@ -22,8 +22,7 @@ PROBS = (0.05, 0.1, 0.25, 0.5)
 def direct_estimate(g, p, u):
     """Predicate enumeration oracle: count two-hop entries whose end
     outranks the middle, straight off the adjacency."""
-    pr = p.priority
-    return sum(1 for v in g.adjacency[u] for w in g.adjacency[v] if pr[w] > pr[v])
+    return sum(1 for v in g.adjacency[u] for w in g.adjacency[v] if p[w] > p[v])
 
 
 class TestWorkloadEstimate:
@@ -36,7 +35,7 @@ class TestWorkloadEstimate:
     def test_four_cycle_top_vertex_matches_enumeration(self):
         g = four_cycle()
         p = assign_priorities(g)
-        top = max(range(4), key=lambda v: p.priority[v])
+        top = max(range(4), key=lambda v: p[v])
         assert estimate_all_workloads(g, p)[top] == direct_estimate(g, p, top)
 
     def test_star_leaves_estimate_zero(self):
@@ -79,7 +78,7 @@ class TestStaticAssignment:
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
         assignment = make_static_assignment(g, p, cfg)
         for tid, lane in enumerate(assignment):
-            assert all(p.priority[u] % 2 == tid for u in lane)
+            assert all(p[u] % 2 == tid for u in lane)
 
     def test_random_strategy_is_seeded(self):
         g = star(8)
@@ -221,11 +220,11 @@ class TestCountParallel:
         p = assign_priorities(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         csr = kernel.rank_csr(g, p)
-        rank = np.asarray(p.priority) - 1
+        rank = p - 1
         workloads = estimate_all_workloads(g, p)
         shuffled = list(range(g.vertex_count))
         random.Random(7).shuffle(shuffled)
-        orders = {"priority": np.argsort(p.priority)[::-1], "random": shuffled,
+        orders = {"priority": np.argsort(p)[::-1], "random": shuffled,
                   "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
         for strategy, order in orders.items():
             ranks = rank[order]
