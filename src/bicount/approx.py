@@ -24,16 +24,12 @@ SEED_STRIDE = 1_000_003
 Counter = Callable[[BipartiteGraph], CountReport]
 
 
-def _check_probability(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must be in (0, 1], got {p}")
-
-
 def sparsify(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
     """Keep each edge independently with probability p (seeded, so the
     same seed reproduces the same subset).  The vertex set is unchanged.
     One draw per edge, in edge order."""
-    _check_probability(p)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"sampling probability must be in (0, 1], got {p}")
     draw = random.Random(seed).random
     kept = np.array([draw() for _ in range(g.edge_count)]) < p
     return g.replace_edges(g.uppers[kept], g.lowers[kept])
@@ -45,20 +41,22 @@ def estimate_butterflies(g: BipartiteGraph, p: float, seed: int,
 
     Returned as an exact rational; with p = 1 it equals the exact count.
     """
-    _check_probability(p)
+    return _trial(g, p, seed, counter)[0]
+
+
+def _trial(g: BipartiteGraph, p: float, seed: int, counter: Counter) -> tuple[Fraction, int]:
+    """One trial: the estimate and the wedges its sample count processed."""
     report = counter(sparsify(g, p, seed))
-    return Fraction(report.butterflies) / Fraction(p) ** 4
+    return Fraction(report.butterflies) / Fraction(p) ** 4, report.wedges_processed
 
 
 @dataclass
 class TrialSet:
-    """Estimates from repeated independent sparsification trials."""
+    """Estimates from repeated independent sparsification trials, and the
+    wedges each trial's count processed."""
 
     estimates: list[Fraction]
     wedges: list[int]
-    p: float
-    seed: int
-    trials: int
 
 
 @dataclass
@@ -92,15 +90,8 @@ def run_trials(g: BipartiteGraph, p: float, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_probability(p)
-    estimates: list[Fraction] = []
-    wedges: list[int] = []
-    scale = Fraction(p) ** 4
-    for i in range(trials):
-        sample = sparsify(g, p, seed * SEED_STRIDE + i)
-        report = counter(sample)
-        estimates.append(Fraction(report.butterflies) / scale)
-        wedges.append(report.wedges_processed)
+    estimates, wedges = map(list, zip(*(_trial(g, p, seed * SEED_STRIDE + i, counter)
+                                        for i in range(trials))))
     mean = sum(estimates, Fraction(0)) / trials
     if trials > 1:
         variance = sum((e - mean) ** 2 for e in estimates) / (trials - 1)
@@ -112,6 +103,5 @@ def run_trials(g: BipartiteGraph, p: float, trials: int, seed: int,
         exact = counter(g).butterflies
         if exact:
             relative_error = abs(mean - exact) / exact
-    trial_set = TrialSet(estimates, wedges, p, seed, trials)
     summary = TrialSummary(p, trials, mean, variance, exact, relative_error)
-    return trial_set, summary
+    return TrialSet(estimates, wedges), summary

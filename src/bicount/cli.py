@@ -16,10 +16,10 @@ from . import approx as approx_mod
 from . import generate
 from .edges import edge_counts_tsv, per_edge_counts
 from .errors import ConfigError, CountOverflowError
-from .exact import count_butterflies, count_caterpillars
+from .exact import clustering_from_counts, count_butterflies, count_caterpillars
 from .external import EmConfig, em_count
 from .graph import assign_priorities, load_edge_list
-from .parallel import ScheduleConfig, count_parallel
+from .parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
 
 SIZE_SUFFIXES = {"kib": 1024, "mib": 1024 ** 2, "gib": 1024 ** 3}
 
@@ -104,11 +104,11 @@ def cmd_stats(args) -> int:
     g = _load(args)
     report = count_butterflies(g, "vpp")
     cate = count_caterpillars(g)
-    cc = None if cate == 0 else 4 * report.butterflies / cate
+    cc = clustering_from_counts(report.butterflies, cate)
     data = {
         "butterflies": report.butterflies,
         "caterpillars": cate,
-        "clustering_coefficient": cc,
+        "clustering_coefficient": cc if cc is None else float(cc),
     }
     _emit(args, data)
     return 0
@@ -207,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--threads", type=int, default=4,
                    help="lanes to split start vertices over (folded in turn)")
-    p.add_argument("--schedule", choices=("dynamic", "static"), default="dynamic")
-    p.add_argument("--strategy", choices=("priority", "random", "heuristic"),
-                   default="priority")
+    p.add_argument("--schedule", choices=MODES, default="dynamic")
+    p.add_argument("--strategy", choices=STRATEGIES, default="priority")
     p.add_argument("--seed", type=int, default=0)
     add_io(p)
     p.set_defaults(func=cmd_parallel)

@@ -220,9 +220,12 @@ def count_caterpillars(g: BipartiteGraph) -> int:
     return check_limit(int((spare[g.uppers] * spare[g.lowers]).sum()), "caterpillar count")
 
 
-def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:
+def clustering_from_counts(butterflies: int, caterpillars: int) -> Fraction | None:
     """4 * butterflies / caterpillars, or None when there are no caterpillars."""
-    cate = count_caterpillars(g)
-    if cate == 0:
-        return None
-    return Fraction(4 * count_butterflies(g, "vpp").butterflies, cate)
+    return Fraction(4 * butterflies, caterpillars) if caterpillars else None
+
+
+def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:
+    """The clustering coefficient of ``g`` (``clustering_from_counts``)."""
+    return clustering_from_counts(count_butterflies(g, "vpp").butterflies,
+                                  count_caterpillars(g))

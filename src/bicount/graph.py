@@ -108,14 +108,12 @@ class BipartiteGraph:
 
     @classmethod
     def build(cls, pairs: Iterable[tuple[int, int]], upper_count: int | None = None,
-              lower_count: int | None = None,
-              labels: list[int] | None = None) -> "BipartiteGraph":
+              lower_count: int | None = None) -> "BipartiteGraph":
         """Build a graph from (upper-index, lower-index) pairs.
 
         Indices are per-layer and dense; explicit layer counts allow
-        degree-0 vertices.  Duplicate pairs are dropped and counted.
-        ``labels`` are the external labels, lower layer first; by default
-        each vertex is labelled with its per-layer index.
+        degree-0 vertices.  Duplicate pairs are dropped and counted.  Each
+        vertex is labelled with its per-layer index.
         """
         pairs = list(pairs)
         if upper_count is None:
@@ -126,11 +124,9 @@ class BipartiteGraph:
             if not (0 <= u < upper_count and 0 <= v < lower_count):
                 raise ValueError(f"edge ({u}, {v}) outside layer ranges "
                                  f"{upper_count}x{lower_count}")
-        if labels is None:
-            labels = list(range(lower_count)) + list(range(upper_count))
         indices = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        return cls.from_indices(indices[:, 0], indices[:, 1], upper_count,
-                                lower_count, labels)
+        return cls.from_indices(indices[:, 0], indices[:, 1], upper_count, lower_count,
+                                list(range(lower_count)) + list(range(upper_count)))
 
     @classmethod
     def from_indices(cls, upper: np.ndarray, lower: np.ndarray, upper_count: int,

@@ -39,24 +39,19 @@ class RankCsr:
     """Directed adjacency in rank space, entries sorted by (row, column).
 
     Row r holds entries ``row_offsets[r] : row_offsets[r + 1]``;
-    ``columns[e]`` is the rank of entry e's head.  Entry e is direction
-    ``sources[e]`` of the edge list: edge ``sources[e]`` of ``g.edges`` read
-    upper to lower, or edge ``sources[e] - m`` read lower to upper.  The
-    wedges with start r and middle ``columns[e]`` end at the entries from
-    ``first_end[e]`` to the end of the middle's row; ``row_wedges[r]`` is
-    the number of wedges of all starts before r.
+    ``columns[e]`` is the rank of entry e's head and ``edges[e]`` the index
+    of its edge in the edge order of ``g.uppers``/``g.lowers``, each edge
+    having one entry per direction.  The wedges with start r and middle
+    ``columns[e]`` end at the entries from ``first_end[e]`` to the end of
+    the middle's row; ``wedges[r]`` is the number of wedges with start r.
     """
 
     n: int
-    m: int
     row_offsets: np.ndarray
-    row_wedges: np.ndarray
+    wedges: np.ndarray
     columns: np.ndarray
-    sources: np.ndarray
+    edges: np.ndarray
     first_end: np.ndarray
-
-    def edge_ids(self, entries: np.ndarray) -> np.ndarray:
-        return self.sources[entries] % self.m
 
 
 def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
@@ -93,8 +88,10 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     np.take(row_offsets[1:], columns, out=wedges_before[1:])
     wedges_before[1:] -= first_end
     np.cumsum(wedges_before, out=wedges_before)
-    row_wedges = wedges_before[row_offsets]
-    return RankCsr(n, m, row_offsets, row_wedges, columns, sources, first_end)
+    wedges = np.diff(wedges_before[row_offsets])
+    # keys[:m] read each edge upper to lower, keys[m:] lower to upper.
+    sources %= m
+    return RankCsr(n, row_offsets, wedges, columns, sources, first_end)
 
 
 def chunk_bounds(counts: np.ndarray) -> list[int]:
@@ -127,7 +124,7 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     ``rows``, one element per wedge: its (start, middle) entry, its
     (middle, end) entry and the key ``start * n + end``."""
     # Starts without wedges (the top-ranked hubs) would only cost entries.
-    rows = rows[csr.row_wedges[rows + 1] > csr.row_wedges[rows]]
+    rows = rows[csr.wedges[rows] > 0]
     begins = csr.row_offsets[rows]
     degrees = csr.row_offsets[rows + 1] - begins
     row_entries = ranges(begins, degrees)
@@ -141,7 +138,7 @@ def _expand(csr: RankCsr, rows: np.ndarray):
 
 def iter_chunks(csr: RankCsr, rows: np.ndarray):
     """``_expand`` over the slices ``chunk_bounds`` cuts ``rows`` into."""
-    for part in np.split(rows, chunk_bounds(csr.row_wedges[rows + 1] - csr.row_wedges[rows])):
+    for part in np.split(rows, chunk_bounds(csr.wedges[rows])):
         yield _expand(csr, part)
 
 
@@ -165,7 +162,8 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
 
 
 def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
-    """Butterflies through each edge of ``g`` (int64, indexed like ``g.edges``)."""
+    """Butterflies through each edge of ``g`` (int64, in the edge order of
+    ``g.uppers``/``g.lowers``)."""
     csr = rank_csr(g, p)
     per_edge = np.zeros(g.edge_count, dtype=np.int64)
     for entries, positions, keys in iter_chunks(csr, np.arange(csr.n)):
@@ -173,6 +171,6 @@ def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
         runs = run_lengths(keys[order])
         credit = np.empty(len(keys), dtype=np.int64)
         credit[order] = np.repeat(runs - 1, runs)
-        np.add.at(per_edge, csr.edge_ids(entries), credit)
-        np.add.at(per_edge, csr.edge_ids(positions), credit)
+        np.add.at(per_edge, csr.edges[entries], credit)
+        np.add.at(per_edge, csr.edges[positions], credit)
     return per_edge

@@ -76,7 +76,7 @@ def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> list[int]:
 
 def _longest_first(workloads: list[int]) -> list[int]:
     """Job indices by descending workload, ties in index order."""
-    return sorted(range(len(workloads)), key=lambda j: -workloads[j])
+    return np.argsort(-np.asarray(workloads, dtype=np.int64), kind="stable").tolist()
 
 
 def greedy_assign(workloads: list[int], threads: int) -> list[list[int]]:
@@ -93,21 +93,18 @@ def make_static_assignment(g: BipartiteGraph, p: np.ndarray,
     the greedy assignment over estimated workloads."""
     if cfg.mode != "static":
         raise ConfigError("static assignment requested for a non-static config")
-    n = g.vertex_count
     t = cfg.threads
+    if cfg.strategy == "heuristic":
+        return greedy_assign(estimate_all_workloads(g, p), t)
     if cfg.strategy == "priority":
-        assignment: list[list[int]] = [[] for _ in range(t)]
-        pr = p.tolist()
-        for u in range(n):
-            assignment[pr[u] % t].append(u)
-        return assignment
-    if cfg.strategy == "random":
-        rng = random.Random(cfg.seed)
-        assignment = [[] for _ in range(t)]
-        for u in range(n):
-            assignment[rng.randrange(t)].append(u)
-        return assignment
-    return greedy_assign(estimate_all_workloads(g, p), t)
+        lanes = p % t
+    else:
+        draw = random.Random(cfg.seed).randrange
+        lanes = np.array([draw(t) for _ in range(g.vertex_count)], dtype=np.int64)
+    # A stable sort keeps each lane's vertices in ascending order.
+    by_lane = np.argsort(lanes, kind="stable")
+    return [part.tolist() for part in
+            np.split(by_lane, np.cumsum(np.bincount(lanes, minlength=t))[:-1])]
 
 
 def simulate_list_schedule(workloads: list[int], threads: int,
@@ -164,15 +161,14 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
     """
     t0 = perf_counter()
     csr = kernel.rank_csr(g, p)
-    row_wedges = np.diff(csr.row_wedges)
-    _memory_guard(max(kernel.CHUNK_WEDGES, int(row_wedges.max(initial=0))), cfg.threads)
+    _memory_guard(max(kernel.CHUNK_WEDGES, int(csr.wedges.max(initial=0))), cfg.threads)
 
     # A dynamic lane is the slices that the list schedule deals it, each
     # slice lasting its wedge count; a static lane is its partition.
     if cfg.mode == "dynamic":
         order = _dynamic_order(g, p, cfg)
-        slices = np.split(order, kernel.chunk_bounds(row_wedges[order]))
-        durations = [int(row_wedges[rows].sum()) for rows in slices]
+        slices = np.split(order, kernel.chunk_bounds(csr.wedges[order]))
+        durations = [int(csr.wedges[rows].sum()) for rows in slices]
         # order[:0] keeps a lane that is dealt no slice an empty array.
         lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
                  for lane in simulate_list_schedule(durations, cfg.threads)]

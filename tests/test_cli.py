@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bicount import cli, external
+from bicount import cli, exact, external
 from bicount.cli import main, parse_size
 from bicount.generate import pairs_to_text, random_pairs_m
 
@@ -88,6 +88,25 @@ class TestExitCodes:
     def test_bad_probability_is_2(self, capsys, four_cycle_file):
         assert main(["approx", four_cycle_file, "--p", "0.0"]) == 2
         assert main(["approx", four_cycle_file, "--p", "1.5"]) == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["count", "{dir}"], 1),
+        (["count", "{file}", "--output", "{dir}"], 1),
+        (["em", "{file}", "--scratch-dir", "{dir}/missing"], 1),
+        (["parallel", "{file}", "--threads", "0"], 2),
+        (["approx", "{file}", "--trials", "0"], 2),
+        (["approx", "{file}", "--p", "nan"], 2),
+    ], ids=["input-dir", "output-dir", "missing-scratch-dir", "zero-threads",
+            "zero-trials", "nan-p"])
+    def test_hostile_arguments(self, capsys, tmp_path, four_cycle_file, argv, code):
+        assert main([a.format(dir=tmp_path, file=four_cycle_file) for a in argv]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["count", "edges", "parallel", "em"])
+    def test_count_overflow_is_3(self, capsys, monkeypatch, four_cycle_file, command):
+        monkeypatch.setattr(exact, "COUNT_LIMIT", 1)
+        assert main([command, four_cycle_file]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSubcommands:
@@ -239,10 +258,16 @@ class TestSubcommands:
 
     def test_gen_count_round_trip(self, capsys, tmp_path):
         path = tmp_path / "k.txt"
-        assert main(["gen", "complete", "--a", "3", "--b", "2",
-                     "--output", str(path)]) == 0
-        code, data = run_json(capsys, ["count", str(path)])
-        assert data["butterflies"] == 3
+        for argv, butterflies in ((["complete", "--a", "3", "--b", "2"], 3),
+                                  (["random", "--a", "3", "--b", "2", "--p", "1"], 3),
+                                  (["hubpath", "--a", "6"], 0)):
+            assert main(["gen", *argv, "--output", str(path)]) == 0
+            code, data = run_json(capsys, ["count", str(path)])
+            assert data["butterflies"] == butterflies
+        assert main(["gen", "random", "--a", "5", "--b", "4", "--edges", "12"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.startswith("% random 5x4 m=12")
+        assert len(set(lines)) == len(lines) == 12
 
     def test_gen_to_stdout(self, capsys):
         assert main(["gen", "complete", "--a", "2", "--b", "2"]) == 0

@@ -91,7 +91,7 @@ class TestKernel:
         expected = Counter(iter_end_dominant_wedges(g, p))
         assert expanded == expected
         starts = Counter(u for u, _, _ in expected.elements())
-        assert np.diff(csr.row_wedges).tolist() == [starts[u] for u in vertex.tolist()]
+        assert csr.wedges.tolist() == [starts[u] for u in vertex.tolist()]
         # count_vp runs this kernel: its start-dominant wedges are these read backwards.
         assert Counter((w, v, u) for u, v, w in iter_start_dominant_wedges(g, p)) == expected
 

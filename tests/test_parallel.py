@@ -228,7 +228,7 @@ class TestCountParallel:
                   "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
         for strategy, order in orders.items():
             ranks = rank[order]
-            slices = np.split(ranks, kernel.chunk_bounds(np.diff(csr.row_wedges)[ranks]))
+            slices = np.split(ranks, kernel.chunk_bounds(csr.wedges[ranks]))
             durations = [kernel.count_rows(csr, rows)[1] for rows in slices]
             assert len(slices) > 8
             for threads in (3, 8):
