@@ -15,6 +15,7 @@ so every upper ID is strictly greater than every lower ID.
 
 from __future__ import annotations
 
+import warnings
 from itertools import islice
 from typing import Iterable
 
@@ -24,16 +25,8 @@ from .errors import ParseError
 
 COMMENT_PREFIXES = ("%", "#")
 
-# Lines the reader tokenizes together; a batch bounds the reader's memory.
+# Lines the reader parses together; a batch bounds the reader's memory.
 BATCH_LINES = 1 << 15
-# The longest label the batch tokenizer reads: below 10**18 < 2**63.
-MAX_DIGITS = 18
-_POWERS = 10 ** np.arange(MAX_DIGITS, dtype=np.int64)
-# Byte kinds of the batch tokenizer: 1 an ASCII digit, 0 ASCII whitespace
-# (tab to carriage return, space), 2 any other byte.
-_BYTE_KIND = np.full(256, 2, dtype=np.int8)
-_BYTE_KIND[ord("0"):ord("9") + 1] = 1
-_BYTE_KIND[[9, 10, 11, 12, 13, 32]] = 0
 
 
 class BipartiteGraph:
@@ -174,34 +167,24 @@ def read_edges(lines: Iterable[str], first_line: int = 1):
 
 
 def _tokenize(batch: list[str]) -> np.ndarray | None:
-    """The labels of a batch of lines, upper then lower for each edge line
-    in line order, when every line is blank or two tokens of 1 to
-    MAX_DIGITS ASCII digits between ASCII whitespace; None otherwise."""
-    text = "".join(batch)
-    if not text.isascii():
+    """The int64 labels of a batch of lines, upper then lower for each
+    edge line in line order, when numpy's ``loadtxt`` reads every line as
+    blank or two nonnegative labels below 2**63; None otherwise."""
+    # loadtxt reads some non-ASCII characters as digits where ``int``
+    # rejects them (numpy 2.4 reads "Ǿ1" as 4621): such a batch goes
+    # line by line.
+    if not "".join(batch).isascii():
         return None
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    digit = _BYTE_KIND[data]
-    if (digit > 1).any():
+    try:
+        # No data, and on older numpy an integer read through a float, warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = np.loadtxt(batch, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
         return None
-    step = np.diff(digit, prepend=0, append=0)
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
-    lengths = ends - starts
-    # The line of each token's first and last digit: a token may not span
-    # two lines, and a line holds none or two tokens.
-    line_ends = np.cumsum(np.fromiter(map(len, batch), dtype=np.int64, count=len(batch)))
-    lines = np.searchsorted(line_ends, starts, side="right")
-    if (len(starts) % 2 or (lengths > MAX_DIGITS).any()
-            or not np.array_equal(lines, np.searchsorted(line_ends, ends - 1, side="right"))
-            or not np.array_equal(lines[0::2], lines[1::2])
-            or (lines[2::2] <= lines[1:-1:2]).any()):
+    if labels.shape[1] != 2 or (labels < 0).any():
         return None
-    if not len(starts):
-        return np.zeros(0, dtype=np.int64)
-    values = data[digit.view(bool)].astype(np.int64) - ord("0")
-    values *= _POWERS[np.repeat(ends - 1, lengths) - np.flatnonzero(digit)]
-    return np.add.reduceat(values, np.cumsum(lengths) - lengths)
+    return labels.reshape(-1)
 
 
 def _label_array(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -216,12 +199,13 @@ def read_label_batches(lines: Iterable[str], batch_lines: int):
     """Yield the (upper, lower) label arrays of the edge lines, a batch of
     ``batch_lines`` lines at a time.
 
-    A batch of plain lines is tokenized in numpy (``_tokenize``), and so
-    is one whose other lines are all blank or comments, once those are
-    left out; any other batch goes through ``read_edges``, which reads
-    every form ``int`` accepts, labels of any size (an object array of
-    Python ints), and raises ParseError with the line number.  Each
-    element of ``lines`` is one line, as iterating a text file yields them.
+    A batch of plain ASCII lines is read by numpy's ``loadtxt``
+    (``_tokenize``), and so is one whose other lines are all blank or
+    comments, once those are left out; any other batch goes through
+    ``read_edges``, which reads every form ``int`` accepts, labels of any
+    size (an object array of Python ints), and raises ParseError with the
+    line number.  Each element of ``lines`` is one line, as iterating a
+    text file yields them.
     """
     lines = iter(lines)
     first_line = 1

@@ -3,8 +3,9 @@ import pytest
 from bicount.edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp,
                            edge_counts_tsv, per_edge_counts,
                            per_vertex_from_edges)
-from bicount.errors import ConsistencyError
+from bicount.errors import ConsistencyError, CountOverflowError, GuardError
 from bicount.exact import count_vpp
+from bicount.generate import complete_graph
 from bicount.graph import assign_priorities
 from helpers import (complete_3x2, four_cycle, random_graph_set, three_path,
                      transpose)
@@ -35,6 +36,10 @@ class TestExamples:
         ec = brute_force_per_edge(g)
         assert ec.per_edge == [1] * 8
         assert ec.butterflies == 2
+
+    def test_brute_force_guard(self):
+        with pytest.raises(GuardError):
+            brute_force_per_edge(complete_graph(101, 100))
 
 
 class TestOracleEquivalence:
@@ -74,6 +79,11 @@ class TestPerVertexFromEdges:
         bogus = EdgeCounts([1, 0, 0, 0], 0)
         with pytest.raises(ConsistencyError):
             per_vertex_from_edges(bogus, g)
+
+    def test_counts_past_int64_are_an_error(self):
+        g = complete_graph(1, 2)
+        with pytest.raises(CountOverflowError):
+            per_vertex_from_edges(EdgeCounts([2 ** 62, 2 ** 62], 2 ** 61), g)
 
 
 class TestSerialization:

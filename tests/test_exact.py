@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import bicount.exact as exact
 from bicount.errors import CountOverflowError, GuardError
 from bicount.edges import per_edge_counts, per_vertex_from_edges
-from bicount.exact import (brute_force_count, clustering_coefficient,
+from bicount.exact import (brute_force_count, clustering_coefficient, count_butterflies,
                            count_caterpillars, count_ibs, count_vp, count_vpp,
                            prepare_vpp)
 from bicount.generate import complete_graph, hub_graph
@@ -64,6 +64,10 @@ class TestTrivialGraphs:
         g = hub_graph(3000)
         with pytest.raises(GuardError):
             brute_force_count(g)
+
+    def test_unknown_algorithm_is_refused(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            count_butterflies(four_cycle(), "bogus")
 
 
 class TestHubGraph:

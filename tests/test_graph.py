@@ -64,6 +64,10 @@ class TestParse:
         g = parse_edge_list("")
         assert (g.upper_count, g.lower_count, g.edge_count) == (0, 0, 0)
 
+    def test_build_rejects_an_index_outside_the_layer_counts(self):
+        with pytest.raises(ValueError, match="outside layer ranges"):
+            BipartiteGraph.build([(2, 0)], upper_count=1, lower_count=1)
+
     def test_accepts_file_objects(self):
         g = parse_edge_list(io.StringIO("3 9\n4 9\n"))
         assert g.upper_count == 2 and g.lower_count == 1

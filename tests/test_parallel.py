@@ -87,6 +87,11 @@ class TestStaticAssignment:
         assert make_static_assignment(g, p, cfg) == \
             make_static_assignment(g, p, cfg)
 
+    def test_dynamic_config_is_refused(self):
+        g = four_cycle()
+        with pytest.raises(ConfigError):
+            make_static_assignment(g, assign_priorities(g), ScheduleConfig())
+
     def test_partitions_cover_every_vertex_once(self):
         for g in random_graph_set(10, 15, PROBS, seed=73):
             p = assign_priorities(g)

@@ -6,6 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,11 @@ class TestAcceptedForms:
         code, data = cli_json(capsys, ["em", path])
         assert (code, data["butterflies"]) == (0, 0)
 
+    def test_blank_batch_leaves_no_warning(self, recwarn):
+        # loadtxt warns on a batch with no data; the reader declines it quietly.
+        assert parse_edge_list(" \n\n").edge_count == 0
+        assert not recwarn.list
+
     def test_invalid_utf8_exits_2(self, capsys, tmp_path):
         path = write(tmp_path, b"1 2\n\xff\xfe 3\n")
         for command in ("count", "edges", "em"):
@@ -169,6 +175,15 @@ class TestParseErrorLine:
         code, err = cli_json(capsys, ["count", path])
         assert code == 2 and "line 6" in err
 
+    @pytest.mark.parametrize("text", ["Ǿ1 2\n", "1 2ǿ\n"])
+    def test_non_ascii_letter_beside_digits(self, tmp_path, text):
+        # numpy 2.4's loadtxt reads these labels as 4621 and 483.
+        path = write(tmp_path, text)
+        for parse in (lambda: parse_edge_list(text), lambda: load_edge_list(path),
+                      lambda: em_count(path, EM_CFG)):
+            with pytest.raises(ParseError, match="line 1: non-integer"):
+                parse()
+
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_just_past_a_batch_boundary(self, tmp_path, kind):
         bad, message = MALFORMED[kind]
@@ -180,9 +195,22 @@ class TestParseErrorLine:
             em_count(path, EM_CFG)
 
 
-# Lines the batch tokenizer reads (plain lines; also blanks and 18-digit
-# labels) and lines only the line-by-line path reads: comments, signs,
-# underscores, NBSP, over 18 digits, labels of 2**63 and more.
+@pytest.mark.parametrize("line, labels", [
+    ("1.0 2", None), ("1e3 2", None), ("-1 2", None), ("1 2 3", None), ("4", None),
+    ("1 2 # c", None), ("9223372036854775808 1", None),
+    ("9223372036854775807 0", [2 ** 63 - 1, 0]), ("\t1\x0b2\x0c", [1, 2]),
+])
+def test_tokenize_reads_two_int64_labels_or_declines(line, labels):
+    # The rules the batch reader relies on numpy's loadtxt to keep; the
+    # lines it declines go through read_edges.
+    tokens = graph._tokenize([line + "\n"])
+    assert (None if tokens is None else tokens.tolist()) == labels
+    assert tokens is None or tokens.dtype == np.int64
+
+
+# Lines loadtxt reads (plain lines; also blanks, signs, long labels, and
+# comment lines once they are left out) and lines only the line-by-line
+# path reads: underscores, NBSP, labels of 2**63 and more.
 label = st.integers(0, 6)
 plain_line = st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
                        st.sampled_from([" ", "\t", "  "]), label, st.sampled_from(["", " "]))
@@ -191,15 +219,22 @@ fallback_line = st.one_of(
                      "3\xa04", "000000000000000000004 1", "999999999999999999 5"]),
     st.builds("{} {}".format, st.integers(2 ** 63, 2 ** 63 + 2), label),
     st.builds("{} {}".format, label, st.integers(2 ** 64 - 1, 2 ** 64)))
-# Mostly lines of ASCII digits, which only the tokenizer's line checks reject.
+# Labels on both sides of int64's limit, where loadtxt hands over to int.
+int64_edge = st.integers(2 ** 63 - 2, 2 ** 63 + 1)
+boundary_line = st.one_of(st.builds("{} {}".format, int64_edge, label),
+                          st.builds("{} {}".format, label, int64_edge))
+# Short ASCII text of digits, whitespace, signs, number syntax, comment
+# marks and NUL: what loadtxt and int could read differently.
+ascii_line = st.text(st.sampled_from("0123456789 \t\x0b\x0c+-_.e%#\x00"), max_size=8)
+# Mostly lines of ASCII digits, which loadtxt's column count rejects.
 malformed_line = st.sampled_from(["1 2 3", "4", "1 2 3 4", "7 8 9", "5", "0 0 0 0",
                                   "1 -2", "x 1", "1 2.0", "1\x002"])
 
 
 @st.composite
 def edge_list_texts(draw):
-    lines = draw(st.lists(st.one_of(plain_line, plain_line, plain_line, fallback_line),
-                         max_size=14))
+    lines = draw(st.lists(st.one_of(plain_line, plain_line, plain_line, fallback_line,
+                                    boundary_line, ascii_line), max_size=14))
     bad = draw(st.none() | st.tuples(st.integers(0, 14), malformed_line))
     if bad is not None:
         lines.insert(min(bad[0], len(lines)), bad[1])
@@ -227,19 +262,24 @@ class TestBatchedAgainstLineByLine:
     @example("0 1\n2 3 4\n", 2)
     @example("1 2 3 4\n", 1)
     def test_same_graph_or_same_error_line(self, text, batch_lines):
-        try:
-            expected = reference_parse(text)
-        except ParseError as exc:
-            expected = exc.line_number
+        def reference_outcome(text):
+            try:
+                return reference_parse(text)
+            except ParseError as exc:
+                return exc.line_number
+        expected = reference_outcome(text)
+        # A string splits into lines as str.splitlines does: also at \x0b and \x0c.
+        split = reference_outcome("".join(line + "\n" for line in text.splitlines()))
         with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "BATCH_LINES", batch_lines)
             path = Path(scratch) / "g.txt"
             path.write_bytes(text.encode("utf-8"))
-            # A file, a string, and lines without their line ends.
-            for parse in (lambda: load_edge_list(path), lambda: parse_edge_list(text),
+            # A string, lines without their line ends, and a file.
+            for parse in (lambda: parse_edge_list(text),
                           lambda: parse_edge_list(text.splitlines())):
-                outcome, g = parse_outcome(parse)
-                assert outcome == expected
+                assert parse_outcome(parse)[0] == split
+            outcome, g = parse_outcome(lambda: load_edge_list(path))
+            assert outcome == expected
             if g is None:
                 with pytest.raises(ParseError) as caught:
                     em_count(path, EM_CFG)
