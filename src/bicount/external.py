@@ -1,7 +1,7 @@
 """Out-of-core butterfly counting under a configurable memory budget.
 
-Pipeline, entirely over fixed-width binary records of two big-endian
-64-bit unsigned integers (byte-lexicographic sort order):
+Pipeline, entirely over 8-byte records, each the key
+``first << 32 | second`` of two fields below 2**32:
 
 1. stream the text edge list once, assigning dense per-layer IDs and
    writing both directions of every edge as (center, neighbor) records;
@@ -17,23 +17,20 @@ The passes after each sort read the sorted file as whole runs
 (``_whole_runs``): every array they get holds complete groups, or complete
 runs of equal pairs, so no pass keeps state from one array to the next.
 
-Records move as numpy arrays of 16-byte voids.  Both fields are stored
-big-endian, so a record's byte order is its numeric order, (first, second)
-ascending, and the files stay bytewise sorted.  ``_sort`` chooses its path
-per array, from the values it holds: when every field is below 2**32 (the
-engine's dense, layer-tagged IDs are, below 2**31 vertices a layer) it
-sorts the uint64 keys ``first << 32 | second``; otherwise (arbitrary
-records) it sorts by the first field alone when no two records share it,
-and sorts the voids themselves when some do.  I/O follows the
-scan model of Aggarwal and Vitter: a pass over S bytes costs ceil(S / B)
-transfers; reading the text input is not metered.
+Records move as numpy arrays of native uint64 keys, so run formation and
+every merge step are one integer sort, and (first, second) ascending is
+key order.  On disk a key is stored big-endian, so byte order is numeric
+order and every sorted file is sorted bytewise.  The fields are the
+engine's dense, layer-tagged vertex IDs, which fit 32 bits below
+``ID_LIMIT`` vertices.  I/O follows the scan model of Aggarwal and
+Vitter: a pass over S bytes costs ceil(S / B) transfers; reading the
+text input is not metered.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import struct
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -46,9 +43,10 @@ from .errors import ConfigError
 from .exact import CountReport, check_limit
 from .graph import LabelIndex, degree_priorities, read_label_batches
 
-RECORD = struct.Struct(">QQ")
-RECORD_WIDTH = RECORD.size
-RECORD_DTYPE = np.dtype(f"V{RECORD_WIDTH}")
+RECORD_WIDTH = 8
+# Vertices EM can number: a layer-tagged ID (2i or 2i + 1) and a final ID
+# both stay below 2**32, the width of a record's field.
+ID_LIMIT = 1 << 31
 MIN_BLOCK = 4096
 
 
@@ -88,51 +86,18 @@ class IoStats:
 
 
 def _records(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Records of the 64-bit fields ``(first, second)``."""
-    fields = np.empty((len(first), 2), dtype=">u8")
-    fields[:, 0] = first
-    fields[:, 1] = second
-    return fields.view(RECORD_DTYPE).ravel()
-
-
-def _fields(records: np.ndarray) -> np.ndarray:
-    """The two fields of each record as native uint64, one row a record."""
-    return records.view(">u8").reshape(-1, 2).astype(np.uint64)
-
-
-def _sort(records: np.ndarray) -> np.ndarray:
-    """``records`` in ascending order.  When every field is below 2**32 it
-    sorts the uint64 keys ``first << 32 | second``, which order as the
-    records do; else it sorts by the first field when no two records share
-    it, and sorts the voids (numpy's generic compare) when some do."""
-    fields = _fields(records)
-    if not fields.size or fields.max() < 1 << 32:
-        keys = fields[:, 0] << 32 | fields[:, 1]
-        keys.sort()
-        return _records(keys >> 32, keys & 0xFFFF_FFFF)
-    order = np.argsort(fields[:, 0])
-    firsts = fields[order, 0]
-    if (firsts[1:] == firsts[:-1]).any():
-        return np.sort(records)
-    return records[order]
-
-
-def _starts(records: np.ndarray) -> np.ndarray:
-    """Whether each record differs from the one before it (the first
-    does).  Compares the two fields as integers: numpy compares 16-byte
-    voids about twice as slowly."""
-    fields = records.view(np.uint64).reshape(-1, 2)
-    differ = fields[1:] != fields[:-1]
-    return np.concatenate(([True], differ[:, 0] | differ[:, 1]))
+    """The keys of the records ``(first, second)``, fields below 2**32."""
+    return first.astype(np.uint64) << 32 | second.astype(np.uint64)
 
 
 @contextmanager
 def _writer(path, block_size: int, stats: IoStats):
-    """Yield the ``write`` of ``path`` opened for writing; meter one
-    transfer per block written once the body is done.  A failed write still
-    closes the file (a full disk), and meters nothing."""
+    """Yield a ``write(records)`` into ``path`` opened for writing, which
+    stores each key big-endian; meter one transfer per block written once
+    the body is done.  A failed write still closes the file (a full disk),
+    and meters nothing."""
     with open(path, "wb") as handle:
-        yield handle.write
+        yield lambda records: handle.write(records.astype(">u8"))
         stats.blocks_written += -(-handle.tell() // block_size)
 
 
@@ -147,8 +112,10 @@ def iter_records(path, block_size: int, stats: IoStats, count: int | None = None
     stats.blocks_read += -(-size // block_size)
     count = min(count or block_size // RECORD_WIDTH, max(1, size // RECORD_WIDTH))
     with open(path, "rb") as handle:
-        while len(records := np.fromfile(handle, dtype=RECORD_DTYPE, count=count)):
-            yield records
+        while len(records := np.fromfile(handle, dtype=">u8", count=count)):
+            # Swapping the bytes and the dtype's byte order keeps the values
+            # and, on a little-endian host, gives native uint64 in place.
+            yield records.byteswap(inplace=True).view(records.dtype.newbyteorder())
 
 
 def _merge(streams, write) -> None:
@@ -156,19 +123,19 @@ def _merge(streams, write) -> None:
     buffered record up to the smallest buffered tail is final."""
     buffers = {stream: next(stream) for stream in streams}
     while buffers:
-        bound = min((b[-1:] for b in buffers.values()), key=np.ndarray.tobytes)
+        bound = min(b[-1] for b in buffers.values())
         taken = []
         for stream, buffer in list(buffers.items()):
-            cut = int(np.searchsorted(buffer, bound, side="right")[0])
+            cut = int(buffer.searchsorted(bound, side="right"))
             taken.append(buffer[:cut])
             buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
         buffers = {s: b for s, b in buffers.items() if b is not None}
-        write(_sort(np.concatenate(taken)))
+        write(np.sort(np.concatenate(taken)))
 
 
 def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
                   scratch_dir=None, stats: IoStats | None = None) -> IoStats:
-    """Sort a fixed-width record file byte-lexicographically.
+    """Sort a file of 8-byte big-endian keys, numerically and so bytewise.
 
     Run formation fills at most the memory budget with records; merging
     folds floor(M/B) - 1 runs at a time, one ``merge_passes`` increment
@@ -182,7 +149,7 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
     try:
         runs = []
         for chunk in iter_records(in_path, cfg.block_size, stats, cfg.run_records):
-            chunk = _sort(chunk)
+            chunk.sort()
             run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
             with _writer(run_path, cfg.block_size, stats) as write:
                 write(chunk)
@@ -222,10 +189,11 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
 
 
 def _final_ids(records: np.ndarray, lower_count: int) -> np.ndarray:
-    # Both fields of every record, as final IDs.  Keys tag the layer in the
-    # low bit so dense IDs can be assigned before the lower-layer size is known.
-    keys = records.view(">u8").reshape(-1, 2).astype(np.int64)
-    return (keys >> 1) + (keys & 1) * lower_count
+    # The first and the second fields of the records, as final IDs.  IDs tag
+    # the layer in the low bit so dense IDs can be assigned before the
+    # lower-layer size is known.
+    ids = np.stack((records >> 32, records & 0xFFFF_FFFF)).astype(np.int64)
+    return (ids >> 1) + (ids & 1) * lower_count
 
 
 def _whole_runs(blocks, key):
@@ -236,9 +204,9 @@ def _whole_runs(blocks, key):
     held: list[np.ndarray] = []
     for block in blocks:
         keys = key(block)
-        cut = int(np.searchsorted(keys, keys[-1:])[0])
+        cut = int(keys.searchsorted(keys[-1]))
         # A block of one run goes on with the held run, or starts another.
-        if cut or (held and key(held[-1][-1:]).tobytes() != keys[:1].tobytes()):
+        if cut or (held and key(held[-1][-1:])[0] != keys[0]):
             yield np.concatenate(held + [block[:cut]])
             held = []
         held.append(block[cut:])
@@ -251,11 +219,11 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
     groups (final IDs), a block's whole groups at a time, without
     duplicate records (duplicate input edges)."""
     blocks = iter_records(path, cfg.block_size, stats)
-    for records in _whole_runs(blocks, lambda records: records.view(">u8")[0::2]):
-        records = records[_starts(records)]
-        ids = _final_ids(records, lower_count)
-        sizes = kernel.run_lengths(ids[:, 0])
-        yield ids[np.cumsum(sizes) - sizes, 0], sizes, ids[:, 1]
+    for records in _whole_runs(blocks, lambda records: records >> 32):
+        records = records[np.concatenate(([True], records[1:] != records[:-1]))]
+        centers, neighbors = _final_ids(records, lower_count)
+        sizes = kernel.run_lengths(centers)
+        yield centers[np.cumsum(sizes) - sizes], sizes, neighbors
 
 
 def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
@@ -282,7 +250,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # The rank table (8 bytes a vertex) must fit the budget; the label
         # indexes are checked batch by batch, before the file is read through.
         upper_ids, lower_ids = LabelIndex(), LabelIndex()
-        max_vertices = cfg.memory_budget // 8
+        max_vertices = min(cfg.memory_budget // 8, ID_LIMIT)
         batch = min(graph.BATCH_LINES, cfg.block_size // RECORD_WIDTH)
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 _writer(raw_path, cfg.block_size, stats) as write:
@@ -291,10 +259,10 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
                 uppers = upper_ids.number(upper) << 1 | 1
                 lowers = lower_ids.number(lower) << 1
                 if len(upper_ids) + len(lower_ids) > max_vertices:
-                    raise ConfigError(
-                        f"more than {max_vertices} vertices: their rank table "
-                        f"needs over the {cfg.memory_budget}-byte budget; "
-                        f"raise the budget")
+                    raise ConfigError(f"more than {max_vertices} vertices: " + (
+                        "records hold 32-bit vertex IDs" if max_vertices == ID_LIMIT
+                        else f"their rank table needs over the "
+                             f"{cfg.memory_budget}-byte budget; raise the budget"))
                 write(_records(np.stack((lowers, uppers), axis=1).ravel(),
                                np.stack((uppers, lowers), axis=1).ravel()))
         lower_count = len(lower_ids)
@@ -341,7 +309,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         butterflies = 0
         for records in _whole_runs(iter_records(pairs_sorted, cfg.block_size, stats),
                                    lambda records: records):
-            runs = np.diff(np.flatnonzero(_starts(records)), append=len(records))
+            runs = kernel.run_lengths(records)
             butterflies += int((runs * (runs - 1) // 2).sum())
         check_limit(butterflies, "butterfly count")
 

@@ -140,6 +140,16 @@ class TestRandomEquivalence:
             lower_sq = sum(g.degrees[v] ** 2 for v in g.lower_vertices())
             assert vp_report(g).wedges_processed <= min(upper_sq, lower_sq)
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_wedges_within_the_min_degree_bound(self, g):
+        # The paper's work bound for BFC-VP: a processed wedge (u, v, w)
+        # starts at the end of (u, v) that outranks the other, so by degree
+        # at least ties it, and w is one of the other d(v) - 1 neighbors of v.
+        d = g.degrees
+        bound = int((np.minimum(d[g.uppers], d[g.lowers]) - 1).sum())
+        assert vp_report(g).wedges_processed <= bound
+
     def test_star_witnesses_bound_equality(self):
         # On a star, the per-edge min-degree sum meets the smaller
         # squared-degree sum exactly (every edge min is on the leaf side).
