@@ -7,8 +7,7 @@ from .edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp,
                     edge_counts_tsv, per_edge_counts, per_vertex_from_edges)
 from .errors import (ConfigError, ConsistencyError, CountOverflowError,
                      GuardError, ParseError)
-from .exact import (CountReport, brute_force_count,
-                    clustering_coefficient, count_butterflies,
+from .exact import (CountReport, clustering_coefficient, count_butterflies,
                     count_caterpillars, count_ibs, count_vp, count_vpp,
                     prepare_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
@@ -16,7 +15,6 @@ from .graph import (BipartiteGraph, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
                     ranked_neighbors, read_edges)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
-                       estimate_all_workloads, greedy_assign,
-                       make_static_assignment)
+                       estimate_all_workloads, make_static_assignment)
 
 __version__ = "0.1.0"

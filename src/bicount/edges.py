@@ -14,8 +14,10 @@ import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, CountOverflowError, GuardError
-from .exact import BRUTE_FORCE_EDGE_GUARD, check_limit
+from .exact import check_limit
 from .graph import BipartiteGraph, assign_priorities
+
+BRUTE_FORCE_EDGE_GUARD = 10_000
 
 
 @dataclass

@@ -17,8 +17,9 @@ Three global counters, each a wedge rule under a priority:
   ID outranks a higher one, so every wedge runs from a start to a start
   of higher ID.
 
-Plus a quadruple-enumeration brute-force oracle and the caterpillar /
-clustering-coefficient statistics.
+Plus the caterpillar / clustering-coefficient statistics.  The
+brute-force oracle is ``edges.brute_force_per_edge``, whose total is the
+butterfly count.
 """
 
 from __future__ import annotations
@@ -26,17 +27,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from time import perf_counter
 
 import numpy as np
 
 from . import kernel
-from .errors import CountOverflowError, GuardError
+from .errors import CountOverflowError
 from .graph import BipartiteGraph, assign_priorities, degree_priorities, ranked_neighbors
 
 COUNT_LIMIT = 1 << 128
-BRUTE_FORCE_EDGE_GUARD = 10_000
 
 
 @dataclass
@@ -180,30 +179,6 @@ def count_butterflies(g: BipartiteGraph, algo: str = "vpp") -> CountReport:
     if algo == "vpp":
         return count_vpp(g, assign_priorities(g))
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-def brute_force_count(g: BipartiteGraph) -> int:
-    """Independent oracle: enumerate upper pairs x lower pairs and test the
-    four edges by adjacency membership, one butterfly at a time.
-
-    No wedge counters and no binomial arithmetic, so a systematic bug in
-    the counting engines cannot be mirrored here.  Guarded to small graphs.
-    """
-    if g.edge_count > BRUTE_FORCE_EDGE_GUARD:
-        raise GuardError(f"brute force limited to {BRUTE_FORCE_EDGE_GUARD} edges, "
-                         f"got {g.edge_count}")
-    neighbor_sets = [set(a) for a in g.adjacency]
-    lowers = list(g.lower_vertices())
-    total = 0
-    for u, w in combinations(g.upper_vertices(), 2):
-        nu = neighbor_sets[u]
-        nw = neighbor_sets[w]
-        for i, v in enumerate(lowers):
-            if v in nu and v in nw:
-                for x in lowers[i + 1:]:
-                    if x in nu and x in nw:
-                        total += 1
-    return total
 
 
 def count_caterpillars(g: BipartiteGraph) -> int:

@@ -4,13 +4,17 @@ The paper splits start vertices over threads.  Here the schedule decides
 each thread's share, its *lane*, and the lanes are folded one after
 another in the calling thread (under CPython's GIL, threads added no
 speed): each lane is one ``kernel.count_rows`` call over one shared
-rank-space CSR (``kernel.rank_csr``).  Dynamic mode cuts a queue ordered
-by the chosen strategy into consecutive slices of about
-``kernel.CHUNK_WEDGES`` wedges and deals them out with the list-schedule
-model (``simulate_list_schedule``), each slice lasting its wedge count;
-static mode precomputes the whole partition.  Counts are integers, so the
-total is identical for every lane count, mode, strategy, and seed, and
-every lane's report repeats exactly across calls.
+rank-space CSR (``kernel.rank_csr``).  Every lane is dealt by one model,
+the list schedule (Graham 1969, ``simulate_list_schedule``): jobs leave
+one queue in order, each to the lane that frees earliest.  The strategy
+picks the queue of start vertices (highest priority first, a seeded
+shuffle, or longest estimated workload first); the mode picks the jobs.
+A dynamic job is a slice of about ``kernel.CHUNK_WEDGES`` consecutive
+queued vertices lasting its wedge count; a static job is one vertex
+lasting its estimated workload (``estimate_all_workloads``), so the static
+plan is made before counting.  Counts are integers, so the total is
+identical for every lane count, mode, strategy, and seed, and every
+lane's report repeats exactly across calls.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ class ThreadReport:
     vertices_handled: int
 
 
-def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> list[int]:
+def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
     """Cheap workload estimate of every start vertex u: the number of
     two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
     outranking v.  O(n + m): precompute, per middle v, how many of its
@@ -71,61 +75,26 @@ def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> list[int]:
     workloads = np.zeros(n, dtype=np.int64)
     np.add.at(workloads, uppers, outranked[lowers])
     np.add.at(workloads, lowers, outranked[uppers])
-    return workloads.tolist()
+    return workloads
 
 
-def _longest_first(workloads: list[int]) -> list[int]:
-    """Job indices by descending workload, ties in index order."""
-    return np.argsort(-np.asarray(workloads, dtype=np.int64), kind="stable").tolist()
-
-
-def greedy_assign(workloads: list[int], threads: int) -> list[list[int]]:
-    """Longest-processing-time greedy: jobs sorted by descending workload,
-    each to the least-loaded thread.  Returns per-thread job-index lists."""
-    return simulate_list_schedule(workloads, threads, _longest_first(workloads))
-
-
-def make_static_assignment(g: BipartiteGraph, p: np.ndarray,
-                           cfg: ScheduleConfig) -> list[list[int]]:
-    """Partition all vertices over cfg.threads per the named strategy:
-    priority sends p(u) mod t to thread index p(u) mod t, random draws a
-    uniform thread per vertex from the seeded generator, heuristic runs
-    the greedy assignment over estimated workloads."""
-    if cfg.mode != "static":
-        raise ConfigError("static assignment requested for a non-static config")
-    t = cfg.threads
-    if cfg.strategy == "heuristic":
-        return greedy_assign(estimate_all_workloads(g, p), t)
-    if cfg.strategy == "priority":
-        lanes = p % t
-    else:
-        draw = random.Random(cfg.seed).randrange
-        lanes = np.array([draw(t) for _ in range(g.vertex_count)], dtype=np.int64)
-    # A stable sort keeps each lane's vertices in ascending order.
-    by_lane = np.argsort(lanes, kind="stable")
-    return [part.tolist() for part in
-            np.split(by_lane, np.cumsum(np.bincount(lanes, minlength=t))[:-1])]
-
-
-def simulate_list_schedule(workloads: list[int], threads: int,
-                           order: list[int] | None = None) -> list[list[int]]:
-    """Deterministic model of dynamic dispatch: jobs in queue order go to
-    the thread that frees earliest.  Deals the dynamic lanes of
-    ``count_parallel``."""
-    if order is None:
-        order = list(range(len(workloads)))
+def simulate_list_schedule(workloads: list[int], threads: int) -> list[list[int]]:
+    """The list schedule: jobs in queue order go to the thread that frees
+    earliest.  Returns each thread's job indices, in the order dealt."""
     assignment: list[list[int]] = [[] for _ in range(threads)]
     # (load, lane): the least-loaded lane pops first, the lowest index on ties.
     free = [(0, t) for t in range(threads)]
-    for j in order:
+    for j, work in enumerate(workloads):
         load, t = free[0]
         assignment[t].append(j)
-        heapq.heapreplace(free, (load + workloads[j], t))
+        heapq.heapreplace(free, (load + work, t))
     return assignment
 
 
-def _dynamic_order(g: BipartiteGraph, p: np.ndarray, cfg: ScheduleConfig) -> np.ndarray:
-    """The dynamic queue of start vertices, as ranks."""
+def _queue(g: BipartiteGraph, p: np.ndarray, cfg: ScheduleConfig,
+           workloads: np.ndarray | None = None) -> np.ndarray:
+    """The strategy's queue of start vertices, as ranks.  ``workloads``
+    spares the heuristic a second estimate."""
     n = g.vertex_count
     if cfg.strategy == "priority":
         return np.arange(n)[::-1]
@@ -133,8 +102,26 @@ def _dynamic_order(g: BipartiteGraph, p: np.ndarray, cfg: ScheduleConfig) -> np.
         order = list(range(n))
         random.Random(cfg.seed).shuffle(order)
     else:
-        order = _longest_first(estimate_all_workloads(g, p))
+        if workloads is None:
+            workloads = estimate_all_workloads(g, p)
+        # Longest first, ties in vertex order.
+        order = np.argsort(-workloads, kind="stable")
     return (p - 1)[order]
+
+
+def make_static_assignment(g: BipartiteGraph, p: np.ndarray,
+                           cfg: ScheduleConfig) -> list[list[int]]:
+    """The static plan: the strategy's queue dealt one vertex at a time by
+    the list schedule, each vertex lasting its estimated workload.
+    Returns each lane's vertices, in the order dealt."""
+    if cfg.mode != "static":
+        raise ConfigError("static assignment requested for a non-static config")
+    workloads = estimate_all_workloads(g, p)
+    vertex = np.empty_like(p)
+    vertex[p - 1] = np.arange(len(p))
+    queue = vertex[_queue(g, p, cfg, workloads)]
+    return [queue[lane].tolist()
+            for lane in simulate_list_schedule(workloads[queue].tolist(), cfg.threads)]
 
 
 def _memory_guard(chunk_wedges: int, threads: int) -> None:
@@ -163,14 +150,12 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
     csr = kernel.rank_csr(g, p)
     _memory_guard(max(kernel.CHUNK_WEDGES, int(csr.wedges.max(initial=0))), cfg.threads)
 
-    # A dynamic lane is the slices that the list schedule deals it, each
-    # slice lasting its wedge count; a static lane is its partition.
     if cfg.mode == "dynamic":
-        order = _dynamic_order(g, p, cfg)
-        slices = np.split(order, kernel.chunk_bounds(csr.wedges[order]))
+        queue = _queue(g, p, cfg)
+        slices = np.split(queue, kernel.chunk_bounds(csr.wedges[queue]))
         durations = [int(csr.wedges[rows].sum()) for rows in slices]
-        # order[:0] keeps a lane that is dealt no slice an empty array.
-        lanes = [np.concatenate([order[:0], *(slices[i] for i in lane)])
+        # queue[:0] keeps a lane that is dealt no slice an empty array.
+        lanes = [np.concatenate([queue[:0], *(slices[i] for i in lane)])
                  for lane in simulate_list_schedule(durations, cfg.threads)]
     else:
         rank = p - 1

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from bicount.approx import estimate_butterflies, run_trials, sparsify
+from bicount.approx import _draws, estimate_butterflies, run_trials, sparsify
 from bicount.exact import count_vpp
 from bicount.generate import complete_graph, hub_graph
 from bicount.graph import assign_priorities
@@ -29,6 +30,16 @@ class TestSparsify:
         assert sample.upper_count == g.upper_count
         assert sample.lower_count == g.lower_count
         assert sample.external_labels == g.external_labels
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 3_000_011, 2 ** 40 + 7, -5])
+    def test_draws_are_python_random_draws(self, seed):
+        for count in (0, 1, 7, 1000, 20_000):
+            draw = random.Random(seed).random
+            assert _draws(seed, count).tolist() == [draw() for _ in range(count)]
+        # One draw per edge, in edge order: an edge stays iff its draw is below p.
+        g = complete_graph(7, 25)
+        draw = random.Random(seed).random
+        assert sparsify(g, 0.5, seed).edges == [e for e in g.edges if draw() < 0.5]
 
     def test_invalid_probability_rejected(self):
         g = complete_3x2()

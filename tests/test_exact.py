@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bicount.exact as exact
-from bicount.errors import CountOverflowError, GuardError
-from bicount.edges import per_edge_counts, per_vertex_from_edges
-from bicount.exact import (brute_force_count, clustering_coefficient, count_butterflies,
+from bicount.edges import brute_force_per_edge, per_edge_counts, per_vertex_from_edges
+from bicount.errors import CountOverflowError
+from bicount.exact import (clustering_coefficient, count_butterflies,
                            count_caterpillars, count_ibs, count_vp, count_vpp,
                            prepare_vpp)
 from bicount.generate import complete_graph, hub_graph
@@ -38,18 +38,18 @@ def vertex_counts(g):
 class TestTrivialGraphs:
     def test_four_cycle_is_one_butterfly(self):
         g = four_cycle()
-        assert brute_force_count(g) == 1
+        assert brute_force_per_edge(g).butterflies == 1
         assert count_ibs(g).butterflies == 1
         assert vp_report(g).butterflies == 1
         assert vpp_report(g).butterflies == 1
 
     def test_three_path_has_none(self):
-        assert brute_force_count(three_path()) == 0
+        assert brute_force_per_edge(three_path()).butterflies == 0
         assert vp_report(three_path()).butterflies == 0
 
     def test_complete_3x2_has_three(self):
         g = complete_3x2()
-        assert brute_force_count(g) == 3
+        assert brute_force_per_edge(g).butterflies == 3
         assert count_ibs(g).butterflies == 3
         assert vp_report(g).butterflies == 3
         assert vpp_report(g).butterflies == 3
@@ -59,11 +59,6 @@ class TestTrivialGraphs:
         report = vp_report(g)
         assert report.butterflies == 0
         assert report.wedges_processed == 0
-
-    def test_brute_force_guard(self):
-        g = hub_graph(3000)
-        with pytest.raises(GuardError):
-            brute_force_count(g)
 
     def test_unknown_algorithm_is_refused(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -125,7 +120,7 @@ class TestEndDominantRule:
 class TestRandomEquivalence:
     def test_all_engines_agree_with_brute_force(self):
         for g in random_graph_set(60, 15, PROBS, seed=99):
-            expected = brute_force_count(g)
+            expected = brute_force_per_edge(g).butterflies
             assert count_ibs(g).butterflies == expected
             assert vp_report(g).butterflies == expected
             assert vpp_report(g).butterflies == expected
@@ -194,7 +189,7 @@ class TestClosedForms:
         assert (ibs.wedges_processed, ibs.start_accesses, ibs.middle_accesses) == \
             (wedges, starts, middles)
         assert ibs.end_accesses == wedges
-        assert ibs.butterflies == brute_force_count(g)
+        assert ibs.butterflies == brute_force_per_edge(g).butterflies
         shuffled = list(range(1, g.vertex_count + 1))
         random.Random(seed).shuffle(shuffled)
         p = np.array(shuffled, dtype=np.int64)
@@ -236,7 +231,7 @@ class TestPerVertex:
     def test_layer_sums_are_twice_the_total(self):
         for g in random_graph_set(25, 12, PROBS, seed=22):
             per_vertex = vertex_counts(g)
-            total = brute_force_count(g)
+            total = brute_force_per_edge(g).butterflies
             assert sum(per_vertex[u] for u in g.upper_vertices()) == 2 * total
             assert sum(per_vertex[v] for v in g.lower_vertices()) == 2 * total
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from bicount import kernel
 from bicount.errors import ConfigError
-from bicount.exact import brute_force_count, count_vpp
+from bicount.edges import brute_force_per_edge
+from bicount.exact import count_vpp
 from bicount.generate import hub_graph, random_graph
 from bicount.graph import assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
-                              estimate_all_workloads, greedy_assign,
-                              make_static_assignment, simulate_list_schedule)
+                              estimate_all_workloads, make_static_assignment,
+                              simulate_list_schedule)
 from helpers import four_cycle, makespan, random_graph_set, star
 from test_kernel import graphs
 
@@ -55,13 +56,17 @@ class TestWorkloadEstimate:
 
 class TestStaticAssignment:
     def test_greedy_longest_first(self):
-        assignment = greedy_assign([5, 3, 2], 2)
+        # The list schedule over a longest-first queue is Graham's LPT greedy.
+        assignment = simulate_list_schedule([5, 3, 2], 2)
         assert assignment == [[0], [1, 2]]
         assert makespan(assignment, [5, 3, 2]) == 5
         # Many lanes, zero and equal workloads: ties go to the lowest lane
         # index among the least loaded, so the zero jobs share one lane.
-        assignment = greedy_assign([0, 4, 0, 4, 4, 0], 1024)
-        assert assignment == [[1], [3], [4], [0, 2, 5]] + [[]] * 1020
+        workloads = [0, 4, 0, 4, 4, 0]
+        queue = sorted(range(6), key=lambda j: -workloads[j])
+        assignment = simulate_list_schedule([workloads[j] for j in queue], 1024)
+        assert [[queue[i] for i in lane] for lane in assignment] == \
+            [[1], [3], [4], [0, 2, 5]] + [[]] * 1020
         assignment = simulate_list_schedule([6] * 2048 + [0] * 3, 1024)
         assert assignment == [[0, 1024, 2048, 2049, 2050]] + \
             [[t, t + 1024] for t in range(1, 1024)]
@@ -70,15 +75,8 @@ class TestStaticAssignment:
         g = four_cycle()
         p = assign_priorities(g)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=1)
-        assert make_static_assignment(g, p, cfg) == [[0, 1, 2, 3]]
-
-    def test_priority_strategy_mod_rule(self):
-        g = four_cycle()
-        p = assign_priorities(g)
-        cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
-        assignment = make_static_assignment(g, p, cfg)
-        for tid, lane in enumerate(assignment):
-            assert all(p[u] % 2 == tid for u in lane)
+        # One lane takes the whole queue, highest priority first.
+        assert make_static_assignment(g, p, cfg) == [np.argsort(p)[::-1].tolist()]
 
     def test_random_strategy_is_seeded(self):
         g = star(8)
@@ -217,10 +215,11 @@ class TestCountParallel:
         with pytest.raises(MemoryError, match="simulated"):
             count_parallel(g, p, cfg)
 
-    def test_dynamic_lanes_follow_the_list_schedule(self, monkeypatch):
-        # Each dynamic lane folds the slices the list-schedule model deals
-        # it, a slice lasting its wedge count, so its wedges are predicted
-        # exactly and repeat across calls.
+    def test_lanes_follow_the_list_schedule(self, monkeypatch):
+        # Every lane folds the jobs that the list schedule deals it from the
+        # strategy's queue: a dynamic job is a slice lasting its wedge
+        # count, a static job one vertex lasting its estimated workload.  So
+        # each lane's wedges are predicted exactly and repeat across calls.
         g = random_graph(30, 30, 0.3, seed=7)
         p = assign_priorities(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
@@ -229,21 +228,26 @@ class TestCountParallel:
         workloads = estimate_all_workloads(g, p)
         shuffled = list(range(g.vertex_count))
         random.Random(7).shuffle(shuffled)
-        orders = {"priority": np.argsort(p)[::-1], "random": shuffled,
+        queues = {"priority": np.argsort(p)[::-1], "random": shuffled,
                   "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
-        for strategy, order in orders.items():
-            ranks = rank[order]
+        for strategy, queue in queues.items():
+            ranks = rank[queue]
             slices = np.split(ranks, kernel.chunk_bounds(csr.wedges[ranks]))
-            durations = [kernel.count_rows(csr, rows)[1] for rows in slices]
             assert len(slices) > 8
-            for threads in (3, 8):
-                predicted = [sum(durations[i] for i in lane)
-                             for lane in simulate_list_schedule(durations, threads)]
-                cfg = ScheduleConfig(strategy=strategy, threads=threads, seed=7)
-                first = count_parallel(g, p, cfg)[1]
-                assert [t.wedges_processed for t in first] == predicted
-                for _ in range(2):
-                    assert count_parallel(g, p, cfg)[1] == first
+            slice_wedges = [kernel.count_rows(csr, rows)[1] for rows in slices]
+            vertex_wedges = [kernel.count_rows(csr, ranks[i:i + 1])[1]
+                             for i in range(len(ranks))]
+            jobs = {"dynamic": (slice_wedges, slice_wedges),
+                    "static": (workloads[queue].tolist(), vertex_wedges)}
+            for mode, (durations, wedges) in jobs.items():
+                for threads in (3, 8):
+                    predicted = [sum(wedges[i] for i in lane)
+                                 for lane in simulate_list_schedule(durations, threads)]
+                    cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=7)
+                    first = count_parallel(g, p, cfg)[1]
+                    assert [t.wedges_processed for t in first] == predicted
+                    for _ in range(2):
+                        assert count_parallel(g, p, cfg)[1] == first
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), st.integers(min_value=0, max_value=2 ** 16))
@@ -251,7 +255,7 @@ class TestCountParallel:
         # A chunk cap of one makes every start its own slice.
         p = assign_priorities(g)
         expected = count_vpp(g, p)
-        assert expected.butterflies == brute_force_count(g)
+        assert expected.butterflies == brute_force_per_edge(g).butterflies
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "CHUNK_WEDGES", 1)
             for mode in MODES:
@@ -286,15 +290,15 @@ LANE_SPLIT = {
         (113, 93, 10), (66, 135, 13), (85, 129, 10), (49, 93, 6), (53, 116, 17),
         (61, 93, 5), (50, 125, 9),
     ],
-    ("static", "priority", 2): [(228, 408, 35), (249, 376, 35)],
+    ("static", "priority", 2): [(246, 401, 37), (231, 383, 33)],
     ("static", "priority", 7): [
-        (49, 93, 10), (74, 128, 10), (77, 134, 10), (64, 116, 10), (91, 136, 10),
-        (56, 100, 10), (66, 77, 10),
+        (53, 98, 10), (81, 111, 9), (56, 100, 11), (75, 117, 10), (50, 110, 9),
+        (72, 114, 12), (90, 134, 9),
     ],
-    ("static", "random", 2): [(231, 359, 37), (246, 425, 33)],
+    ("static", "random", 2): [(251, 410, 35), (226, 374, 35)],
     ("static", "random", 7): [
-        (77, 107, 9), (135, 213, 18), (87, 97, 8), (32, 65, 7), (35, 79, 7), (59, 101, 9),
-        (52, 122, 12),
+        (84, 90, 8), (71, 119, 11), (34, 86, 10), (68, 151, 16), (72, 113, 9), (78, 123, 7),
+        (70, 102, 9),
     ],
     ("static", "heuristic", 2): [(242, 392, 36), (235, 392, 34)],
     ("static", "heuristic", 7): [
