@@ -26,6 +26,39 @@ def direct_estimate(g, p, u):
     return sum(1 for v in g.adjacency[u] for w in g.adjacency[v] if p[w] > p[v])
 
 
+def check_lanes_follow_the_list_schedule(monkeypatch, mode):
+    """Every lane folds the jobs that the list schedule deals it from the
+    strategy's queue, so each lane's wedges are predicted exactly and
+    repeat across calls."""
+    g = random_graph(30, 30, 0.3, seed=7)
+    p = assign_priorities(g)
+    monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+    csr = kernel.rank_csr(g, p)
+    rank = p - 1
+    workloads = estimate_all_workloads(g, p)
+    shuffled = list(range(g.vertex_count))
+    random.Random(7).shuffle(shuffled)
+    queues = {"priority": np.argsort(p)[::-1], "random": shuffled,
+              "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
+    for strategy, queue in queues.items():
+        ranks = rank[queue]
+        if mode == "dynamic":
+            slices = np.split(ranks, kernel.chunk_bounds(csr.wedges[ranks]))
+            assert len(slices) > 8
+            durations = wedges = [kernel.count_rows(csr, rows)[1] for rows in slices]
+        else:
+            durations = workloads[queue].tolist()
+            wedges = [kernel.count_rows(csr, ranks[i:i + 1])[1] for i in range(len(ranks))]
+        for threads in (3, 8):
+            predicted = [sum(wedges[i] for i in lane)
+                         for lane in simulate_list_schedule(durations, threads)]
+            cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=7)
+            first = count_parallel(g, p, cfg)[1]
+            assert [t.wedges_processed for t in first] == predicted
+            for _ in range(2):
+                assert count_parallel(g, p, cfg)[1] == first
+
+
 class TestWorkloadEstimate:
     def test_isolated_vertex_is_zero(self):
         from bicount.graph import BipartiteGraph
@@ -215,39 +248,15 @@ class TestCountParallel:
         with pytest.raises(MemoryError, match="simulated"):
             count_parallel(g, p, cfg)
 
-    def test_lanes_follow_the_list_schedule(self, monkeypatch):
-        # Every lane folds the jobs that the list schedule deals it from the
-        # strategy's queue: a dynamic job is a slice lasting its wedge
-        # count, a static job one vertex lasting its estimated workload.  So
-        # each lane's wedges are predicted exactly and repeat across calls.
-        g = random_graph(30, 30, 0.3, seed=7)
-        p = assign_priorities(g)
-        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
-        csr = kernel.rank_csr(g, p)
-        rank = p - 1
-        workloads = estimate_all_workloads(g, p)
-        shuffled = list(range(g.vertex_count))
-        random.Random(7).shuffle(shuffled)
-        queues = {"priority": np.argsort(p)[::-1], "random": shuffled,
-                  "heuristic": sorted(range(g.vertex_count), key=lambda u: -workloads[u])}
-        for strategy, queue in queues.items():
-            ranks = rank[queue]
-            slices = np.split(ranks, kernel.chunk_bounds(csr.wedges[ranks]))
-            assert len(slices) > 8
-            slice_wedges = [kernel.count_rows(csr, rows)[1] for rows in slices]
-            vertex_wedges = [kernel.count_rows(csr, ranks[i:i + 1])[1]
-                             for i in range(len(ranks))]
-            jobs = {"dynamic": (slice_wedges, slice_wedges),
-                    "static": (workloads[queue].tolist(), vertex_wedges)}
-            for mode, (durations, wedges) in jobs.items():
-                for threads in (3, 8):
-                    predicted = [sum(wedges[i] for i in lane)
-                                 for lane in simulate_list_schedule(durations, threads)]
-                    cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=7)
-                    first = count_parallel(g, p, cfg)[1]
-                    assert [t.wedges_processed for t in first] == predicted
-                    for _ in range(2):
-                        assert count_parallel(g, p, cfg)[1] == first
+    def test_dynamic_lanes_follow_the_list_schedule(self, monkeypatch):
+        # A dynamic job is a slice of the strategy's queue lasting its
+        # wedge count.
+        check_lanes_follow_the_list_schedule(monkeypatch, "dynamic")
+
+    def test_static_lanes_follow_the_list_schedule(self, monkeypatch):
+        # A static job is one vertex of the strategy's queue lasting its
+        # estimated workload; its lane counts the vertex's real wedges.
+        check_lanes_follow_the_list_schedule(monkeypatch, "static")
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), st.integers(min_value=0, max_value=2 ** 16))
