@@ -95,8 +95,11 @@ def cmd_edges(args) -> int:
     if args.format == "tsv":
         _write(args, edge_counts_tsv(g, ec))
         return 0
-    rows = list(zip(*g.edge_labels(), ec.per_edge))
-    _emit(args, {"butterflies": ec.butterflies, "edges": rows})
+    # The object json.dumps(..., indent=2) gives, with each row on one line:
+    # that encoder puts every number on a line of its own, in Python.
+    rows = ",\n    ".join(f"[{u}, {v}, {c}]" for u, v, c in zip(*g.edge_labels(), ec.per_edge))
+    rows = f"\n    {rows}\n  " if rows else ""
+    _write(args, f'{{\n  "butterflies": {ec.butterflies},\n  "edges": [{rows}]\n}}\n')
     return 0
 
 

@@ -8,23 +8,26 @@ Pipeline, entirely over 8-byte records, each the key
 2. external-sort the records so each vertex's neighbors are contiguous;
 3. stream the groups to get degrees, then rank all vertices in memory
    (the vertex count must fit in the budget; the edge count need not);
-4. stream the groups again, emitting a (start, end) pair for every wedge
-   whose end outranks both the middle and the start;
-5. external-sort the pairs and fold equal runs: a run of length c adds
-   C(c, 2) butterflies.
+4. stream the groups again, ordering each block's groups by rank with one
+   integer sort, and emit a (start rank, end rank) pair for every wedge
+   whose end outranks both the middle and the start, straight into sorted
+   runs (``_write_runs``);
+5. merge the runs (``_merged``) and fold equal pairs as the last merge
+   streams them: a run of c equal pairs adds C(c, 2) butterflies.  The
+   pairs never pass through a file of their own, sorted or unsorted.
 
-The passes after each sort read the sorted file as whole runs
-(``_whole_runs``): every array they get holds complete groups, or complete
-runs of equal pairs, so no pass keeps state from one array to the next.
+The passes over a sorted stream read it as whole runs (``_whole_runs``):
+every array they get holds complete groups, or complete runs of equal
+pairs, so no pass keeps state from one array to the next.
 
 Records move as numpy arrays of native uint64 keys, so run formation and
 every merge step are one integer sort, and (first, second) ascending is
 key order.  On disk a key is stored big-endian, so byte order is numeric
 order and every sorted file is sorted bytewise.  The fields are the
-engine's dense, layer-tagged vertex IDs, which fit 32 bits below
-``ID_LIMIT`` vertices.  I/O follows the scan model of Aggarwal and
-Vitter: a pass over S bytes costs ceil(S / B) transfers; reading the
-text input is not metered.
+engine's dense, layer-tagged vertex IDs in adjacency records and vertex
+ranks in pair records, which fit 32 bits below ``ID_LIMIT`` vertices.
+I/O follows the scan model of Aggarwal and Vitter: a pass over S bytes
+costs ceil(S / B) transfers; reading the text input is not metered.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -101,16 +104,15 @@ def _writer(path, block_size: int, stats: IoStats):
         stats.blocks_written += -(-handle.tell() // block_size)
 
 
-def iter_records(path, block_size: int, stats: IoStats, count: int | None = None):
-    """Stream a record file as arrays of ``count`` records (the last may be
-    shorter; by default a block's worth), metering one pass over it.  No
-    array is asked for beyond the file's records: numpy sizes its buffer
-    from ``count``."""
+def iter_records(path, block_size: int, stats: IoStats):
+    """Stream a record file as arrays of a block's worth of records (the
+    last may be shorter), metering one pass over it.  No array is asked
+    for beyond the file's records: numpy sizes its buffer from the count."""
     size = os.path.getsize(path)
     if size % RECORD_WIDTH:
         raise ConfigError(f"record file {path} truncated mid-record")
     stats.blocks_read += -(-size // block_size)
-    count = min(count or block_size // RECORD_WIDTH, max(1, size // RECORD_WIDTH))
+    count = min(block_size // RECORD_WIDTH, max(1, size // RECORD_WIDTH))
     with open(path, "rb") as handle:
         while len(records := np.fromfile(handle, dtype=">u8", count=count)):
             # Swapping the bytes and the dtype's byte order keeps the values
@@ -118,19 +120,93 @@ def iter_records(path, block_size: int, stats: IoStats, count: int | None = None
             yield records.byteswap(inplace=True).view(records.dtype.newbyteorder())
 
 
-def _merge(streams, write) -> None:
-    """Merge sorted, non-empty record streams a block at a time: every
-    buffered record up to the smallest buffered tail is final."""
-    buffers = {stream: next(stream) for stream in streams}
-    while buffers:
-        bound = min(b[-1] for b in buffers.values())
-        taken = []
-        for stream, buffer in list(buffers.items()):
-            cut = int(buffer.searchsorted(bound, side="right"))
-            taken.append(buffer[:cut])
-            buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
-        buffers = {s: b for s, b in buffers.items() if b is not None}
-        write(np.sort(np.concatenate(taken)))
+def _merge(paths, cfg: EmConfig, stats: IoStats):
+    """Yield the records of sorted run files in order, a block at a time:
+    every buffered record up to the smallest buffered tail is final.  The
+    run files are closed when the merge ends, whether it finishes, fails
+    or is closed."""
+    with ExitStack() as stack:
+        streams = [stack.enter_context(closing(iter_records(path, cfg.block_size, stats)))
+                   for path in paths]
+        if len(streams) == 1:
+            yield from streams[0]
+            return
+        buffers = {stream: next(stream) for stream in streams}
+        while buffers:
+            bound = min(b[-1] for b in buffers.values())
+            taken = []
+            for stream, buffer in list(buffers.items()):
+                cut = int(buffer.searchsorted(bound, side="right"))
+                taken.append(buffer[:cut])
+                buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
+            buffers = {s: b for s, b in buffers.items() if b is not None}
+            yield np.sort(np.concatenate(taken))
+
+
+def _write_runs(arrays, capacity: int, cfg: EmConfig, stats: IoStats,
+                scratch_dir, suffix: str) -> list[str]:
+    """Write the records of ``arrays`` as sorted run files of ``capacity``
+    records each (the last may be shorter): one buffer is filled, sorted
+    in place and written out, again and again.  Returns the run paths."""
+    buffer = np.empty(capacity, dtype=np.uint64)
+    runs: list[str] = []
+
+    def flush(filled: int) -> None:
+        run = buffer[:filled]
+        run.sort()
+        runs.append(os.path.join(scratch_dir, f"{len(runs)}.{suffix}"))
+        with _writer(runs[-1], cfg.block_size, stats) as write:
+            write(run)
+
+    filled = 0
+    for records in arrays:
+        while len(records):
+            take = min(capacity - filled, len(records))
+            buffer[filled:filled + take] = records[:take]
+            records = records[take:]
+            filled += take
+            if filled == capacity:
+                flush(filled)
+                filled = 0
+    if filled:
+        flush(filled)
+    return runs
+
+
+def _merged(runs: list[str], cfg: EmConfig, stats: IoStats, scratch_dir, suffix: str):
+    """Yield the records of sorted run files in order, as arrays.  While
+    more than ``merge_width`` runs remain, a sweep merges them
+    ``merge_width`` at a time into new run files; the last sweep is
+    yielded, not written.  Each sweep, the last included, is one
+    ``merge_passes`` increment, so one run yields in zero passes."""
+    width = cfg.merge_width
+    generation = 0
+    while len(runs) > width:
+        stats.merge_passes += 1
+        generation += 1
+        next_runs = []
+        for start in range(0, len(runs), width):
+            group = runs[start:start + width]
+            if len(group) == 1:
+                next_runs.append(group[0])
+                continue
+            next_runs.append(os.path.join(
+                scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}"))
+            with _writer(next_runs[-1], cfg.block_size, stats) as write:
+                for records in _merge(group, cfg, stats):
+                    write(records)
+            _discard(group, cfg)
+        runs = next_runs
+    if len(runs) > 1:
+        stats.merge_passes += 1
+    yield from _merge(runs, cfg, stats)
+    _discard(runs, cfg)
+
+
+def _discard(paths, cfg: EmConfig) -> None:
+    if not cfg.keep_scratch:
+        for path in paths:
+            os.remove(path)
 
 
 def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
@@ -140,48 +216,24 @@ def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
     Run formation fills at most the memory budget with records; merging
     folds floor(M/B) - 1 runs at a time, one ``merge_passes`` increment
     per sweep over the current runs.  A file that fits in memory sorts in
-    zero merge passes.
+    zero merge passes: its one run becomes the output.
     """
     stats = stats if stats is not None else IoStats()
     own_scratch = scratch_dir is None
     if own_scratch:
         scratch_dir = tempfile.mkdtemp(prefix="extsort-")
     try:
-        runs = []
-        for chunk in iter_records(in_path, cfg.block_size, stats, cfg.run_records):
-            chunk.sort()
-            run_path = os.path.join(scratch_dir, f"{len(runs)}.{suffix}")
-            with _writer(run_path, cfg.block_size, stats) as write:
-                write(chunk)
-            runs.append(run_path)
-
-        if not runs:
-            open(out_path, "wb").close()
-            return stats
-        width = cfg.merge_width
-        generation = 0
-        while len(runs) > 1:
-            stats.merge_passes += 1
-            generation += 1
-            next_runs = []
-            for start in range(0, len(runs), width):
-                group = runs[start:start + width]
-                if len(group) == 1:
-                    next_runs.append(group[0])
-                    continue
-                final = len(runs) <= width
-                merged = out_path if final else os.path.join(
-                    scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}")
-                streams = [iter_records(path, cfg.block_size, stats) for path in group]
-                with _writer(merged, cfg.block_size, stats) as write:
-                    _merge(streams, write)
-                if not cfg.keep_scratch:
-                    for path in group:
-                        os.remove(path)
-                next_runs.append(merged)
-            runs = next_runs
-        if runs[0] != out_path:
+        # No buffer beyond the file's records: the budget may be far larger.
+        capacity = max(1, min(cfg.run_records, os.path.getsize(in_path) // RECORD_WIDTH))
+        with closing(iter_records(in_path, cfg.block_size, stats)) as blocks:
+            runs = _write_runs(blocks, capacity, cfg, stats, scratch_dir, suffix)
+        if len(runs) == 1:
             os.replace(runs[0], out_path)
+            return stats
+        with _writer(out_path, cfg.block_size, stats) as write, \
+                closing(_merged(runs, cfg, stats, scratch_dir, suffix)) as merged:
+            for records in merged:
+                write(records)
         return stats
     finally:
         if own_scratch:
@@ -218,12 +270,35 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
     """Yield ``(centers, sizes, neighbors)`` of a sorted record file's
     groups (final IDs), a block's whole groups at a time, without
     duplicate records (duplicate input edges)."""
-    blocks = iter_records(path, cfg.block_size, stats)
-    for records in _whole_runs(blocks, lambda records: records >> 32):
-        records = records[np.concatenate(([True], records[1:] != records[:-1]))]
-        centers, neighbors = _final_ids(records, lower_count)
-        sizes = kernel.run_lengths(centers)
-        yield centers[np.cumsum(sizes) - sizes], sizes, neighbors
+    with closing(iter_records(path, cfg.block_size, stats)) as blocks:
+        for records in _whole_runs(blocks, lambda records: records >> 32):
+            records = records[np.concatenate(([True], records[1:] != records[:-1]))]
+            centers, neighbors = _final_ids(records, lower_count)
+            sizes = kernel.run_lengths(centers)
+            yield centers[np.cumsum(sizes) - sizes], sizes, neighbors
+
+
+def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats):
+    """Yield, as arrays of (start, end) records in ranks, one pair for
+    every wedge of ``groups`` whose end outranks both its middle (the
+    group's center) and its start."""
+    for centers, sizes, neighbors in groups:
+        # One sort orders each group's members by rank: an end that
+        # outranks the center pairs with every member before it.
+        group = np.repeat(np.arange(len(centers)), sizes)
+        keys = group << 32 | rank[neighbors]
+        keys.sort()
+        members = keys & 0xFFFF_FFFF
+        firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        counts = np.where(members > rank[centers][group],
+                          np.arange(len(members)) - firsts, 0)
+        stats.pairs_emitted += int(counts.sum())
+        members = members.astype(np.uint64)
+        starts = members << 32
+        for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
+            pairs = starts[kernel.ranges(firsts[part], counts[part])]
+            pairs |= np.repeat(members[part], counts[part])
+            yield pairs
 
 
 def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
@@ -234,9 +309,12 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     wedge middles and ``middle_accesses`` the number of adjacency records
     streamed in the emission pass.
 
-    Besides the rank table, a pass over a sorted file holds at most one
+    Besides the rank table, a pass over a sorted stream holds at most one
     block plus one run: a group, as long as its vertex's degree, or a run
     of equal pairs, no longer than the smaller degree of its two ends.
+    The emission pass forms the pair runs in one buffer of what the budget
+    leaves after the rank table (8 bytes a vertex) and one block of
+    groups, but at least a block's worth.
     """
     t0 = perf_counter()
     stats = IoStats()
@@ -244,8 +322,6 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     try:
         raw_path = os.path.join(scratch, "adjacency.raw")
         sorted_path = os.path.join(scratch, "adjacency.sorted")
-        pairs_raw = os.path.join(scratch, "pairs.raw")
-        pairs_sorted = os.path.join(scratch, "pairs.sorted")
 
         # The rank table (8 bytes a vertex) must fit the budget; the label
         # indexes are checked batch by batch, before the file is read through.
@@ -271,51 +347,39 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
 
         external_sort(raw_path, sorted_path, cfg, suffix="edges",
                       scratch_dir=scratch, stats=stats)
-        if not cfg.keep_scratch:
-            os.remove(raw_path)
+        _discard([raw_path], cfg)
 
         degrees = np.zeros(n, dtype=np.int64)
         for centers, sizes, _ in _iter_groups(sorted_path, cfg, stats, lower_count):
             degrees[centers] = sizes
         rank = degree_priorities(degrees) - 1
+        groups, records_scanned = int(np.count_nonzero(degrees)), int(degrees.sum())
 
-        pairs_emitted = groups = records_scanned = 0
-        with _writer(pairs_raw, cfg.block_size, stats) as write:
-            for centers, sizes, neighbors in _iter_groups(sorted_path, cfg, stats, lower_count):
-                groups += len(centers)
-                records_scanned += len(neighbors)
-                # Each group's members ascending by rank: an end w that
-                # outranks the center pairs with every member before it.
-                group = np.repeat(np.arange(len(centers)), sizes)
-                members = neighbors[np.lexsort((rank[neighbors], group))]
-                firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-                counts = np.where(rank[members] > rank[centers][group],
-                                  np.arange(len(members)) - firsts, 0)
-                pairs_emitted += int(counts.sum())
-                for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
-                    write(_records(members[kernel.ranges(firsts[part], counts[part])],
-                                   np.repeat(members[part], counts[part])))
-        stats.pairs_emitted = pairs_emitted
-        if not cfg.keep_scratch:
-            os.remove(sorted_path)
-
-        external_sort(pairs_raw, pairs_sorted, cfg, suffix="pairs",
-                      scratch_dir=scratch, stats=stats)
-        if not cfg.keep_scratch:
-            os.remove(pairs_raw)
+        # The pair runs share the budget with the rank table and the block of
+        # groups being expanded, so the degrees go first, and the rank table
+        # before the merge.  A vertex of degree d is the middle of at most
+        # C(d, 2) pairs, which bounds the buffer when the budget is far larger.
+        capacity = max(cfg.memory_budget - 8 * n - cfg.block_size,
+                       cfg.block_size) // RECORD_WIDTH
+        capacity = max(1, min(capacity, int((degrees * (degrees - 1) // 2).sum())))
+        del degrees
+        with closing(_iter_groups(sorted_path, cfg, stats, lower_count)) as blocks:
+            runs = _write_runs(_wedge_pairs(blocks, rank, stats), capacity, cfg,
+                               stats, scratch, "pairs")
+        del rank
+        _discard([sorted_path], cfg)
 
         # A run of c equal pairs adds C(c, 2).  The int64 sum is exact
         # while an array holds fewer than 2**32 records.
         butterflies = 0
-        for records in _whole_runs(iter_records(pairs_sorted, cfg.block_size, stats),
-                                   lambda records: records):
-            runs = kernel.run_lengths(records)
-            butterflies += int((runs * (runs - 1) // 2).sum())
+        with closing(_merged(runs, cfg, stats, scratch, "pairs")) as merged:
+            for records in _whole_runs(merged, lambda records: records):
+                lengths = kernel.run_lengths(records)
+                butterflies += int((lengths * (lengths - 1) // 2).sum())
         check_limit(butterflies, "butterfly count")
 
-        report = CountReport(butterflies, pairs_emitted, groups,
-                             records_scanned, pairs_emitted,
-                             perf_counter() - t0)
+        report = CountReport(butterflies, stats.pairs_emitted, groups, records_scanned,
+                             stats.pairs_emitted, perf_counter() - t0)
         return report, stats
     finally:
         if not cfg.keep_scratch:

@@ -5,10 +5,31 @@ from __future__ import annotations
 
 import io
 import random
+import shutil
 from itertools import combinations
 
 from bicount.errors import ParseError
 from bicount.graph import BipartiteGraph
+
+
+def files_left_open(monkeypatch, module) -> list[str]:
+    """Track the files that ``module`` opens: each ``shutil.rmtree`` call
+    adds to the returned list the name of every one still open, so a
+    scratch dir removed before its files are closed shows."""
+    opened, left_open = [], []
+    real_rmtree = shutil.rmtree
+
+    def tracked_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def rmtree(path, *args, **kwargs):
+        left_open.extend(f.name for f in opened if not f.closed)
+        real_rmtree(path, *args, **kwargs)
+
+    monkeypatch.setattr(module, "open", tracked_open, raising=False)
+    monkeypatch.setattr(shutil, "rmtree", rmtree)
+    return left_open
 
 
 def four_cycle() -> BipartiteGraph:

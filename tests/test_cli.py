@@ -11,7 +11,10 @@ import pytest
 
 from bicount import cli, exact, external
 from bicount.cli import main, parse_size
+from bicount.edges import per_edge_counts
 from bicount.generate import pairs_to_text, random_pairs_m
+from bicount.graph import load_edge_list
+from helpers import files_left_open
 
 FOUR_CYCLE = "0 0\n0 1\n1 0\n1 1\n"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -132,6 +135,24 @@ class TestSubcommands:
         assert data["butterflies"] == 1
         assert data["edges"][0] == [0, 0, 1]
 
+    @pytest.mark.parametrize("text", [
+        "", FOUR_CYCLE, pairs_to_text(random_pairs_m(30, 30, 200, seed=8)),
+        "18446744073709551621 3\n7 0\n7 3\n18446744073709551621 0\n",
+    ], ids=["empty", "four-cycle", "random", "labels-beyond-int64"])
+    def test_edges_json_parses_as_the_indented_dump(self, capsys, tmp_path, text):
+        # One "[u, v, c]" line a row, and the object json.dumps(indent=2)
+        # of the report gives.
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        g = load_edge_list(path)
+        ec = per_edge_counts(g)
+        rows = [list(row) for row in zip(*g.edge_labels(), ec.per_edge)]
+        dumped = json.dumps({"butterflies": ec.butterflies, "edges": rows}, indent=2)
+        assert main(["edges", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == json.loads(dumped)
+        assert out.count("\n") == 4 + (len(rows) + 1 if rows else 0)
+
     def test_edges_builds_the_tsv_only_for_tsv_output(self, capsys, monkeypatch,
                                                       four_cycle_file):
         real, calls = cli.edge_counts_tsv, []
@@ -195,10 +216,11 @@ class TestSubcommands:
 
     def test_em_full_disk_is_1_and_closes_its_files(self, capsys, tmp_path, monkeypatch):
         # A scratch write that fails (simulated ENOSPC) at any point of the
-        # pipeline exits 1, empties the scratch dir and leaves no open file
-        # for the garbage collector.  Two failure points are spread over
-        # the calls of each writer: the raw adjacency, the sort runs, the
-        # merges and the wedge pairs.
+        # pipeline exits 1, empties the scratch dir and closes every file
+        # before the scratch dir is removed, without the garbage collector.
+        # Two failure points are spread over the calls of each writer: the
+        # raw adjacency, the adjacency runs, the pair runs (written as the
+        # pairs are emitted) and the merges.
         path = tmp_path / "g.txt"
         path.write_text(pairs_to_text(random_pairs_m(60, 60, 1200, seed=4)))
         scratch = tmp_path / "scratch"
@@ -208,8 +230,11 @@ class TestSubcommands:
         real_writer, writers, fail_at = external._writer, [], [0]
 
         def kind(name):
-            special = {"adjacency.raw": "raw", "pairs.raw": "pairs"}
-            return special.get(name) or ("run" if name.split(".")[0].isdigit() else "merge")
+            if name == "adjacency.raw":
+                return "raw"
+            if name.split(".")[0].isdigit():
+                return "pair run" if name.endswith(".pairs") else "run"
+            return "merge"
 
         @contextmanager
         def writer(path, block_size, stats):
@@ -222,11 +247,12 @@ class TestSubcommands:
                 yield write
 
         monkeypatch.setattr(external, "_writer", writer)
+        left_open = files_left_open(monkeypatch, external)
         assert main(argv) == 0
         calls = {}
         for call, name in enumerate(writers, 1):
             calls.setdefault(name, []).append(call)
-        assert sorted(calls) == ["merge", "pairs", "raw", "run"]
+        assert sorted(calls) == ["merge", "pair run", "raw", "run"]
         capsys.readouterr()
         hit = set()
         for fail_at[0] in sorted(c[i] for c in calls.values() for i in (0, len(c) // 2)):
@@ -234,6 +260,7 @@ class TestSubcommands:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert main(argv) == 1
+                assert left_open == []
                 gc.collect()
             hit.add(writers[-1])
             assert len(writers) == fail_at[0]

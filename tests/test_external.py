@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import struct
@@ -16,7 +17,7 @@ from bicount.cli import main
 from bicount.external import EmConfig, IoStats, em_count, external_sort, iter_records
 from bicount.generate import complete_pairs, hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import assign_priorities, parse_edge_list
-from helpers import random_graph_set
+from helpers import files_left_open, random_graph_set
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -223,11 +224,55 @@ class TestEmCount:
         assert report.wedges_processed == stats.pairs_emitted == expected.wedges_processed
 
     def test_budget_beyond_the_file_reads_only_the_file(self, tmp_path):
-        # Run formation reads up to budget // 8 records at a time; numpy
-        # is asked for no more than the file holds.
+        # A run buffer holds up to budget // 8 records: it is sized no larger
+        # than the records (or, for pairs, the wedges) there are.
         path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
         report, _ = em_count(path, EmConfig(memory_budget=1 << 70))
         assert report.butterflies == 1
+
+    @pytest.mark.parametrize("cfg", [MIN_CFG, EmConfig(memory_budget=16 * 4096, block_size=4096)],
+                             ids=["min", "mid"])
+    def test_each_scratch_file_is_written_once(self, tmp_path, cfg):
+        # The kept scratch files account for every block written, the pairs
+        # never pass through a file of their own, and a pair run holds no
+        # more than the budget leaves after the rank table and one block.
+        path = write_graph(tmp_path, random_pairs_m(60, 60, 1200, seed=4))
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        _, stats = em_count(path, dataclasses.replace(cfg, scratch_dir=str(scratch),
+                                                      keep_scratch=True))
+        [kept] = scratch.iterdir()
+        sizes = {f.name: f.stat().st_size for f in kept.iterdir()}
+        assert stats.blocks_written == sum(-(-size // cfg.block_size) for size in sizes.values())
+        assert not {"pairs.raw", "pairs.sorted"} & set(sizes)
+        n = len(parse_edge_list(path.read_text()).degrees)
+        capacity = (cfg.memory_budget - 8 * n - cfg.block_size) // external.RECORD_WIDTH
+        runs = [size for name, size in sizes.items()
+                if name.endswith(".pairs") and name.split(".")[0].isdigit()]
+        assert len(runs) > 1
+        assert max(runs) <= capacity * external.RECORD_WIDTH
+
+    def test_a_failure_in_any_pass_closes_its_files_first(self, tmp_path, monkeypatch):
+        # An error in the degree pass, the emission or the fold (any call of
+        # run_lengths) closes every file before the scratch dir is removed,
+        # not when the garbage collector gets to it.
+        path = write_graph(tmp_path, random_pairs_m(60, 60, 1200, seed=4))
+        real, calls, fail_at = kernel.run_lengths, [], [0]
+
+        def run_lengths(keys):
+            calls.append(len(keys))
+            if len(calls) == fail_at[0]:
+                raise RuntimeError("injected")
+            return real(keys)
+
+        monkeypatch.setattr(kernel, "run_lengths", run_lengths)
+        left_open = files_left_open(monkeypatch, external)
+        em_count(path, MIN_CFG)
+        for fail_at[0] in range(1, len(calls) + 1):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="injected"):
+                em_count(path, MIN_CFG)
+            assert left_open == []
 
     def test_scratch_cleanup_and_keep(self, tmp_path):
         path = write_graph(tmp_path, [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -279,28 +324,29 @@ def golden_inputs():
 # through block buffers (``long_runs`` as it gave them when it still carried
 # the open group and pair run from block to block); and IoStats (blocks read,
 # blocks written, pairs, merge passes) per (budget, block size), for 8-byte
-# records.
+# records and pair runs formed as the pairs are emitted, in what the budget
+# leaves after the rank table and one block.
 GOLDEN = {
     "uniform": ((299421, 103715, 300, 10000, 103715), {
-        (4 * 4097, 4097): (1333, 1310, 103715, 6),
-        (4 * 4100, 4100): (1333, 1310, 103715, 6),
-        (7 * 4100, 4100): (904, 881, 103715, 3),
-        (4 * 4096, 4096): (1333, 1310, 103715, 6),
-        (6 * 4097, 4097): (1107, 1084, 103715, 4),
-        (1 << 20, 65536): (32, 30, 103715, 0),
+        (4 * 4097, 4097): (1183, 1160, 103715, 7),
+        (4 * 4100, 4100): (1182, 1159, 103715, 7),
+        (7 * 4100, 4100): (718, 695, 103715, 4),
+        (4 * 4096, 4096): (1183, 1160, 103715, 7),
+        (6 * 4097, 4097): (732, 709, 103715, 4),
+        (1 << 20, 65536): (19, 17, 103715, 0),
     }),
     "hubby": ((408463, 68350, 180, 6334, 68350), {
-        (4 * 4097, 4097): (840, 827, 68350, 6),
-        (4 * 4100, 4100): (840, 827, 68350, 6),
-        (7 * 4100, 4100): (588, 575, 68350, 3),
-        (4 * 4096, 4096): (840, 827, 68350, 6),
-        (6 * 4097, 4097): (588, 575, 68350, 3),
-        (1 << 20, 65536): (21, 20, 68350, 0),
+        (4 * 4097, 4097): (620, 607, 68350, 6),
+        (4 * 4100, 4100): (619, 606, 68350, 6),
+        (7 * 4100, 4100): (328, 315, 68350, 3),
+        (4 * 4096, 4096): (620, 607, 68350, 6),
+        (6 * 4097, 4097): (451, 438, 68350, 4),
+        (1 << 20, 65536): (12, 11, 68350, 0),
     }),
     "long_runs": ((3376682, 6564, 1543, 9600, 6564), {
-        (16 * 4096, 4096): (102, 83, 6564, 1),
-        (4 * 4100, 4100): (146, 127, 6564, 4),
-        (1 << 20, 65536): (8, 6, 6564, 0),
+        (16 * 4096, 4096): (89, 70, 6564, 2),
+        (4 * 4100, 4100): (133, 114, 6564, 5),
+        (1 << 20, 65536): (7, 5, 6564, 0),
     }),
 }
 
