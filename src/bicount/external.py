@@ -293,6 +293,7 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats):
         counts = np.where(members > rank[centers][group],
                           np.arange(len(members)) - firsts, 0)
         stats.pairs_emitted += int(counts.sum())
+        # A pair is the key (earlier member) << 32 | member.
         members = members.astype(np.uint64)
         starts = members << 32
         for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
