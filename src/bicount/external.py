@@ -47,6 +47,7 @@ from .exact import CountReport, check_limit
 from .graph import LabelIndex, degree_priorities, read_label_batches
 
 RECORD_WIDTH = 8
+BIG_ENDIAN = np.dtype(">u8")
 # Vertices EM can number: a layer-tagged ID (2i or 2i + 1) and a final ID
 # both stay below 2**32, the width of a record's field.
 ID_LIMIT = 1 << 31
@@ -96,11 +97,17 @@ def _records(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 @contextmanager
 def _writer(path, block_size: int, stats: IoStats):
     """Yield a ``write(records)`` into ``path`` opened for writing, which
-    stores each key big-endian; meter one transfer per block written once
-    the body is done.  A failed write still closes the file (a full disk),
-    and meters nothing."""
+    stores each key big-endian by swapping the array's bytes in place, so
+    the caller gives the array up; meter one transfer per block written
+    once the body is done.  A failed write still closes the file (a full
+    disk), and meters nothing."""
+    def write(records: np.ndarray) -> None:
+        if records.dtype != BIG_ENDIAN:  # native keys on a little-endian host
+            records = records.byteswap(inplace=True).view(BIG_ENDIAN)
+        handle.write(records)
+
     with open(path, "wb") as handle:
-        yield lambda records: handle.write(records.astype(">u8"))
+        yield write
         stats.blocks_written += -(-handle.tell() // block_size)
 
 
@@ -128,9 +135,6 @@ def _merge(paths, cfg: EmConfig, stats: IoStats):
     with ExitStack() as stack:
         streams = [stack.enter_context(closing(iter_records(path, cfg.block_size, stats)))
                    for path in paths]
-        if len(streams) == 1:
-            yield from streams[0]
-            return
         buffers = {stream: next(stream) for stream in streams}
         while buffers:
             bound = min(b[-1] for b in buffers.values())
@@ -147,7 +151,8 @@ def _write_runs(arrays, capacity: int, cfg: EmConfig, stats: IoStats,
                 scratch_dir, suffix: str) -> list[str]:
     """Write the records of ``arrays`` as sorted run files of ``capacity``
     records each (the last may be shorter): one buffer is filled, sorted
-    in place and written out, again and again.  Returns the run paths."""
+    in place and written out from itself, again and again.  Returns the
+    run paths."""
     buffer = np.empty(capacity, dtype=np.uint64)
     runs: list[str] = []
 
