@@ -120,9 +120,11 @@ def ranges(begins: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _expand(csr: RankCsr, rows: np.ndarray):
-    """``(entries, positions, keys)`` of every wedge with a start in
-    ``rows``, one element per wedge: its (start, middle) entry, its
-    (middle, end) entry and the key ``start * n + end``."""
+    """``(row_entries, ends, positions, keys)`` of the wedges with a start
+    in ``rows``.  ``row_entries`` are the (start, middle) entries, each
+    the first entry of ``ends`` consecutive wedges; ``positions`` and
+    ``keys`` have one element per wedge: its (middle, end) entry and the
+    key ``start * n + end``."""
     # Starts without wedges (the top-ranked hubs) would only cost entries.
     rows = rows[csr.wedges[rows] > 0]
     begins = csr.row_offsets[rows]
@@ -130,10 +132,9 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     row_entries = ranges(begins, degrees)
     first_end = csr.first_end[row_entries]
     ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
-    entries = np.repeat(row_entries, ends)
     positions = ranges(first_end, ends)
     keys = np.repeat(np.repeat(rows * csr.n, degrees), ends) + csr.columns[positions]
-    return entries, positions, keys
+    return row_entries, ends, positions, keys
 
 
 def iter_chunks(csr: RankCsr, rows: np.ndarray):
@@ -163,14 +164,22 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
 
 def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
     """Butterflies through each edge of ``g`` (int64, in the edge order of
-    ``g.uppers``/``g.lowers``)."""
+    ``g.uppers``/``g.lowers``).  Credit is summed per entry, each
+    (start, middle) entry over its consecutive wedges, and mapped to
+    edges once."""
     csr = rank_csr(g, p)
-    per_edge = np.zeros(g.edge_count, dtype=np.int64)
-    for entries, positions, keys in iter_chunks(csr, np.arange(csr.n)):
+    per_entry = np.zeros(len(csr.columns), dtype=np.int64)
+    for row_entries, ends, positions, keys in iter_chunks(csr, np.arange(csr.n)):
         order = np.argsort(keys)
         runs = run_lengths(keys[order])
         credit = np.empty(len(keys), dtype=np.int64)
         credit[order] = np.repeat(runs - 1, runs)
-        np.add.at(per_edge, csr.edges[entries], credit)
-        np.add.at(per_edge, csr.edges[positions], credit)
+        # A (start, middle) entry lies in one chunk only; reduceat reads an
+        # empty segment as one element, so entries without wedges are skipped.
+        has = ends > 0
+        firsts = np.cumsum(ends) - ends
+        per_entry[row_entries[has]] += np.add.reduceat(credit, firsts[has])
+        np.add.at(per_entry, positions, credit)
+    per_edge = np.zeros(g.edge_count, dtype=np.int64)
+    np.add.at(per_edge, csr.edges, per_entry)
     return per_edge

@@ -85,7 +85,8 @@ class TestKernel:
         vertex = np.argsort(p)
         csr = kernel.rank_csr(g, p)
         expanded = Counter()
-        for entries, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):
+        for row_entries, ends, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):
+            entries = np.repeat(row_entries, ends)
             triples = np.stack([keys // csr.n, csr.columns[entries], keys % csr.n])
             expanded.update(zip(*vertex[triples].tolist()))
         expected = Counter(iter_end_dominant_wedges(g, p))

@@ -1,11 +1,12 @@
 import random
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicount import kernel
+from bicount import kernel, parallel
 from bicount.errors import ConfigError
 from bicount.edges import brute_force_per_edge
 from bicount.exact import count_vpp
@@ -231,6 +232,17 @@ class TestCountParallel:
         with pytest.raises(ConfigError, match="threads"):
             count_parallel(g, assign_priorities(g), cfg)
 
+    def test_memory_guard_counts_a_chunk_per_worker(self, monkeypatch):
+        # 6 MiB of memory: half of it holds one 2 MiB chunk expansion, not two.
+        pages = {"SC_PHYS_PAGES": 6 * 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        parallel._memory_guard(1 << 16, 1)
+        with pytest.raises(ConfigError, match="threads"):
+            parallel._memory_guard(1 << 16, 2)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
+        parallel._memory_guard(1 << 16, 2)
+
     def test_worker_failure_is_raised(self, monkeypatch):
         # A worker that dies must not leave a silently short count.
         g = hub_graph(30)
@@ -245,8 +257,11 @@ class TestCountParallel:
 
         monkeypatch.setattr(kernel, "count_rows", failing_once)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
+        before = threading.active_count()
         with pytest.raises(MemoryError, match="simulated"):
             count_parallel(g, p, cfg)
+        # The pool has joined its workers before the failure is raised.
+        assert threading.active_count() == before
 
     def test_dynamic_lanes_follow_the_list_schedule(self, monkeypatch):
         # A dynamic job is a slice of the strategy's queue lasting its
@@ -278,6 +293,71 @@ class TestCountParallel:
                         assert sum(t.wedges_processed for t in reports) == \
                             report.wedges_processed
                         assert sum(t.vertices_handled for t in reports) == g.vertex_count
+
+
+def record_fold_threads(monkeypatch, barrier=None):
+    """Wrap ``kernel.count_rows`` to record the thread of every fold and
+    the most threads alive during one; with ``barrier``, every fold waits
+    there, so folds that do not run at the same time break it."""
+    real, idents, alive = kernel.count_rows, [], []
+
+    def recording(csr, rows):
+        idents.append(threading.get_ident())
+        alive.append(threading.active_count())
+        if barrier is not None:
+            barrier.wait()
+        return real(csr, rows)
+
+    monkeypatch.setattr(kernel, "count_rows", recording)
+    return idents, alive
+
+
+class TestThreadPool:
+    @pytest.mark.skipif(parallel._cpu_limit() < 2, reason="needs 2 CPUs")
+    def test_two_busy_lanes_fold_on_two_threads(self, monkeypatch):
+        g = random_graph(30, 40, 0.2, seed=12)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        idents, _ = record_fold_threads(monkeypatch, threading.Barrier(2, timeout=10))
+        _, lanes = count_parallel(g, assign_priorities(g), ScheduleConfig(threads=2))
+        assert all(t.wedges_processed for t in lanes)
+        assert len(set(idents)) == 2 and threading.get_ident() not in idents
+
+    def test_no_more_threads_than_cpus(self, monkeypatch):
+        # A chunk cap of one makes every start its own slice: most lanes get rows.
+        g = random_graph(30, 40, 0.2, seed=12)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
+        before = threading.active_count()
+        idents, alive = record_fold_threads(monkeypatch)
+        _, lanes = count_parallel(g, assign_priorities(g), ScheduleConfig(threads=64))
+        assert len(idents) == 64 and sum(1 for t in lanes if t.wedges_processed) > 32
+        assert len(set(idents)) <= parallel._cpu_limit()
+        assert max(alive) <= before + parallel._cpu_limit()
+        assert threading.active_count() == before
+
+    def test_one_cpu_folds_the_same_lanes_inline(self, monkeypatch):
+        g = random_graph(30, 40, 0.2, seed=12)
+        p = assign_priorities(g)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        configs = [ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=5)
+                   for mode in MODES for strategy in STRATEGIES for threads in (2, 3, 8)]
+        threaded = [count_parallel(g, p, cfg) for cfg in configs]
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
+        idents, _ = record_fold_threads(monkeypatch)
+        for cfg, (report, lanes) in zip(configs, threaded):
+            for _ in range(2):
+                inline_report, inline_lanes = count_parallel(g, p, cfg)
+                assert inline_lanes == lanes
+                assert inline_report.counters() == report.counters()
+        assert set(idents) == {threading.get_ident()}
+
+    def test_one_slice_folds_in_the_calling_thread(self, monkeypatch):
+        g = hub_graph(40)
+        idents, _ = record_fold_threads(monkeypatch)
+        before = threading.active_count()
+        _, lanes = count_parallel(g, assign_priorities(g), ScheduleConfig(threads=4))
+        assert [t.vertices_handled for t in lanes] == [g.vertex_count, 0, 0, 0]
+        assert set(idents) == {threading.get_ident()}
+        assert threading.active_count() == before
 
 
 # Each lane's (butterflies, wedges, vertices handled) per (mode, strategy,
