@@ -3,7 +3,16 @@
 The engine runs the end-dominant wedge rule in the rank-space kernel
 (``kernel.py``): each wedge (u, v, w) whose (u, w) pair closes c wedges
 lies in c - 1 butterflies together with each of its two edges, and the
-kernel credits both edge ids directly, so no edge-index lookup is needed.
+kernel credits the CSR entries of both, which carry their edge ids, so no
+edge-index lookup is needed.  The start vertices are dealt into up to
+``_cpu_limit()`` lanes by the parallel engine's dynamic schedule (highest
+priority first), and the lanes fold on its thread pool
+(``parallel._deal`` and ``parallel._fold_lanes``).  Each lane, one worker,
+sums into its own int64 credit array of 2m entries, so lanes never race;
+the arrays are added up and mapped to edges once.  Fewer lanes fold when
+memory cannot hold an array and a chunk per worker, down to one folded
+in the calling thread.  The sums are integers, so the counts are
+identical for every lane count.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import kernel, parallel
 from .errors import ConsistencyError, CountOverflowError, GuardError
 from .exact import check_limit
 from .graph import BipartiteGraph, assign_priorities
@@ -32,7 +41,14 @@ class EdgeCounts:
 def count_per_edge_evpp(g: BipartiteGraph, p: np.ndarray) -> EdgeCounts:
     """Per-edge counts of ``g`` under any priorities ``p``, following
     g's edge index."""
-    per_edge = kernel.per_edge_pairs(g, p).tolist()
+    csr = kernel.rank_csr(g, p)
+    lanes = parallel._deal(csr, np.arange(csr.n)[::-1], parallel._credit_lanes(csr))
+    per_entry, *others = parallel._fold_lanes(csr, kernel.credit_rows, lanes)
+    for credit in others:
+        per_entry += credit
+    per_edge = np.zeros(g.edge_count, dtype=np.int64)
+    np.add.at(per_edge, csr.edges, per_entry)
+    per_edge = per_edge.tolist()
     total4 = sum(per_edge)
     if total4 % 4:
         raise ConsistencyError("per-edge counts do not sum to a multiple of 4")

@@ -283,10 +283,12 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
             yield centers[np.cumsum(sizes) - sizes], sizes, neighbors
 
 
-def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats):
+def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
     """Yield, as arrays of (start, end) records in ranks, one pair for
     every wedge of ``groups`` whose end outranks both its middle (the
-    group's center) and its start."""
+    group's center) and its start.  An array holds at most ``capacity``
+    pairs, the records of a pair run, or the pairs of one member if more."""
+    cap = min(kernel.CHUNK_WEDGES, capacity)
     for centers, sizes, neighbors in groups:
         # One sort orders each group's members by rank: an end that
         # outranks the center pairs with every member before it.
@@ -301,7 +303,7 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats):
         # A pair is the key (earlier member) << 32 | member.
         members = members.astype(np.uint64)
         starts = members << 32
-        for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts)):
+        for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts, cap)):
             pairs = starts[kernel.ranges(firsts[part], counts[part])]
             pairs |= np.repeat(members[part], counts[part])
             yield pairs
@@ -320,7 +322,8 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     of equal pairs, no longer than the smaller degree of its two ends.
     The emission pass forms the pair runs in one buffer of what the budget
     leaves after the rank table (8 bytes a vertex) and one block of
-    groups, but at least a block's worth.
+    groups, but at least a block's worth, and hands them over in arrays
+    no larger than that buffer, unless one member's pairs alone are.
     """
     t0 = perf_counter()
     stats = IoStats()
@@ -370,7 +373,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         capacity = max(1, min(capacity, int((degrees * (degrees - 1) // 2).sum())))
         del degrees
         with closing(_iter_groups(sorted_path, cfg, stats, lower_count)) as blocks:
-            runs = _write_runs(_wedge_pairs(blocks, rank, stats), capacity, cfg,
+            runs = _write_runs(_wedge_pairs(blocks, rank, stats, capacity), capacity, cfg,
                                stats, scratch, "pairs")
         del rank
         _discard([sorted_path], cfg)

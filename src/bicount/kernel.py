@@ -14,10 +14,14 @@ Wedges are expanded for a slice of start rows at a time, each slice
 holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
 more), so memory is bounded by the chunk rather than by the total wedge
 count.  The rows may be any subset in any order: the sequential engines
-pass every row, and each lane of ``parallel.count_parallel`` its own.
+pass every row, and each lane of ``parallel.count_parallel`` and of
+``edges.count_per_edge_evpp`` its own.
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
+``count_rows`` sums the butterflies of its rows and ``credit_rows`` the
+credit of every entry (one int64 array of 2m entries a call), which the
+per-edge engine maps to edges once, after adding up its lanes.
 This is the in-memory form of the external engine's pair emission and
 sort.  Every sum is exact integer arithmetic.
 """
@@ -94,11 +98,12 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     return RankCsr(n, row_offsets, wedges, columns, sources, first_end)
 
 
-def chunk_bounds(counts: np.ndarray) -> list[int]:
+def chunk_bounds(counts: np.ndarray, cap: int | None = None) -> list[int]:
     """Where to cut items with ``counts`` wedges each into consecutive
-    slices (``np.split`` indices).  A slice holds about ``CHUNK_WEDGES``
-    wedges, more only when its first item with wedges alone has more;
-    items without wedges ride along."""
+    slices (``np.split`` indices).  A slice holds about ``cap`` wedges
+    (``CHUNK_WEDGES`` by default), more only when its first item with
+    wedges alone has more; items without wedges ride along."""
+    cap = CHUNK_WEDGES if cap is None else cap
     before = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=before[1:])
     total = before[-1]
@@ -107,7 +112,7 @@ def chunk_bounds(counts: np.ndarray) -> list[int]:
     while before[stop] < total:
         base = before[stop]
         # At least through the first item with wedges, however many it has.
-        stop = max(int(np.searchsorted(before, base + CHUNK_WEDGES, side="right")) - 1,
+        stop = max(int(np.searchsorted(before, base + cap, side="right")) - 1,
                    int(np.searchsorted(before, base, side="right")))
         stops.append(stop)
     return stops[:-1]
@@ -162,14 +167,14 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
     return butterflies, wedges
 
 
-def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
-    """Butterflies through each edge of ``g`` (int64, in the edge order of
-    ``g.uppers``/``g.lowers``).  Credit is summed per entry, each
-    (start, middle) entry over its consecutive wedges, and mapped to
-    edges once."""
-    csr = rank_csr(g, p)
+def credit_rows(csr: RankCsr, rows: np.ndarray) -> np.ndarray:
+    """Per-entry credit (int64, one per CSR entry) of the wedges starting at
+    ``rows``: a wedge whose (start, end) pair closes c wedges adds c - 1 to
+    its (start, middle) and its (middle, end) entry.  Each (start, middle)
+    entry is credited once over its consecutive wedges.  A pair's wedges
+    share its start, so disjoint row sets give credits that add up."""
     per_entry = np.zeros(len(csr.columns), dtype=np.int64)
-    for row_entries, ends, positions, keys in iter_chunks(csr, np.arange(csr.n)):
+    for row_entries, ends, positions, keys in iter_chunks(csr, rows):
         order = np.argsort(keys)
         runs = run_lengths(keys[order])
         credit = np.empty(len(keys), dtype=np.int64)
@@ -180,6 +185,4 @@ def per_edge_pairs(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
         firsts = np.cumsum(ends) - ends
         per_entry[row_entries[has]] += np.add.reduceat(credit, firsts[has])
         np.add.at(per_entry, positions, credit)
-    per_edge = np.zeros(g.edge_count, dtype=np.int64)
-    np.add.at(per_edge, csr.edges, per_entry)
-    return per_edge
+    return per_entry

@@ -4,8 +4,8 @@ The paper splits start vertices over threads.  Here the schedule decides
 each thread's share, its *lane*, and the lanes fold at the same time:
 each lane is one ``kernel.count_rows`` call over one shared, read-only
 rank-space CSR (``kernel.rank_csr``), made of long numpy passes (sort,
-take, repeat, cumsum) that release the GIL.  A thread pool that lives for
-one call folds them, one worker per lane with rows up to the CPUs the
+take, cumsum) that release the GIL.  A thread pool that lives for one
+call folds them, one worker per lane with wedges up to the CPUs the
 process may use, so ``threads`` is the lane count, never the OS thread
 count; with at most one such lane the call folds in the calling thread
 and starts none.  On the benchmark's ``skewed`` graph (185k edges, 3.24M
@@ -22,6 +22,14 @@ plan is made before counting.  Counts are integers and reports are
 collected in lane order, so the total is identical for every lane count,
 mode, strategy, and seed, and every lane's report repeats exactly across
 calls.
+
+The per-edge counts (``edges.count_per_edge_evpp``) use the same dynamic
+dealing (``_deal``, the highest-priority-first queue) and the same pool
+(``_fold_lanes``), with up to ``_cpu_limit()`` lanes, one worker each.
+Each worker sums ``kernel.credit_rows`` into its own int64 credit array
+of 2m entries, 16m bytes beside its chunk, and the arrays are added up at
+the end; ``_credit_lanes`` deals fewer lanes when memory cannot hold
+them, down to one folded inline, and never refuses.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ STRATEGIES = ("priority", "random", "heuristic")
 
 # Bytes one lane holds besides its chunk: its rows, its load and its report.
 LANE_BYTES = 512
+# Bytes a folding worker holds per wedge of its chunk: about four int64 arrays.
+WEDGE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -141,19 +151,65 @@ def _cpu_limit() -> int:
         return os.cpu_count() or 1
 
 
+def _spare_memory() -> int | None:
+    """Half the physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    except (ValueError, OSError, AttributeError):
+        return None
+
+
 def _memory_guard(chunk_wedges: int, threads: int) -> None:
     """Refuse lane counts whose bookkeeping cannot fit.  At most
     ``_cpu_limit()`` lanes fold at once, each with one chunk's expansion
     (about four int64 arrays of its wedges) live; every lane holds its
     rows, its load in the schedule and its report, about ``LANE_BYTES``."""
-    needed = min(threads, _cpu_limit()) * chunk_wedges * 32 + threads * LANE_BYTES
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError, AttributeError):
-        return
-    if needed > physical // 2:
+    needed = min(threads, _cpu_limit()) * chunk_wedges * WEDGE_BYTES + threads * LANE_BYTES
+    spare = _spare_memory()
+    if spare is not None and needed > spare:
         raise ConfigError(f"{threads} lanes folding chunks of up to {chunk_wedges} "
                           f"wedges need ~{needed} bytes; reduce threads")
+
+
+def _chunk_wedges(csr: kernel.RankCsr) -> int:
+    """The wedges of the largest chunk ``kernel.iter_chunks`` expands."""
+    return max(kernel.CHUNK_WEDGES, int(csr.wedges.max(initial=0)))
+
+
+def _credit_lanes(csr: kernel.RankCsr) -> int:
+    """Lanes of a per-edge fold over ``csr``, one worker each: up to
+    ``_cpu_limit()``, as many as fit, each with one chunk's expansion and
+    its own int64 credit array (8 bytes an entry) live, but never fewer
+    than one, the inline fold."""
+    lanes = _cpu_limit()
+    spare = _spare_memory()
+    if spare is not None:
+        worker = _chunk_wedges(csr) * WEDGE_BYTES + len(csr.columns) * 8 + LANE_BYTES
+        lanes = min(lanes, spare // worker)
+    return max(1, lanes)
+
+
+def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarray]:
+    """Dynamic lanes: ``queue`` (ranks) cut by ``kernel.chunk_bounds`` into
+    slices, each a job lasting its wedge count, dealt by the list schedule."""
+    slices = np.split(queue, kernel.chunk_bounds(csr.wedges[queue]))
+    durations = [int(csr.wedges[rows].sum()) for rows in slices]
+    # queue[:0] keeps a lane that is dealt no slice an empty array.
+    return [np.concatenate([queue[:0], *(slices[i] for i in lane)])
+            for lane in simulate_list_schedule(durations, threads)]
+
+
+def _fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray]) -> list:
+    """``fold(csr, rows)`` of every lane, in lane order.  numpy releases the
+    GIL in the kernel's long passes, so lanes with wedges fold on a pool of
+    up to ``_cpu_limit()`` threads that lives for this call; with at most
+    one such lane every lane folds in the calling thread, which starts none."""
+    workers = min(sum(1 for rows in lanes if csr.wedges[rows].any()), _cpu_limit())
+    fold = partial(fold, csr)
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(fold, lanes))
+    return list(map(fold, lanes))
 
 
 def count_parallel(g: BipartiteGraph, p: np.ndarray,
@@ -165,28 +221,15 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
     """
     t0 = perf_counter()
     csr = kernel.rank_csr(g, p)
-    _memory_guard(max(kernel.CHUNK_WEDGES, int(csr.wedges.max(initial=0))), cfg.threads)
+    _memory_guard(_chunk_wedges(csr), cfg.threads)
 
     if cfg.mode == "dynamic":
-        queue = _queue(g, p, cfg)
-        slices = np.split(queue, kernel.chunk_bounds(csr.wedges[queue]))
-        durations = [int(csr.wedges[rows].sum()) for rows in slices]
-        # queue[:0] keeps a lane that is dealt no slice an empty array.
-        lanes = [np.concatenate([queue[:0], *(slices[i] for i in lane)])
-                 for lane in simulate_list_schedule(durations, cfg.threads)]
+        lanes = _deal(csr, _queue(g, p, cfg), cfg.threads)
     else:
         rank = p - 1
         lanes = [rank[lane] for lane in make_static_assignment(g, p, cfg)]
 
-    # numpy releases the GIL in the kernel's long passes, so lanes with rows
-    # fold on threads of their own; one such lane folds here, starting none.
-    workers = min(sum(1 for rows in lanes if len(rows)), _cpu_limit())
-    fold = partial(kernel.count_rows, csr)
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            folds = list(pool.map(fold, lanes))
-    else:
-        folds = map(fold, lanes)
+    folds = _fold_lanes(csr, kernel.count_rows, lanes)
     reports = [ThreadReport(tid, *counts, len(rows))
                for tid, (counts, rows) in enumerate(zip(folds, lanes))]
     butterflies = check_limit(sum(r.butterflies for r in reports), "butterfly count")

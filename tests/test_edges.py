@@ -1,14 +1,20 @@
-import pytest
+import sys
+import threading
 
+import pytest
+from hypothesis import given, settings
+
+from bicount import kernel, parallel
 from bicount.edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp,
                            edge_counts_tsv, per_edge_counts,
                            per_vertex_from_edges)
 from bicount.errors import ConsistencyError, CountOverflowError, GuardError
 from bicount.exact import count_vpp
-from bicount.generate import complete_graph
+from bicount.generate import complete_graph, hub_graph, random_graph
 from bicount.graph import assign_priorities
 from helpers import (complete_3x2, four_cycle, random_graph_set, three_path,
                      transpose)
+from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
 
@@ -59,6 +65,128 @@ class TestOracleEquivalence:
         # transposing the layers must reproduce the per-edge vector.
         for g in random_graph_set(20, 12, PROBS, seed=64):
             assert per_edge_counts(g).per_edge == per_edge_counts(transpose(g)).per_edge
+
+
+def record_credit_threads(monkeypatch, barrier=None):
+    """Wrap ``kernel.credit_rows`` to record the thread of every lane's
+    fold; with ``barrier``, every fold waits there, so folds that do not
+    run at the same time break it."""
+    real, idents = kernel.credit_rows, []
+
+    def recording(csr, rows):
+        idents.append(threading.get_ident())
+        if barrier is not None:
+            barrier.wait()
+        return real(csr, rows)
+
+    monkeypatch.setattr(kernel, "credit_rows", recording)
+    return idents
+
+
+def busy_graph():
+    """Under a chunk cap of 50 wedges, both of its dynamic lanes have wedges."""
+    return random_graph(30, 40, 0.2, seed=12)
+
+
+class TestThreadedCredit:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_any_lane_count_matches_brute_force(self, g):
+        # A chunk cap of one makes every start its own slice.
+        expected = brute_force_per_edge(g)
+        with pytest.MonkeyPatch.context() as mp:
+            for chunk in (1, 50):
+                mp.setattr(kernel, "CHUNK_WEDGES", chunk)
+                for cpus in (1, 2, 3):
+                    mp.setattr(parallel, "_cpu_limit", lambda cpus=cpus: cpus)
+                    assert per_edge_counts(g) == expected
+
+    def test_more_lanes_than_cores_under_fast_thread_switches(self, monkeypatch):
+        # Workers share only the read-only CSR: a lane that wrote into
+        # another's credit array would lose counts under frequent switches.
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 8)
+        expected = brute_force_per_edge(g)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                assert per_edge_counts(g) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(parallel._cpu_limit() < 2, reason="needs 2 CPUs")
+    def test_two_lanes_fold_at_the_same_time(self, monkeypatch):
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        idents = record_credit_threads(monkeypatch, threading.Barrier(2, timeout=10))
+        assert per_edge_counts(g) == brute_force_per_edge(g)
+        assert len(set(idents)) == 2 and threading.get_ident() not in idents
+
+    def test_one_chunk_folds_in_the_calling_thread(self, monkeypatch):
+        g = hub_graph(40)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        idents = record_credit_threads(monkeypatch)
+        before = threading.active_count()
+        assert per_edge_counts(g) == brute_force_per_edge(g)
+        assert idents == [threading.get_ident()] * 2
+        assert threading.active_count() == before
+
+    def test_one_cpu_folds_inline_with_the_same_counts(self, monkeypatch):
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        threaded = per_edge_counts(g)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
+        idents = record_credit_threads(monkeypatch)
+        before = threading.active_count()
+        assert per_edge_counts(g) == threaded
+        assert idents == [threading.get_ident()]
+        assert threading.active_count() == before
+
+    def test_failing_lane_is_raised_after_the_pool_joins(self, monkeypatch):
+        # A lane that dies must not leave silently short counts.
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        real, calls = kernel.credit_rows, []
+
+        def failing_once(csr, rows):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                raise MemoryError("simulated")
+            return real(csr, rows)
+
+        monkeypatch.setattr(kernel, "credit_rows", failing_once)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="simulated"):
+            per_edge_counts(g)
+        assert len(calls) == 2 and threading.get_ident() not in calls
+        assert threading.active_count() == before
+
+    def test_short_memory_folds_fewer_lanes_and_never_refuses(self, monkeypatch):
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 3)
+        expected = per_edge_counts(g)
+        csr = kernel.rank_csr(g, assign_priorities(g))
+        # 6 MiB of memory: half of it holds one lane with a 2 MiB chunk
+        # expansion and a credit array, or two with 1 MiB chunks, not three.
+        pages = {"SC_PHYS_PAGES": 6 * 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 16)
+        assert parallel._credit_lanes(csr) == 1
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 15)
+        assert parallel._credit_lanes(csr) == 2
+        # One page: not even one lane fits, and the inline fold still counts.
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        pages["SC_PHYS_PAGES"] = 1
+        assert parallel._credit_lanes(csr) == 1
+        idents = record_credit_threads(monkeypatch)
+        assert per_edge_counts(g) == expected
+        assert idents == [threading.get_ident()]
 
 
 class TestPerVertexFromEdges:

@@ -252,6 +252,32 @@ class TestEmCount:
         assert len(runs) > 1
         assert max(runs) <= capacity * external.RECORD_WIDTH
 
+    def test_pair_arrays_fit_the_pair_run_buffer(self, tmp_path, monkeypatch):
+        # The emission's arrays are cut at the pair run buffer, not only at
+        # the kernel's chunk: at the smallest budget no array it hands over
+        # is larger than the buffer, unless it holds one member's pairs.
+        path = tmp_path / "dense.txt"
+        assert main(["gen", "random", "--a", "100", "--b", "100", "--p", "0.3",
+                     "--seed", "1", "--output", str(path)]) == 0
+        real, seen = external._write_runs, []
+
+        def recording(arrays, capacity, *args):
+            def seen_arrays():
+                for records in arrays:
+                    # A pair's low field is the member whose pairs it is.
+                    members = len(np.unique(records & 0xFFFF_FFFF))
+                    seen.append((len(records), capacity, members))
+                    yield records
+            return real(seen_arrays() if args[-1] == "pairs" else arrays, capacity, *args)
+
+        monkeypatch.setattr(external, "_write_runs", recording)
+        report, stats = em_count(path, MIN_CFG)
+        assert report.butterflies == vpp_report(path).butterflies
+        assert sum(size for size, _, _ in seen) == stats.pairs_emitted
+        assert len(seen) > 1
+        for size, capacity, members in seen:
+            assert size <= capacity or members == 1
+
     def test_a_failure_in_any_pass_closes_its_files_first(self, tmp_path, monkeypatch):
         # An error in the degree pass, the emission or the fold (any call of
         # run_lengths) closes every file before the scratch dir is removed,

@@ -244,13 +244,16 @@ class TestCountParallel:
         parallel._memory_guard(1 << 16, 2)
 
     def test_worker_failure_is_raised(self, monkeypatch):
-        # A worker that dies must not leave a silently short count.
-        g = hub_graph(30)
+        # A worker that dies must not leave a silently short count.  Both
+        # static lanes of this graph have wedges, so both fold on the pool.
+        g = random_graph(30, 40, 0.2, seed=12)
         p = assign_priorities(g)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         real, calls = kernel.count_rows, []
 
         def failing_once(csr, rows):
-            calls.append(rows)
+            calls.append(threading.get_ident())
             if len(calls) == 2:
                 raise MemoryError("simulated")
             return real(csr, rows)
@@ -260,6 +263,7 @@ class TestCountParallel:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="simulated"):
             count_parallel(g, p, cfg)
+        assert len(calls) == 2 and threading.get_ident() not in calls
         # The pool has joined its workers before the failure is raised.
         assert threading.active_count() == before
 
@@ -349,6 +353,20 @@ class TestThreadPool:
                 assert inline_lanes == lanes
                 assert inline_report.counters() == report.counters()
         assert set(idents) == {threading.get_ident()}
+
+    def test_lanes_without_wedges_start_no_worker(self, monkeypatch):
+        # The static priority lane 0 of this hub graph holds only vertices
+        # without wedges, so one lane has work and it folds here.
+        g = hub_graph(30)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        idents, _ = record_fold_threads(monkeypatch)
+        before = threading.active_count()
+        cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
+        _, lanes = count_parallel(g, assign_priorities(g), cfg)
+        assert [t.wedges_processed > 0 for t in lanes] == [False, True]
+        assert lanes[0].vertices_handled > 0
+        assert idents == [threading.get_ident()] * 2
+        assert threading.active_count() == before
 
     def test_one_slice_folds_in_the_calling_thread(self, monkeypatch):
         g = hub_graph(40)
