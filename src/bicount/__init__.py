@@ -15,6 +15,6 @@ from .graph import (BipartiteGraph, assign_priorities,
                     format_edge_list, load_edge_list, parse_edge_list,
                     ranked_neighbors, read_edges)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
-                       estimate_all_workloads, make_static_assignment)
+                       make_static_assignment)
 
 __version__ = "0.1.0"

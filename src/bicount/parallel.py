@@ -14,14 +14,13 @@ against 0.122 s in turn.  Every lane is dealt by one model, the list
 schedule (Graham 1969, ``simulate_list_schedule``): jobs leave
 one queue in order, each to the lane that frees earliest.  The strategy
 picks the queue of start vertices (highest priority first, a seeded
-shuffle, or longest estimated workload first); the mode picks the jobs.
-A dynamic job is a slice of about ``kernel.CHUNK_WEDGES`` consecutive
-queued vertices lasting its wedge count; a static job is one vertex
-lasting its estimated workload (``estimate_all_workloads``), so the static
-plan is made before counting.  Counts are integers and reports are
-collected in lane order, so the total is identical for every lane count,
-mode, strategy, and seed, and every lane's report repeats exactly across
-calls.
+shuffle, or most wedges first); the mode picks the jobs.  Either job
+lasts its exact wedge count, ``csr.wedges`` of the CSR built before the
+plan: a dynamic job is a slice of about ``kernel.CHUNK_WEDGES``
+consecutive queued vertices, a static job is one queued vertex.  Counts
+are integers and reports are collected in lane order, so the total is
+identical for every lane count, mode, strategy, and seed, and every
+lane's report repeats exactly across calls.
 
 The per-edge counts (``edges.count_per_edge_evpp``) use the same dynamic
 dealing (``_deal``, the highest-priority-first queue) and the same pool
@@ -82,21 +81,6 @@ class ThreadReport:
     vertices_handled: int
 
 
-def estimate_all_workloads(g: BipartiteGraph, p: np.ndarray) -> np.ndarray:
-    """Cheap workload estimate of every start vertex u: the number of
-    two-hop entries (v, w) with v a neighbor of u and w a neighbor of v
-    outranking v.  O(n + m): precompute, per middle v, how many of its
-    neighbors outrank it, then sum over each start's middles."""
-    n = g.vertex_count
-    uppers, lowers = g.uppers, g.lowers
-    # Each edge counts once, at its end that the other end outranks.
-    outranked = np.bincount(np.where(p[uppers] > p[lowers], lowers, uppers), minlength=n)
-    workloads = np.zeros(n, dtype=np.int64)
-    np.add.at(workloads, uppers, outranked[lowers])
-    np.add.at(workloads, lowers, outranked[uppers])
-    return workloads
-
-
 def simulate_list_schedule(workloads: list[int], threads: int) -> list[list[int]]:
     """The list schedule: jobs in queue order go to the thread that frees
     earliest.  Returns each thread's job indices, in the order dealt."""
@@ -110,37 +94,25 @@ def simulate_list_schedule(workloads: list[int], threads: int) -> list[list[int]
     return assignment
 
 
-def _queue(g: BipartiteGraph, p: np.ndarray, cfg: ScheduleConfig,
-           workloads: np.ndarray | None = None) -> np.ndarray:
-    """The strategy's queue of start vertices, as ranks.  ``workloads``
-    spares the heuristic a second estimate."""
-    n = g.vertex_count
+def _queue(csr: kernel.RankCsr, p: np.ndarray, cfg: ScheduleConfig) -> np.ndarray:
+    """The strategy's queue of start vertices, as ranks: highest priority
+    first, a seeded shuffle of the vertices, or most wedges first (ties
+    in rank order)."""
     if cfg.strategy == "priority":
-        return np.arange(n)[::-1]
-    if cfg.strategy == "random":
-        order = list(range(n))
-        random.Random(cfg.seed).shuffle(order)
-    else:
-        if workloads is None:
-            workloads = estimate_all_workloads(g, p)
-        # Longest first, ties in vertex order.
-        order = np.argsort(-workloads, kind="stable")
+        return np.arange(len(p))[::-1]
+    if cfg.strategy == "heuristic":
+        return np.argsort(-csr.wedges, kind="stable")
+    order = list(range(len(p)))
+    random.Random(cfg.seed).shuffle(order)
     return (p - 1)[order]
 
 
-def make_static_assignment(g: BipartiteGraph, p: np.ndarray,
-                           cfg: ScheduleConfig) -> list[list[int]]:
-    """The static plan: the strategy's queue dealt one vertex at a time by
-    the list schedule, each vertex lasting its estimated workload.
-    Returns each lane's vertices, in the order dealt."""
-    if cfg.mode != "static":
-        raise ConfigError("static assignment requested for a non-static config")
-    workloads = estimate_all_workloads(g, p)
-    vertex = np.empty_like(p)
-    vertex[p - 1] = np.arange(len(p))
-    queue = vertex[_queue(g, p, cfg, workloads)]
-    return [queue[lane].tolist()
-            for lane in simulate_list_schedule(workloads[queue].tolist(), cfg.threads)]
+def make_static_assignment(csr: kernel.RankCsr, queue: np.ndarray,
+                           threads: int) -> list[np.ndarray]:
+    """Static lanes: ``queue`` (ranks) dealt one vertex at a time by the
+    list schedule, each vertex lasting its wedge count.  Returns each
+    lane's ranks, in the order dealt."""
+    return [queue[lane] for lane in simulate_list_schedule(csr.wedges[queue].tolist(), threads)]
 
 
 def _cpu_limit() -> int:
@@ -223,11 +195,8 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
     csr = kernel.rank_csr(g, p)
     _memory_guard(_chunk_wedges(csr), cfg.threads)
 
-    if cfg.mode == "dynamic":
-        lanes = _deal(csr, _queue(g, p, cfg), cfg.threads)
-    else:
-        rank = p - 1
-        lanes = [rank[lane] for lane in make_static_assignment(g, p, cfg)]
+    plan = _deal if cfg.mode == "dynamic" else make_static_assignment
+    lanes = plan(csr, _queue(csr, p, cfg), cfg.threads)
 
     folds = _fold_lanes(csr, kernel.count_rows, lanes)
     reports = [ThreadReport(tid, *counts, len(rows))
