@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parallel", help="exact count over scheduled lanes")
     p.add_argument("input")
     p.add_argument("--threads", type=int, default=4,
-                   help="lanes to split start vertices over (folded at once, one worker a CPU)")
+                   help="lanes to split start vertices over (folded at once, up to one "
+                        "worker a CPU as memory allows)")
     p.add_argument("--schedule", choices=MODES, default="dynamic")
     p.add_argument("--strategy", choices=STRATEGIES, default="priority")
     p.add_argument("--seed", type=int, default=0)

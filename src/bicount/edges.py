@@ -4,15 +4,16 @@ The engine runs the end-dominant wedge rule in the rank-space kernel
 (``kernel.py``): each wedge (u, v, w) whose (u, w) pair closes c wedges
 lies in c - 1 butterflies together with each of its two edges, and the
 kernel credits the CSR entries of both, which carry their edge ids, so no
-edge-index lookup is needed.  The start vertices are dealt into up to
-``_cpu_limit()`` lanes by the parallel engine's dynamic schedule (highest
-priority first), and the lanes fold on its thread pool
-(``parallel._deal`` and ``parallel._fold_lanes``).  Each lane, one worker,
-sums into its own int64 credit array of 2m entries, so lanes never race;
-the arrays are added up and mapped to edges once.  Fewer lanes fold when
-memory cannot hold an array and a chunk per worker, down to one folded
-in the calling thread.  The sums are integers, so the counts are
-identical for every lane count.
+edge-index lookup is needed.  The start vertices are dealt by the
+parallel engine's dynamic schedule (highest priority first) into one
+lane per worker that its rule ``parallel._workers`` allows, each worker
+holding a credit array besides its chunk, and the lanes fold on its
+thread pool (``parallel._deal`` and ``parallel._fold_lanes``).  Each
+lane sums into its own int64 credit array of 2m entries, so lanes never
+race; the arrays are added up and mapped to edges once.  Under short
+memory the rule allows fewer lanes, down to one folded in the calling
+thread, and no graph is refused.  The sums are integers, so the counts
+are identical for every lane count.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ def count_per_edge_evpp(g: BipartiteGraph, p: np.ndarray) -> EdgeCounts:
     """Per-edge counts of ``g`` under any priorities ``p``, following
     g's edge index."""
     csr = kernel.rank_csr(g, p)
-    lanes = parallel._deal(csr, np.arange(csr.n)[::-1], parallel._credit_lanes(csr))
-    per_entry, *others = parallel._fold_lanes(csr, kernel.credit_rows, lanes)
+    # One lane a worker, each holding an int64 credit array of its own.
+    workers = parallel._workers(csr, 8 * len(csr.columns))
+    lanes = parallel._deal(csr, np.arange(csr.n)[::-1], workers)
+    per_entry, *others = parallel._fold_lanes(csr, kernel.credit_rows, lanes, workers)
     for credit in others:
         per_entry += credit
     per_edge = np.zeros(g.edge_count, dtype=np.int64)
@@ -67,8 +70,11 @@ def brute_force_per_edge(g: BipartiteGraph) -> EdgeCounts:
     if g.edge_count > BRUTE_FORCE_EDGE_GUARD:
         raise GuardError(f"brute force limited to {BRUTE_FORCE_EDGE_GUARD} edges, "
                          f"got {g.edge_count}")
-    neighbor_sets = [set(a) for a in g.adjacency]
-    index = {edge: i for i, edge in enumerate(g.edges)}
+    index = {edge: i for i, edge in enumerate(zip(g.uppers.tolist(), g.lowers.tolist()))}
+    # The lower neighbors of each upper vertex; the loop reads no others.
+    neighbor_sets = [set() for _ in range(g.vertex_count)]
+    for u, v in index:
+        neighbor_sets[u].add(v)
     lowers = list(g.lower_vertices())
     uppers = list(g.upper_vertices())
     per_edge = [0] * g.edge_count

@@ -37,15 +37,12 @@ class BipartiteGraph:
     counters.  ``degrees`` is the int64 array of vertex degrees.
     ``external_labels[v]`` is the label the vertex had in the input file
     (the two layers have independent label namespaces); ``edge_labels``
-    gathers them per edge.  The tuple list ``edges`` and the neighbor
-    lists ``adjacency`` (each in edge order) are Python views built on
-    first use, for the brute-force oracles.  Treat instances as frozen
-    after construction; they are safe to share across threads (a lazy
-    view built twice is built alike).
+    gathers them per edge.  Treat instances as frozen after construction;
+    they are safe to share across threads.
     """
 
     __slots__ = ("upper_count", "lower_count", "uppers", "lowers", "degrees",
-                 "external_labels", "duplicates_dropped", "_edges", "_adjacency")
+                 "external_labels", "duplicates_dropped")
 
     def __init__(self, upper_count, lower_count, uppers, lowers, external_labels,
                  duplicates_dropped=0):
@@ -57,8 +54,6 @@ class BipartiteGraph:
         self.degrees = np.bincount(uppers, minlength=n) + np.bincount(lowers, minlength=n)
         self.external_labels = external_labels
         self.duplicates_dropped = duplicates_dropped
-        self._edges = None
-        self._adjacency = None
 
     @property
     def vertex_count(self) -> int:
@@ -67,25 +62,6 @@ class BipartiteGraph:
     @property
     def edge_count(self) -> int:
         return len(self.uppers)
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        """(upper, lower) internal-ID pairs in edge order."""
-        if self._edges is None:
-            self._edges = list(zip(self.uppers.tolist(), self.lowers.tolist()))
-        return self._edges
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """Neighbor lists, each in edge order."""
-        if self._adjacency is None:
-            # A stable sort by center keeps each vertex's entries in edge order.
-            order = np.argsort(np.concatenate((self.uppers, self.lowers)), kind="stable")
-            neighbors = np.concatenate((self.lowers, self.uppers))[order].tolist()
-            bounds = np.cumsum(self.degrees).tolist()
-            self._adjacency = [neighbors[stop - d:stop]
-                               for d, stop in zip(self.degrees.tolist(), bounds)]
-        return self._adjacency
 
     def edge_labels(self) -> tuple[list[int], list[int]]:
         """The external labels of the upper and of the lower end of each

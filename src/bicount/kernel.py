@@ -138,7 +138,8 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     first_end = csr.first_end[row_entries]
     ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
     positions = ranges(first_end, ends)
-    keys = np.repeat(np.repeat(rows * csr.n, degrees), ends) + csr.columns[positions]
+    # A start's wedges are consecutive, so one repeat over the starts suffices.
+    keys = np.repeat(rows * csr.n, csr.wedges[rows]) + csr.columns[positions]
     return row_entries, ends, positions, keys
 
 

@@ -5,30 +5,36 @@ each thread's share, its *lane*, and the lanes fold at the same time:
 each lane is one ``kernel.count_rows`` call over one shared, read-only
 rank-space CSR (``kernel.rank_csr``), made of long numpy passes (sort,
 take, cumsum) that release the GIL.  A thread pool that lives for one
-call folds them, one worker per lane with wedges up to the CPUs the
-process may use, so ``threads`` is the lane count, never the OS thread
-count; with at most one such lane the call folds in the calling thread
-and starts none.  On the benchmark's ``skewed`` graph (185k edges, 3.24M
-wedges; 2-core Xeon) the two lanes fold in 0.075 s on two workers
-against 0.122 s in turn.  Every lane is dealt by one model, the list
-schedule (Graham 1969, ``simulate_list_schedule``): jobs leave
-one queue in order, each to the lane that frees earliest.  The strategy
-picks the queue of start vertices (highest priority first, a seeded
-shuffle, or most wedges first); the mode picks the jobs.  Either job
-lasts its exact wedge count, ``csr.wedges`` of the CSR built before the
-plan: a dynamic job is a slice of about ``kernel.CHUNK_WEDGES``
-consecutive queued vertices, a static job is one queued vertex.  Counts
-are integers and reports are collected in lane order, so the total is
-identical for every lane count, mode, strategy, and seed, and every
-lane's report repeats exactly across calls.
+call folds them, one worker per lane with wedges up to ``_workers``, so
+``threads`` is the lane count, never the OS thread count; with at most
+one such lane the call folds in the calling thread and starts none.  On
+the benchmark's ``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon)
+the two lanes fold in 0.075 s on two workers against 0.122 s in turn.
+Every lane is dealt by one model, the list schedule (Graham 1969,
+``simulate_list_schedule``): jobs leave one queue in order, each to the
+lane that frees earliest.  The strategy picks the queue of start
+vertices (highest priority first, a seeded shuffle, or most wedges
+first); the mode picks the jobs.  Either job lasts its exact wedge
+count, ``csr.wedges`` of the CSR built before the plan: a dynamic job is
+a slice of about ``kernel.CHUNK_WEDGES`` consecutive queued vertices, a
+static job is one queued vertex.  Counts are integers and reports are
+collected in lane order, so the total is identical for every lane count,
+mode, strategy, and seed, and every lane's report repeats exactly across
+calls.
 
-The per-edge counts (``edges.count_per_edge_evpp``) use the same dynamic
-dealing (``_deal``, the highest-priority-first queue) and the same pool
-(``_fold_lanes``), with up to ``_cpu_limit()`` lanes, one worker each.
-Each worker sums ``kernel.credit_rows`` into its own int64 credit array
-of 2m entries, 16m bytes beside its chunk, and the arrays are added up at
-the end; ``_credit_lanes`` deals fewer lanes when memory cannot hold
-them, down to one folded inline, and never refuses.
+One rule, ``_workers``, caps how many threads fold at once: up to the
+CPUs the process may use, and as many as half the physical memory holds,
+each with the largest chunk's expansion.  Memory never decides whether a
+graph is counted: under short memory fewer lanes fold at once, down to
+one in the calling thread, and since a lane's report does not depend on
+where it folds, the results are the same.  Only a lane count whose
+bookkeeping alone exceeds that memory is refused.  The per-edge counts
+(``edges.count_per_edge_evpp``) use the same dynamic dealing (``_deal``,
+the highest-priority-first queue) and the same pool (``_fold_lanes``),
+one lane per worker that ``_workers`` allows with a credit array held:
+each sums ``kernel.credit_rows`` into its own int64 credit array of 2m
+entries, 16m bytes beside its chunk, and the arrays are added up at the
+end.
 """
 
 from __future__ import annotations
@@ -53,8 +59,13 @@ STRATEGIES = ("priority", "random", "heuristic")
 
 # Bytes one lane holds besides its chunk: its rows, its load and its report.
 LANE_BYTES = 512
-# Bytes a folding worker holds per wedge of its chunk: about four int64 arrays.
-WEDGE_BYTES = 32
+# Bytes a folding worker holds per wedge and per (start, middle) entry of
+# its chunk.  Under tracemalloc, one chunk of ``kernel.count_rows`` or
+# ``kernel.credit_rows`` (credit array aside) peaked within 50 bytes a
+# wedge plus 48 an entry on graphs with 0.14 to 9 entries a wedge, where
+# the peaks read 44 to 400 bytes a wedge (``tests/test_parallel.py``).
+WEDGE_BYTES = 56
+ENTRY_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -131,34 +142,26 @@ def _spare_memory() -> int | None:
         return None
 
 
-def _memory_guard(chunk_wedges: int, threads: int) -> None:
-    """Refuse lane counts whose bookkeeping cannot fit.  At most
-    ``_cpu_limit()`` lanes fold at once, each with one chunk's expansion
-    (about four int64 arrays of its wedges) live; every lane holds its
-    rows, its load in the schedule and its report, about ``LANE_BYTES``."""
-    needed = min(threads, _cpu_limit()) * chunk_wedges * WEDGE_BYTES + threads * LANE_BYTES
+def _workers(csr: kernel.RankCsr, held: int = 0) -> int:
+    """How many threads may fold lanes over ``csr`` at once: up to
+    ``_cpu_limit()``, as many as half the physical memory holds, each with
+    the largest chunk's expansion, ``held`` bytes of its own and
+    ``LANE_BYTES``; never fewer than one, which folds in the calling thread."""
+    workers = _cpu_limit()
     spare = _spare_memory()
-    if spare is not None and needed > spare:
-        raise ConfigError(f"{threads} lanes folding chunks of up to {chunk_wedges} "
-                          f"wedges need ~{needed} bytes; reduce threads")
-
-
-def _chunk_wedges(csr: kernel.RankCsr) -> int:
-    """The wedges of the largest chunk ``kernel.iter_chunks`` expands."""
-    return max(kernel.CHUNK_WEDGES, int(csr.wedges.max(initial=0)))
-
-
-def _credit_lanes(csr: kernel.RankCsr) -> int:
-    """Lanes of a per-edge fold over ``csr``, one worker each: up to
-    ``_cpu_limit()``, as many as fit, each with one chunk's expansion and
-    its own int64 credit array (8 bytes an entry) live, but never fewer
-    than one, the inline fold."""
-    lanes = _cpu_limit()
-    spare = _spare_memory()
-    if spare is not None:
-        worker = _chunk_wedges(csr) * WEDGE_BYTES + len(csr.columns) * 8 + LANE_BYTES
-        lanes = min(lanes, spare // worker)
-    return max(1, lanes)
+    if spare is not None and workers > 1:
+        starts = csr.wedges > 0
+        wedges, entries = csr.wedges[starts], np.diff(csr.row_offsets)[starts]
+        # A chunk is one start, or starts with at most CHUNK_WEDGES wedges,
+        # whose entries are at most those of the starts with the most
+        # entries a wedge that reach CHUNK_WEDGES (a fractional knapsack).
+        order = np.argsort(wedges / entries)
+        reach = int(np.searchsorted(np.cumsum(wedges[order]), kernel.CHUNK_WEDGES)) + 1
+        chunk = (max(kernel.CHUNK_WEDGES, int(wedges.max(initial=0))) * WEDGE_BYTES
+                 + max(int(entries[order[:reach]].sum()), int(entries.max(initial=0)))
+                 * ENTRY_BYTES)
+        workers = min(workers, spare // (chunk + held + LANE_BYTES))
+    return max(1, workers)
 
 
 def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarray]:
@@ -171,12 +174,13 @@ def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarr
             for lane in simulate_list_schedule(durations, threads)]
 
 
-def _fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray]) -> list:
+def _fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray], workers: int) -> list:
     """``fold(csr, rows)`` of every lane, in lane order.  numpy releases the
     GIL in the kernel's long passes, so lanes with wedges fold on a pool of
-    up to ``_cpu_limit()`` threads that lives for this call; with at most
-    one such lane every lane folds in the calling thread, which starts none."""
-    workers = min(sum(1 for rows in lanes if csr.wedges[rows].any()), _cpu_limit())
+    up to ``workers`` threads (``_workers``) that lives for this call; with
+    at most one such lane, or one worker, every lane folds in the calling
+    thread, which starts none.  Each lane's result is the same either way."""
+    workers = min(sum(1 for rows in lanes if csr.wedges[rows].any()), workers)
     fold = partial(fold, csr)
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
@@ -192,13 +196,16 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
     partition its total.
     """
     t0 = perf_counter()
+    spare = _spare_memory()
+    if spare is not None and cfg.threads * LANE_BYTES > spare:
+        raise ConfigError(f"{cfg.threads} lanes need ~{cfg.threads * LANE_BYTES} bytes "
+                          "of bookkeeping; reduce threads")
     csr = kernel.rank_csr(g, p)
-    _memory_guard(_chunk_wedges(csr), cfg.threads)
 
     plan = _deal if cfg.mode == "dynamic" else make_static_assignment
     lanes = plan(csr, _queue(csr, p, cfg), cfg.threads)
 
-    folds = _fold_lanes(csr, kernel.count_rows, lanes)
+    folds = _fold_lanes(csr, kernel.count_rows, lanes, _workers(csr))
     reports = [ThreadReport(tid, *counts, len(rows))
                for tid, (counts, rows) in enumerate(zip(folds, lanes))]
     butterflies = check_limit(sum(r.butterflies for r in reports), "butterfly count")

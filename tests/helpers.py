@@ -32,6 +32,20 @@ def files_left_open(monkeypatch, module) -> list[str]:
     return left_open
 
 
+def edge_list(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """(upper, lower) internal-ID pairs in edge order."""
+    return list(zip(g.uppers.tolist(), g.lowers.tolist()))
+
+
+def neighbor_lists(g: BipartiteGraph) -> list[list[int]]:
+    """Every vertex's neighbors, each list in edge order."""
+    adjacency: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for u, v in edge_list(g):
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
 def four_cycle() -> BipartiteGraph:
     return BipartiteGraph.build([(0, 0), (0, 1), (1, 0), (1, 1)])
 
@@ -64,7 +78,7 @@ def end_dominance_example() -> BipartiteGraph:
 def transpose(g: BipartiteGraph) -> BipartiteGraph:
     """Swap the two layers, preserving the edge order."""
     l = g.lower_count
-    pairs = [(v, u - l) for u, v in g.edges]
+    pairs = [(v, u - l) for u, v in edge_list(g)]
     return BipartiteGraph.build(pairs, g.lower_count, g.upper_count)
 
 
@@ -92,7 +106,7 @@ def priority_by_comparison(g: BipartiteGraph) -> list[int]:
 
 def brute_force_per_vertex(g: BipartiteGraph) -> list[int]:
     """Quadruple enumeration crediting all four member vertices."""
-    neighbor_sets = [set(a) for a in g.adjacency]
+    neighbor_sets = [set(a) for a in neighbor_lists(g)]
     lowers = list(g.lower_vertices())
     result = [0] * g.vertex_count
     for u, w in combinations(g.upper_vertices(), 2):
@@ -110,9 +124,9 @@ def brute_force_per_vertex(g: BipartiteGraph) -> list[int]:
 
 def brute_force_three_paths(g: BipartiteGraph) -> int:
     """Enumerate three-edge simple paths one by one around each middle edge."""
-    adjacency = g.adjacency
+    adjacency = neighbor_lists(g)
     total = 0
-    for u, v in g.edges:
+    for u, v in edge_list(g):
         for a in adjacency[u]:
             if a == v:
                 continue
@@ -198,7 +212,7 @@ def iter_start_dominant_wedges(g: BipartiteGraph, p):
     processes: start outranks middle and end.  Instrumentation-grade (no
     early breaks); order-independent of adjacency sorting."""
     pr = p.tolist()
-    adjacency = g.adjacency
+    adjacency = neighbor_lists(g)
     for u in range(g.vertex_count):
         pu = pr[u]
         for v in adjacency[u]:
@@ -212,7 +226,7 @@ def iter_end_dominant_wedges(g: BipartiteGraph, p):
     """Yield every wedge the end-dominant rule processes: end outranks
     middle and start.  Instrumentation-grade."""
     pr = p.tolist()
-    adjacency = g.adjacency
+    adjacency = neighbor_lists(g)
     for u in range(g.vertex_count):
         pu = pr[u]
         for v in adjacency[u]:

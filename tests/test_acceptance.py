@@ -20,7 +20,7 @@ from bicount.generate import (hub_graph, hub_path_graph, pairs_to_text,
                               random_pairs_m)
 from bicount.graph import assign_priorities, parse_edge_list
 from bicount.parallel import ScheduleConfig, count_parallel
-from helpers import (brute_force_three_paths, four_cycle, random_graph_set,
+from helpers import (brute_force_three_paths, edge_list, four_cycle, random_graph_set,
                      star, three_path)
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -100,7 +100,7 @@ def test_criterion_05_squared_degree_bound(corpus):
     # Equality witness: on a star every edge's min degree is the leaf side,
     # so the per-edge min sum meets the smaller squared-degree sum exactly.
     g = star(12)
-    min_sum = sum(min(g.degrees[u], g.degrees[v]) for u, v in g.edges)
+    min_sum = sum(min(g.degrees[u], g.degrees[v]) for u, v in edge_list(g))
     upper_sq = sum(g.degrees[u] ** 2 for u in g.upper_vertices())
     lower_sq = sum(g.degrees[v] ** 2 for v in g.lower_vertices())
     assert min_sum == min(upper_sq, lower_sq) == 12

@@ -8,7 +8,7 @@ from bicount.approx import _draws, estimate_butterflies, run_trials, sparsify
 from bicount.exact import count_vpp
 from bicount.generate import complete_graph, hub_graph
 from bicount.graph import assign_priorities
-from helpers import complete_3x2, three_path
+from helpers import complete_3x2, edge_list, three_path
 
 
 def exact_count(g):
@@ -18,11 +18,11 @@ def exact_count(g):
 class TestSparsify:
     def test_p_one_keeps_everything(self):
         g = hub_graph(20)
-        assert sparsify(g, 1.0, seed=5).edges == g.edges
+        assert edge_list(sparsify(g, 1.0, seed=5)) == edge_list(g)
 
     def test_same_seed_same_subset(self):
         g = hub_graph(20)
-        assert sparsify(g, 0.5, seed=9).edges == sparsify(g, 0.5, seed=9).edges
+        assert edge_list(sparsify(g, 0.5, seed=9)) == edge_list(sparsify(g, 0.5, seed=9))
 
     def test_vertex_universe_unchanged(self):
         g = hub_graph(20)
@@ -39,7 +39,7 @@ class TestSparsify:
         # One draw per edge, in edge order: an edge stays iff its draw is below p.
         g = complete_graph(7, 25)
         draw = random.Random(seed).random
-        assert sparsify(g, 0.5, seed).edges == [e for e in g.edges if draw() < 0.5]
+        assert edge_list(sparsify(g, 0.5, seed)) == [e for e in edge_list(g) if draw() < 0.5]
 
     def test_invalid_probability_rejected(self):
         g = complete_3x2()

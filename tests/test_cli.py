@@ -105,6 +105,18 @@ class TestExitCodes:
         assert main([a.format(dir=tmp_path, file=four_cycle_file) for a in argv]) == code
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_absurd_thread_count_is_2_without_a_traceback(self, four_cycle_file):
+        # The lanes' bookkeeping alone exceeds half of any machine's memory.
+        proc = subprocess.run(
+            [sys.executable, "-m", "bicount", "parallel", four_cycle_file,
+             "--threads", "100000000000000"],
+            capture_output=True, text=True, check=False,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin:/usr/local/bin"},
+            cwd=REPO_ROOT)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "threads" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["count", "edges", "parallel", "em"])
     def test_count_overflow_is_3(self, capsys, monkeypatch, four_cycle_file, command):
         monkeypatch.setattr(exact, "COUNT_LIMIT", 1)

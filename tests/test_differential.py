@@ -19,6 +19,7 @@ from bicount.external import EmConfig, em_count
 from bicount.generate import pairs_to_text
 from bicount.graph import assign_priorities, parse_edge_list
 from bicount.parallel import ScheduleConfig, count_parallel
+from helpers import edge_list
 from test_kernel import graphs
 
 SMALL_EM = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -28,7 +29,8 @@ def labelled_counts(g):
     """The total and each edge's count, keyed by its (upper, lower) labels."""
     ec = per_edge_counts(g)
     labels = g.external_labels
-    return ec.butterflies, {(labels[u], labels[v]): c for (u, v), c in zip(g.edges, ec.per_edge)}
+    return ec.butterflies, {(labels[u], labels[v]): c
+                            for (u, v), c in zip(edge_list(g), ec.per_edge)}
 
 
 def parsed(pairs):
@@ -43,7 +45,7 @@ def test_engines_agree_and_counts_follow_their_edges(g, rng):
     for mode in ("dynamic", "static"):
         totals[mode] = count_parallel(g, p, ScheduleConfig(mode=mode, threads=3))[0].butterflies
     # A built graph labels each vertex with its index in its layer.
-    pairs = [(u - g.lower_count, v) for u, v in g.edges]
+    pairs = [(u - g.lower_count, v) for u, v in edge_list(g)]
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "g.txt"
         path.write_text(pairs_to_text(pairs))

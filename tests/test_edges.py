@@ -172,18 +172,20 @@ class TestThreadedCredit:
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 3)
         expected = per_edge_counts(g)
         csr = kernel.rank_csr(g, assign_priorities(g))
-        # 6 MiB of memory: half of it holds one lane with a 2 MiB chunk
-        # expansion and a credit array, or two with 1 MiB chunks, not three.
-        pages = {"SC_PHYS_PAGES": 6 * 256, "SC_PAGE_SIZE": 4096}
+        held = 8 * len(csr.columns)
+        # 8 MiB of memory: half of it holds one worker with a credit array
+        # and a 3.5 MiB chunk expansion (2^16 wedges at WEDGE_BYTES, and the
+        # entries), or two with 1.75 MiB ones (2^15 wedges), not three.
+        pages = {"SC_PHYS_PAGES": 8 * 256, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 16)
-        assert parallel._credit_lanes(csr) == 1
+        assert parallel._workers(csr, held) == 1
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 15)
-        assert parallel._credit_lanes(csr) == 2
-        # One page: not even one lane fits, and the inline fold still counts.
+        assert parallel._workers(csr, held) == 2
+        # One page: not even one worker fits, and the inline fold still counts.
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         pages["SC_PHYS_PAGES"] = 1
-        assert parallel._credit_lanes(csr) == 1
+        assert parallel._workers(csr, held) == 1
         idents = record_credit_threads(monkeypatch)
         assert per_edge_counts(g) == expected
         assert idents == [threading.get_ident()]

@@ -15,9 +15,9 @@ from bicount.exact import (clustering_coefficient, count_butterflies,
 from bicount.generate import complete_graph, hub_graph
 from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import (brute_force_per_vertex, brute_force_three_paths,
-                     complete_3x2, end_dominance_example, four_cycle,
+                     complete_3x2, edge_list, end_dominance_example, four_cycle,
                      iter_end_dominant_wedges, iter_start_dominant_wedges,
-                     random_graph_set, star, three_path)
+                     neighbor_lists, random_graph_set, star, three_path)
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -149,7 +149,7 @@ class TestRandomEquivalence:
         # On a star, the per-edge min-degree sum meets the smaller
         # squared-degree sum exactly (every edge min is on the leaf side).
         g = star(9)
-        min_sum = sum(min(g.degrees[u], g.degrees[v]) for u, v in g.edges)
+        min_sum = sum(min(g.degrees[u], g.degrees[v]) for u, v in edge_list(g))
         upper_sq = sum(g.degrees[u] ** 2 for u in g.upper_vertices())
         lower_sq = sum(g.degrees[v] ** 2 for v in g.lower_vertices())
         assert min_sum == min(upper_sq, lower_sq) == 9
@@ -177,7 +177,7 @@ def ibs_closed_form(g):
 def vp_middle_accesses(g, priority):
     """Sum over u of min(deg u, neighbors ranked below u + 1)."""
     return sum(min(len(neighbors), sum(priority[w] < priority[u] for w in neighbors) + 1)
-               for u, neighbors in enumerate(g.adjacency))
+               for u, neighbors in enumerate(neighbor_lists(g)))
 
 
 class TestClosedForms:

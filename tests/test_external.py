@@ -17,7 +17,7 @@ from bicount.cli import main
 from bicount.external import EmConfig, IoStats, em_count, external_sort, iter_records
 from bicount.generate import complete_pairs, hub_pairs, pairs_to_text, random_pairs_m
 from bicount.graph import assign_priorities, parse_edge_list
-from helpers import files_left_open, random_graph_set
+from helpers import edge_list, files_left_open, random_graph_set
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -32,7 +32,7 @@ def write_graph(tmp_path, pairs, name="g.txt"):
 
 def graph_pairs(g):
     l = g.lower_count
-    return [(u - l, v) for u, v in g.edges]
+    return [(u - l, v) for u, v in edge_list(g)]
 
 
 def vpp_report(path):

@@ -16,7 +16,7 @@ from bicount.exact import _start_dominant, count_butterflies, count_vp
 from bicount.generate import hub_graph
 from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
-                     transpose)
+                     neighbor_lists, transpose)
 
 
 @st.composite
@@ -40,7 +40,7 @@ def loop_reference(g):
     """(butterflies, wedges, middle accesses) from the per-start Python loop
     of the end-dominant rule over neighbor lists sorted by priority."""
     pr = assign_priorities(g).tolist()
-    adjacency = [sorted(neighbors, key=pr.__getitem__) for neighbors in g.adjacency]
+    adjacency = [sorted(neighbors, key=pr.__getitem__) for neighbors in neighbor_lists(g)]
     counts = [0] * g.vertex_count
     totals = [0, 0, 0]
     for u in range(g.vertex_count):

@@ -1,5 +1,6 @@
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from bicount import kernel, parallel
 from bicount.errors import ConfigError
 from bicount.edges import brute_force_per_edge
 from bicount.exact import count_vpp
-from bicount.generate import hub_graph, random_graph
-from bicount.graph import assign_priorities
+from bicount.generate import hub_graph, random_graph, random_pairs_m
+from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               make_static_assignment, simulate_list_schedule)
 from helpers import four_cycle, makespan, random_graph_set, star
@@ -215,22 +216,37 @@ class TestCountParallel:
         assert sum(t.wedges_processed for t in threads) == sequential.wedges_processed
         assert sum(t.vertices_handled for t in threads) == g.vertex_count
 
-    def test_memory_guard_refuses_absurd_thread_counts(self):
-        g = four_cycle()
-        cfg = ScheduleConfig(threads=10 ** 14)
-        with pytest.raises(ConfigError, match="threads"):
-            count_parallel(g, assign_priorities(g), cfg)
+    def test_absurd_thread_counts_are_refused_before_the_csr(self, monkeypatch):
+        # The lanes' bookkeeping alone exceeds half of any memory: no CSR is built.
+        def unexpected(*args):
+            raise AssertionError("rank_csr called")
 
-    def test_memory_guard_counts_a_chunk_per_worker(self, monkeypatch):
-        # 6 MiB of memory: half of it holds one 2 MiB chunk expansion, not two.
-        pages = {"SC_PHYS_PAGES": 6 * 256, "SC_PAGE_SIZE": 4096}
-        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
-        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
-        parallel._memory_guard(1 << 16, 1)
+        g = four_cycle()
+        monkeypatch.setattr(kernel, "rank_csr", unexpected)
         with pytest.raises(ConfigError, match="threads"):
-            parallel._memory_guard(1 << 16, 2)
-        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
-        parallel._memory_guard(1 << 16, 2)
+            count_parallel(g, assign_priorities(g), ScheduleConfig(threads=10 ** 14))
+
+    def test_short_memory_folds_the_lanes_in_the_calling_thread(self, monkeypatch):
+        # Both static lanes of this graph have wedges.  A worker holds a
+        # chunk expansion of 2^16 wedges, 3.5 MiB at WEDGE_BYTES, and its
+        # entries: half of 8 MiB of memory holds one, not two, and half of
+        # 6 MiB not even one.  Either way the lanes fold here, one after the
+        # other, as they would on two workers; memory never refuses the graph.
+        g = random_graph(30, 40, 0.2, seed=12)
+        p = assign_priorities(g)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
+        report, lanes = count_parallel(g, p, cfg)
+        assert all(t.wedges_processed for t in lanes)
+        idents, _ = record_fold_threads(monkeypatch)
+        pages = {"SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
+        for mib in (8, 6):
+            pages["SC_PHYS_PAGES"] = mib * 256
+            short_report, short_lanes = count_parallel(g, p, cfg)
+            assert short_lanes == lanes
+            assert short_report.counters() == report.counters()
+        assert idents == [threading.get_ident()] * 4
 
     def test_worker_failure_is_raised(self, monkeypatch):
         # A worker that dies must not leave a silently short count.  Both
@@ -286,6 +302,57 @@ class TestCountParallel:
                         assert sum(t.wedges_processed for t in reports) == \
                             report.wedges_processed
                         assert sum(t.vertices_handled for t in reports) == g.vertex_count
+
+
+def one_wedge_hubs(hubs: int, leaves: int) -> BipartiteGraph:
+    """Each hub has ``leaves`` leaves and a neighbor of degree 2 whose other
+    neighbor, shared by all, outranks every hub: the hubs' rows hold
+    ``leaves + 1`` entries a wedge, and no other row has wedges."""
+    index = np.arange(hubs)
+    upper = np.concatenate([np.repeat(index, leaves), index, np.full(hubs, hubs)])
+    lower = np.concatenate([np.arange(hubs * leaves), hubs * leaves + index,
+                            hubs * leaves + index])
+    lowers = hubs * leaves + hubs
+    return BipartiteGraph.from_indices(upper, lower, hubs + 1, lowers,
+                                       list(range(lowers)) + list(range(hubs + 1)))
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("make", [
+        lambda: random_graph(300, 300, 0.2, seed=1),
+        lambda: random_graph(200, 200, 0.1, seed=1),
+        lambda: BipartiteGraph.build(random_pairs_m(20_000, 20_000, 60_000, seed=2)),
+        lambda: one_wedge_hubs(1 << 16, 3),
+    ], ids=["dense-300", "dense-200", "sparse-20000", "one-wedge-hubs"])
+    def test_workers_fit_the_measured_chunk_peaks(self, monkeypatch, make):
+        # The tracemalloc peak of folding any chunk of any strategy's queue,
+        # either way (credit array aside), read 0.14 to 4 entries a wedge
+        # and 44 to 200 bytes a wedge on these graphs.  Half of memory holds
+        # as many workers at that peak as _workers allows, and _workers
+        # allows as many as half of twice that memory holds.
+        g = make()
+        p = assign_priorities(g)
+        csr = kernel.rank_csr(g, p)
+        peak = 0
+        for strategy in STRATEGIES:
+            queue = parallel._queue(csr, p, ScheduleConfig(strategy=strategy))
+            for rows in np.split(queue, kernel.chunk_bounds(csr.wedges[queue])):
+                for fold, held in ((kernel.count_rows, 0),
+                                   (kernel.credit_rows, 8 * len(csr.columns))):
+                    tracemalloc.start()
+                    try:
+                        fold(csr, rows)
+                        peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
+                    finally:
+                        tracemalloc.stop()
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
+        pages = {"SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
+        for workers in (1, 2, 5):
+            pages["SC_PHYS_PAGES"] = 2 * workers * (peak + parallel.LANE_BYTES)
+            assert parallel._workers(csr) <= workers
+            pages["SC_PHYS_PAGES"] *= 2
+            assert parallel._workers(csr) >= workers
 
 
 def record_fold_threads(monkeypatch, barrier=None):

@@ -18,7 +18,7 @@ from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
 from bicount.graph import (assign_priorities, format_edge_list, load_edge_list,
                            parse_edge_list)
-from helpers import reference_parse
+from helpers import edge_list, neighbor_lists, reference_parse
 
 HUGE = 10 ** 30
 EM_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -37,7 +37,7 @@ def write(tmp_path, data, name="g.txt"):
 
 def labelled_edges(g):
     labels = g.external_labels
-    return [(labels[u], labels[v]) for u, v in g.edges]
+    return [(labels[u], labels[v]) for u, v in edge_list(g)]
 
 
 def cli_json(capsys, argv):
@@ -249,9 +249,9 @@ def parse_outcome(parse):
         g = parse()
     except ParseError as exc:
         return exc.line_number, None
-    return {"edges": g.edges, "external_labels": g.external_labels,
+    return {"edges": edge_list(g), "external_labels": g.external_labels,
             "duplicates_dropped": g.duplicates_dropped, "degrees": g.degrees.tolist(),
-            "adjacency": g.adjacency}, g
+            "adjacency": neighbor_lists(g)}, g
 
 
 class TestBatchedAgainstLineByLine:
