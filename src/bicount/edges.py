@@ -4,16 +4,11 @@ The engine runs the end-dominant wedge rule in the rank-space kernel
 (``kernel.py``): each wedge (u, v, w) whose (u, w) pair closes c wedges
 lies in c - 1 butterflies together with each of its two edges, and the
 kernel credits the CSR entries of both, which carry their edge ids, so no
-edge-index lookup is needed.  The start vertices are dealt by the
-parallel engine's dynamic schedule (highest priority first) into one
-lane per worker that its rule ``parallel._workers`` allows, each worker
-holding a credit array besides its chunk, and the lanes fold on its
-thread pool (``parallel._deal`` and ``parallel._fold_lanes``).  Each
-lane sums into its own int64 credit array of 2m entries, so lanes never
-race; the arrays are added up and mapped to edges once.  Under short
-memory the rule allows fewer lanes, down to one folded in the calling
-thread, and no graph is refused.  The sums are integers, so the counts
-are identical for every lane count.
+edge-index lookup is needed.  The start vertices fold on the lanes of
+``parallel.fold_lanes``, each summing into an int64 credit array of its
+own, 2m entries, so lanes never race; the arrays are added up and mapped
+to edges once.  The sums are integers, so the counts are identical for
+every lane count.
 """
 
 from __future__ import annotations
@@ -43,10 +38,9 @@ def count_per_edge_evpp(g: BipartiteGraph, p: np.ndarray) -> EdgeCounts:
     """Per-edge counts of ``g`` under any priorities ``p``, following
     g's edge index."""
     csr = kernel.rank_csr(g, p)
-    # One lane a worker, each holding an int64 credit array of its own.
-    workers = parallel._workers(csr, 8 * len(csr.columns))
-    lanes = parallel._deal(csr, np.arange(csr.n)[::-1], workers)
-    per_entry, *others = parallel._fold_lanes(csr, kernel.credit_rows, lanes, workers)
+    # Each worker holds an int64 credit array of its own.
+    per_entry, *others = parallel.fold_lanes(csr, kernel.credit_rows,
+                                             held=8 * len(csr.columns))
     for credit in others:
         per_entry += credit
     per_edge = np.zeros(g.edge_count, dtype=np.int64)

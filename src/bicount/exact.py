@@ -31,7 +31,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import kernel
+from . import kernel, parallel
 from .errors import CountOverflowError
 from .graph import BipartiteGraph, assign_priorities, degree_priorities, ranked_neighbors
 
@@ -147,13 +147,14 @@ def count_vpp(g: BipartiteGraph, p: np.ndarray) -> CountReport:
     """End-dominant counter over any graph and priorities ``p``.
 
     Processes wedge (u, v, w) only when w outranks both u and v; the
-    rank-space kernel aggregates them in sorted chunks.
+    rank-space kernel aggregates them in sorted chunks, on the lanes
+    ``parallel.fold_lanes`` deals.
     Every start and every directed adjacency entry (as a middle) is
     visited once, so the access counters are n and 2m.
     """
     t0 = perf_counter()
     csr = kernel.rank_csr(g, p)
-    butterflies, wedges = kernel.count_rows(csr, np.arange(csr.n))
+    butterflies, wedges = map(sum, zip(*parallel.fold_lanes(csr, kernel.count_rows)))
     check_limit(butterflies, "butterfly count")
     return CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
                        wedges, perf_counter() - t0)

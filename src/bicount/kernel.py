@@ -13,9 +13,8 @@ the other end, so every engine on this kernel runs the end rule.
 Wedges are expanded for a slice of start rows at a time, each slice
 holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
 more), so memory is bounded by the chunk rather than by the total wedge
-count.  The rows may be any subset in any order: the sequential engines
-pass every row, and each lane of ``parallel.count_parallel`` and of
-``edges.count_per_edge_evpp`` its own.
+count.  The rows may be any subset in any order: each lane that
+``parallel.fold_lanes`` folds passes its own.
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.

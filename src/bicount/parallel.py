@@ -1,15 +1,17 @@
-"""Scheduled butterfly counting: the paper's parallel engine.
+"""Scheduled butterfly counting: the paper's parallel engine, and the lane
+fold that every in-memory count runs on.
 
 The paper splits start vertices over threads.  Here the schedule decides
-each thread's share, its *lane*, and the lanes fold at the same time:
-each lane is one ``kernel.count_rows`` call over one shared, read-only
-rank-space CSR (``kernel.rank_csr``), made of long numpy passes (sort,
-take, cumsum) that release the GIL.  A thread pool that lives for one
-call folds them, one worker per lane with wedges up to ``_workers``, so
-``threads`` is the lane count, never the OS thread count; with at most
-one such lane the call folds in the calling thread and starts none.  On
-the benchmark's ``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon)
-the two lanes fold in 0.075 s on two workers against 0.122 s in turn.
+each thread's share, its *lane*, and ``fold_lanes`` folds the lanes at
+the same time: each lane is one kernel call (``kernel.count_rows``, or
+``credit_rows`` for per-edge counts) over one shared, read-only rank-space
+CSR (``kernel.rank_csr``), made of long numpy passes (sort, take, cumsum)
+that release the GIL.  A thread pool that lives for one call folds them,
+one worker per lane with wedges up to ``_workers``, so ``threads`` is the
+lane count, never the OS thread count; with at most one such lane the
+call folds in the calling thread and starts none.  On the benchmark's
+``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon) the two lanes
+fold in 0.075 s on two workers against 0.122 s in turn.
 Every lane is dealt by one model, the list schedule (Graham 1969,
 ``simulate_list_schedule``): jobs leave one queue in order, each to the
 lane that frees earliest.  The strategy picks the queue of start
@@ -17,24 +19,18 @@ vertices (highest priority first, a seeded shuffle, or most wedges
 first); the mode picks the jobs.  Either job lasts its exact wedge
 count, ``csr.wedges`` of the CSR built before the plan: a dynamic job is
 a slice of about ``kernel.CHUNK_WEDGES`` consecutive queued vertices, a
-static job is one queued vertex.  Counts are integers and reports are
+static job is one queued vertex.  Counts are integers and results are
 collected in lane order, so the total is identical for every lane count,
 mode, strategy, and seed, and every lane's report repeats exactly across
 calls.
 
 One rule, ``_workers``, caps how many threads fold at once: up to the
 CPUs the process may use, and as many as half the physical memory holds,
-each with the largest chunk's expansion.  Memory never decides whether a
-graph is counted: under short memory fewer lanes fold at once, down to
-one in the calling thread, and since a lane's report does not depend on
-where it folds, the results are the same.  Only a lane count whose
-bookkeeping alone exceeds that memory is refused.  The per-edge counts
-(``edges.count_per_edge_evpp``) use the same dynamic dealing (``_deal``,
-the highest-priority-first queue) and the same pool (``_fold_lanes``),
-one lane per worker that ``_workers`` allows with a credit array held:
-each sums ``kernel.credit_rows`` into its own int64 credit array of 2m
-entries, 16m bytes beside its chunk, and the arrays are added up at the
-end.
+each with the largest chunk's expansion and what its fold holds besides
+(a per-edge lane's credit array).  Memory never decides whether a graph
+is counted: under short memory fewer lanes fold at once, down to one in
+the calling thread, with the same results.  Only a lane count whose
+bookkeeping alone exceeds that memory is refused.
 """
 
 from __future__ import annotations
@@ -49,9 +45,8 @@ from time import perf_counter
 
 import numpy as np
 
-from . import kernel
+from . import exact, kernel
 from .errors import ConfigError
-from .exact import CountReport, check_limit
 from .graph import BipartiteGraph
 
 MODES = ("dynamic", "static")
@@ -147,21 +142,22 @@ def _workers(csr: kernel.RankCsr, held: int = 0) -> int:
     ``_cpu_limit()``, as many as half the physical memory holds, each with
     the largest chunk's expansion, ``held`` bytes of its own and
     ``LANE_BYTES``; never fewer than one, which folds in the calling thread."""
-    workers = _cpu_limit()
-    spare = _spare_memory()
-    if spare is not None and workers > 1:
-        starts = csr.wedges > 0
-        wedges, entries = csr.wedges[starts], np.diff(csr.row_offsets)[starts]
-        # A chunk is one start, or starts with at most CHUNK_WEDGES wedges,
-        # whose entries are at most those of the starts with the most
-        # entries a wedge that reach CHUNK_WEDGES (a fractional knapsack).
+    cpus, spare = _cpu_limit(), _spare_memory()
+    if spare is None or cpus == 1:
+        return cpus
+    starts = csr.wedges > 0
+    wedges, entries = csr.wedges[starts], np.diff(csr.row_offsets)[starts]
+    fixed = max(kernel.CHUNK_WEDGES, int(wedges.max(initial=0))) * WEDGE_BYTES + held
+    # A chunk is one start, or starts with at most CHUNK_WEDGES wedges: its
+    # entries are at most all of the starts with wedges or, tighter (a
+    # fractional knapsack), those of the most entries a wedge that reach it.
+    workers = spare // (fixed + int(entries.sum()) * ENTRY_BYTES + LANE_BYTES)
+    if workers < cpus:
         order = np.argsort(wedges / entries)
         reach = int(np.searchsorted(np.cumsum(wedges[order]), kernel.CHUNK_WEDGES)) + 1
-        chunk = (max(kernel.CHUNK_WEDGES, int(wedges.max(initial=0))) * WEDGE_BYTES
-                 + max(int(entries[order[:reach]].sum()), int(entries.max(initial=0)))
-                 * ENTRY_BYTES)
-        workers = min(workers, spare // (chunk + held + LANE_BYTES))
-    return max(1, workers)
+        most = max(int(entries[order[:reach]].sum()), int(entries.max(initial=0)))
+        workers = spare // (fixed + most * ENTRY_BYTES + LANE_BYTES)
+    return max(1, min(cpus, workers))
 
 
 def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarray]:
@@ -174,13 +170,25 @@ def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarr
             for lane in simulate_list_schedule(durations, threads)]
 
 
-def _fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray], workers: int) -> list:
-    """``fold(csr, rows)`` of every lane, in lane order.  numpy releases the
-    GIL in the kernel's long passes, so lanes with wedges fold on a pool of
-    up to ``workers`` threads (``_workers``) that lives for this call; with
-    at most one such lane, or one worker, every lane folds in the calling
-    thread, which starts none.  Each lane's result is the same either way."""
-    workers = min(sum(1 for rows in lanes if csr.wedges[rows].any()), workers)
+def fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray] | None = None,
+               held: int = 0) -> list:
+    """``fold(csr, rows)`` of every lane, in lane order.  Without ``lanes``,
+    the highest-priority-first queue is one lane if its wedges fit one
+    chunk, else ``_deal`` deals it to each worker ``_workers`` allows with
+    ``held`` bytes, up to one a slice.  Lanes with wedges fold on a pool of
+    up to ``_workers`` threads for this call; with at most one, or one
+    worker, every lane folds in the calling thread, which starts none."""
+    if lanes is None:
+        queue = np.arange(csr.n)[::-1]
+        if csr.wedges.sum() <= kernel.CHUNK_WEDGES:
+            lanes = [queue]
+        else:
+            # Every slice has wedges, so only lanes past the slices are empty.
+            lanes = [rows for rows in _deal(csr, queue, _workers(csr, held)) if len(rows)]
+        workers = len(lanes)
+    else:
+        busy = sum(1 for rows in lanes if csr.wedges[rows].any())
+        workers = min(busy, _workers(csr, held)) if busy > 1 else 1
     fold = partial(fold, csr)
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
@@ -189,7 +197,7 @@ def _fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray], workers: int
 
 
 def count_parallel(g: BipartiteGraph, p: np.ndarray,
-                   cfg: ScheduleConfig) -> tuple[CountReport, list[ThreadReport]]:
+                   cfg: ScheduleConfig) -> tuple[exact.CountReport, list[ThreadReport]]:
     """Scheduled end-dominant counting over any graph and priorities ``p``.
 
     The count always equals ``count_vpp``'s; per-lane wedge totals
@@ -201,15 +209,13 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
         raise ConfigError(f"{cfg.threads} lanes need ~{cfg.threads * LANE_BYTES} bytes "
                           "of bookkeeping; reduce threads")
     csr = kernel.rank_csr(g, p)
-
     plan = _deal if cfg.mode == "dynamic" else make_static_assignment
     lanes = plan(csr, _queue(csr, p, cfg), cfg.threads)
-
-    folds = _fold_lanes(csr, kernel.count_rows, lanes, _workers(csr))
+    folds = fold_lanes(csr, kernel.count_rows, lanes)
     reports = [ThreadReport(tid, *counts, len(rows))
                for tid, (counts, rows) in enumerate(zip(folds, lanes))]
-    butterflies = check_limit(sum(r.butterflies for r in reports), "butterfly count")
+    butterflies = exact.check_limit(sum(r.butterflies for r in reports), "butterfly count")
     wedges = sum(r.wedges_processed for r in reports)
-    report = CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count, wedges,
-                         perf_counter() - t0)
+    report = exact.CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
+                               wedges, perf_counter() - t0)
     return report, reports

@@ -131,8 +131,26 @@ class TestThreadedCredit:
         idents = record_credit_threads(monkeypatch)
         before = threading.active_count()
         assert per_edge_counts(g) == brute_force_per_edge(g)
-        assert idents == [threading.get_ident()] * 2
+        assert idents == [threading.get_ident()]
         assert threading.active_count() == before
+
+    def test_no_lane_is_dealt_without_rows(self, monkeypatch):
+        # 64 CPUs and a few slices: one lane a slice, and no lane of a
+        # sum's folds is handed an empty row set (or a zero credit array).
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
+        sizes = {"count_rows": [], "credit_rows": []}
+        for name, seen in sizes.items():
+            def recording(csr, rows, real=getattr(kernel, name), seen=seen):
+                seen.append(len(rows))
+                return real(csr, rows)
+            monkeypatch.setattr(kernel, name, recording)
+        expected = brute_force_per_edge(g)
+        assert per_edge_counts(g) == expected
+        assert count_vpp(g, assign_priorities(g)).butterflies == expected.butterflies
+        for seen in sizes.values():
+            assert len(seen) > 1 and all(seen)
 
     def test_one_cpu_folds_inline_with_the_same_counts(self, monkeypatch):
         g = busy_graph()

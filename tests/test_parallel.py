@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -16,6 +19,7 @@ from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               make_static_assignment, simulate_list_schedule)
 from helpers import four_cycle, makespan, random_graph_set, star
+from test_edges import busy_graph
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -424,6 +428,30 @@ class TestThreadPool:
         assert idents == [threading.get_ident()] * 2
         assert threading.active_count() == before
 
+    @pytest.mark.skipif(parallel._cpu_limit() < 2, reason="needs 2 CPUs")
+    def test_count_vpp_folds_two_lanes_at_once(self, monkeypatch):
+        g = busy_graph()
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        idents, _ = record_fold_threads(monkeypatch, threading.Barrier(2, timeout=10))
+        assert count_vpp(g, assign_priorities(g)).counters() == (477, 784, 70, 464, 784)
+        assert len(idents) == len(set(idents)) == 2 and threading.get_ident() not in idents
+
+    def test_one_cpu_folds_count_vpp_inline(self, monkeypatch):
+        g = busy_graph()
+        p = assign_priorities(g)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
+        idents, _ = record_fold_threads(monkeypatch)
+        threaded = count_vpp(g, p)
+        assert len(idents) == 2 and threading.get_ident() not in idents
+        idents.clear()
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
+        before = threading.active_count()
+        assert count_vpp(g, p).counters() == threaded.counters()
+        assert idents == [threading.get_ident()]
+        assert threading.active_count() == before
+
     def test_one_slice_folds_in_the_calling_thread(self, monkeypatch):
         g = hub_graph(40)
         idents, _ = record_fold_threads(monkeypatch)
@@ -432,6 +460,14 @@ class TestThreadPool:
         assert [t.vertices_handled for t in lanes] == [g.vertex_count, 0, 0, 0]
         assert set(idents) == {threading.get_ident()}
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("module", ["bicount.parallel", "bicount.exact", "bicount.edges"])
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # exact and parallel import each other.
+    src = os.path.dirname(os.path.dirname(parallel.__file__))
+    subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", f"import {module}"],
+                   check=True, env={"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")})
 
 
 # Each lane's (butterflies, wedges, vertices handled) per (mode, strategy,
