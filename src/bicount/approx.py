@@ -10,6 +10,7 @@ flows through a seeded generator so trials replay bit-for-bit.
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -22,16 +23,19 @@ from .graph import BipartiteGraph
 SEED_STRIDE = 1_000_003
 
 Counter = Callable[[BipartiteGraph], CountReport]
+_generators = threading.local()
 
 
 def _draws(seed: int, count: int) -> np.ndarray:
     """The first ``count`` values of ``random.Random(seed).random()``, bit
     for bit, at numpy speed: both generators are MT19937 and build each
-    double from the same two 32-bit outputs."""
+    double from the same two 32-bit outputs.  Each thread reseeds one numpy
+    generator of its own, cheaper than building one (seeded from the OS)."""
     _, (*key, position), _ = random.Random(seed).getstate()
-    state = np.random.RandomState()
-    state.set_state(("MT19937", np.array(key, dtype=np.uint32), position))
-    return state.random_sample(count)
+    if not hasattr(_generators, "state"):
+        _generators.state = np.random.RandomState()
+    _generators.state.set_state(("MT19937", np.array(key, dtype=np.uint32), position))
+    return _generators.state.random_sample(count)
 
 
 def sparsify(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:

@@ -18,6 +18,10 @@ count.  The rows may be any subset in any order: each lane that
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
+A key is i * n + end, i its start's index among the chunk's starts with
+wedges: uint32 when their count times n is at most 2^32, else uint64.  The
+CSR build and the credit, which need the sort's order, sort the uint64
+``key << b | index`` (b the bit length of the key count) when it fits.
 ``count_rows`` sums the butterflies of its rows and ``credit_rows`` the
 credit of every entry (one int64 array of 2m entries a call), which the
 per-edge engine maps to edges once, after adding up its lanes.
@@ -47,6 +51,8 @@ class RankCsr:
     having one entry per direction.  The wedges with start r and middle
     ``columns[e]`` end at the entries from ``first_end[e]`` to the end of
     the middle's row; ``wedges[r]`` is the number of wedges with start r.
+    ``columns`` and ``first_end`` are int32 when n and 2m are below 2^31,
+    else int64; ``row_offsets``, ``wedges`` and ``edges`` are int64.
     """
 
     n: int
@@ -64,24 +70,20 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     four arrays of 2m entries at a time.
     """
     n, m = g.vertex_count, g.edge_count
-    rank = p - 1
-    uppers, lowers = rank[g.uppers], rank[g.lowers]
-    del rank
-    keys = np.empty(2 * m, dtype=np.int64)
-    keys[:m] = uppers * n + lowers
-    keys[m:] = lowers * n + uppers
+    uppers, lowers = p[g.uppers] - 1, p[g.lowers] - 1
+    keys = np.concatenate([uppers * n + lowers, lowers * n + uppers])
     del uppers, lowers
-    sources = np.argsort(keys)
-    keys = keys[sources]
+    keys, sources = _sort_order(keys, n * n)
     row_offsets = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     above_self = np.searchsorted(keys, np.arange(n, dtype=np.int64) * (n + 1), side="right")
-    columns = keys % n
+    narrow = np.int32 if max(n, 2 * m) < 1 << 31 else np.int64
+    columns = (keys % n).astype(narrow)
     del keys
     # The ends of u -> v start past the reverse entry v -> u (the position
     # of u in v's row) and past v's own rank.
     position = np.empty(2 * m, dtype=np.int64)
     position[sources] = np.arange(2 * m)
-    first_end = np.empty(2 * m, dtype=np.int64)
+    first_end = np.empty(2 * m, dtype=narrow)
     first_end[position[:m]] = position[m:]
     first_end[position[m:]] = position[:m]
     del position
@@ -95,6 +97,23 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     # keys[:m] read each edge upper to lower, keys[m:] lower to upper.
     sources %= m
     return RankCsr(n, row_offsets, wedges, columns, sources, first_end)
+
+
+def _sort_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, order)`` of ``keys``, all below ``bound``, ties in any
+    order: one uint64 sort of ``key << b | index`` (b the bit length of
+    ``len(keys)``) when ``bound << b`` fits 64 bits, otherwise an argsort."""
+    b = len(keys).bit_length()
+    if bound << b > 1 << 64:
+        order = np.argsort(keys)
+        return keys[order], order
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(b)
+    packed |= np.arange(len(keys), dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64((1 << b) - 1)).view(np.int64)
+    packed >>= np.uint64(b)
+    return packed.view(np.int64), order
 
 
 def chunk_bounds(counts: np.ndarray, cap: int | None = None) -> list[int]:
@@ -128,7 +147,8 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     in ``rows``.  ``row_entries`` are the (start, middle) entries, each
     the first entry of ``ends`` consecutive wedges; ``positions`` and
     ``keys`` have one element per wedge: its (middle, end) entry and the
-    key ``start * n + end``."""
+    key ``i * n + end``, i the index of its start among the rows with
+    wedges (uint32 or uint64)."""
     # Starts without wedges (the top-ranked hubs) would only cost entries.
     rows = rows[csr.wedges[rows] > 0]
     begins = csr.row_offsets[rows]
@@ -137,8 +157,10 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     first_end = csr.first_end[row_entries]
     ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
     positions = ranges(first_end, ends)
+    width = np.uint32 if len(rows) * csr.n <= 1 << 32 else np.uint64
     # A start's wedges are consecutive, so one repeat over the starts suffices.
-    keys = np.repeat(rows * csr.n, csr.wedges[rows]) + csr.columns[positions]
+    keys = np.repeat(np.arange(len(rows), dtype=width) * csr.n, csr.wedges[rows])
+    keys += csr.columns[positions].astype(width)
     return row_entries, ends, positions, keys
 
 
@@ -175,9 +197,10 @@ def credit_rows(csr: RankCsr, rows: np.ndarray) -> np.ndarray:
     share its start, so disjoint row sets give credits that add up."""
     per_entry = np.zeros(len(csr.columns), dtype=np.int64)
     for row_entries, ends, positions, keys in iter_chunks(csr, rows):
-        order = np.argsort(keys)
-        runs = run_lengths(keys[order])
-        credit = np.empty(len(keys), dtype=np.int64)
+        sorted_keys, order = _sort_order(keys, int(keys.max(initial=0)) + 1)
+        runs = run_lengths(sorted_keys)
+        del keys, sorted_keys
+        credit = np.empty(len(order), dtype=np.int64)
         credit[order] = np.repeat(runs - 1, runs)
         # A (start, middle) entry lies in one chunk only; reduceat reads an
         # empty segment as one element, so entries without wedges are skipped.

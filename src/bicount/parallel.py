@@ -55,11 +55,11 @@ STRATEGIES = ("priority", "random", "heuristic")
 # Bytes one lane holds besides its chunk: its rows, its load and its report.
 LANE_BYTES = 512
 # Bytes a folding worker holds per wedge and per (start, middle) entry of
-# its chunk.  Under tracemalloc, one chunk of ``kernel.count_rows`` or
-# ``kernel.credit_rows`` (credit array aside) peaked within 50 bytes a
-# wedge plus 48 an entry on graphs with 0.14 to 9 entries a wedge, where
-# the peaks read 44 to 400 bytes a wedge (``tests/test_parallel.py``).
-WEDGE_BYTES = 56
+# its chunk.  Under tracemalloc, every chunk of ``kernel.count_rows`` and
+# ``credit_rows`` (credit array aside) peaked within 35 bytes a wedge plus
+# 48 an entry on ``tests/test_parallel.py``'s graphs (0.03 to 4 entries and
+# 21 to 184 bytes a wedge), and 50 plus 48 on seed-3 skewed and uniform.
+WEDGE_BYTES = 52
 ENTRY_BYTES = 48
 
 

@@ -192,8 +192,8 @@ class TestThreadedCredit:
         csr = kernel.rank_csr(g, assign_priorities(g))
         held = 8 * len(csr.columns)
         # 8 MiB of memory: half of it holds one worker with a credit array
-        # and a 3.5 MiB chunk expansion (2^16 wedges at WEDGE_BYTES, and the
-        # entries), or two with 1.75 MiB ones (2^15 wedges), not three.
+        # and a 3.25 MiB chunk expansion (2^16 wedges at WEDGE_BYTES, and the
+        # entries), or two with 1.63 MiB ones (2^15 wedges), not three.
         pages = {"SC_PHYS_PAGES": 8 * 256, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 16)

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicount import kernel
+from bicount import kernel, parallel
 from bicount.edges import brute_force_per_edge, per_edge_counts
-from bicount.exact import _start_dominant, count_butterflies, count_vp
+from bicount.exact import _start_dominant, count_butterflies, count_vp, count_vpp
 from bicount.generate import hub_graph
 from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
@@ -86,8 +86,11 @@ class TestKernel:
         csr = kernel.rank_csr(g, p)
         expanded = Counter()
         for row_entries, ends, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):
+            # Keys number the starts within the chunk: read each start from
+            # its (start, middle) entry instead.
             entries = np.repeat(row_entries, ends)
-            triples = np.stack([keys // csr.n, csr.columns[entries], keys % csr.n])
+            starts = np.searchsorted(csr.row_offsets, entries, side="right") - 1
+            triples = np.stack([starts, csr.columns[entries], keys % csr.n])
             expanded.update(zip(*vertex[triples].tolist()))
         expected = Counter(iter_end_dominant_wedges(g, p))
         assert expanded == expected
@@ -127,3 +130,50 @@ class TestKernel:
         assert report.counters() == expected[0].counters()
         assert per_edge == expected[1]
         assert vp == expected[2]
+
+
+def disjoint_squares(count: int) -> BipartiteGraph:
+    """``count`` disjoint 2x2 bicliques: 4 * count vertices, 2 * count
+    end-dominant wedges and ``count`` butterflies, each edge in one."""
+    base = 2 * np.repeat(np.arange(count, dtype=np.int64), 4)
+    uppers = base + np.tile([0, 0, 1, 1], count)
+    lowers = base + np.tile([0, 1, 0, 1], count)
+    return BipartiteGraph.from_indices(uppers, lowers, 2 * count, 2 * count,
+                                       list(range(2 * count)) * 2)
+
+
+class TestKeyWidths:
+    def test_wide_and_narrow_chunks_count_the_closed_form(self):
+        # n = 160,000: the first chunk's 32,768 starts need 64-bit keys
+        # (32,768 * n > 2^32), and the last chunk's fewer starts fit 32 bits.
+        squares = 40_000
+        g = disjoint_squares(squares)
+        p = assign_priorities(g)
+        csr = kernel.rank_csr(g, p)
+        assert csr.n == 4 * squares
+        widths = [keys.dtype for *_, keys in kernel.iter_chunks(csr, np.arange(csr.n))]
+        assert widths[0] == np.uint64 and widths[-1] == np.uint32
+        expected = (squares, 2 * squares)
+        for report in (count_vpp(g, p), count_vp(g, p)):
+            assert (report.butterflies, report.wedges_processed) == expected
+        assert per_edge_counts(g).per_edge == [1] * g.edge_count
+        for threads in (2, 4):
+            report, lanes = parallel.count_parallel(g, p, parallel.ScheduleConfig(threads=threads))
+            assert (report.butterflies, report.wedges_processed) == expected
+            assert sum(lane.butterflies for lane in lanes) == squares
+
+    @pytest.mark.parametrize("keys, bound, packed", [
+        # 5 bits of index beside keys below 2^20: one packed uint64 sort.
+        (np.array([7, 3, 7, 0, 1 << 19, 3, 3, 2, 9, 1, 0, 5, 7, 2, 8, 4, 6],
+                  dtype=np.uint32), 1 << 20, True),
+        # Keys near 2^62 leave no room for 5 bits of index: an argsort.
+        (np.array([5, 1 << 62, 3, 1 << 62, 0, 9, 2, 7, 1, 1, 8, 4, 6, 2, 3, 0, 5],
+                  dtype=np.uint64), (1 << 62) + 1, False),
+    ], ids=["packed", "argsort"])
+    def test_sort_order_sorts(self, monkeypatch, keys, bound, packed):
+        argsorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: argsorts.append(a) or argsort(a))
+        sorted_keys, order = kernel._sort_order(keys, bound)
+        assert bool(argsorts) != packed
+        assert np.array_equal(keys[order], np.sort(keys))
+        assert np.array_equal(sorted_keys, np.sort(keys))

@@ -232,7 +232,7 @@ class TestCountParallel:
 
     def test_short_memory_folds_the_lanes_in_the_calling_thread(self, monkeypatch):
         # Both static lanes of this graph have wedges.  A worker holds a
-        # chunk expansion of 2^16 wedges, 3.5 MiB at WEDGE_BYTES, and its
+        # chunk expansion of 2^16 wedges, 3.25 MiB at WEDGE_BYTES, and its
         # entries: half of 8 MiB of memory holds one, not two, and half of
         # 6 MiB not even one.  Either way the lanes fold here, one after the
         # other, as they would on two workers; memory never refuses the graph.
@@ -330,8 +330,8 @@ class TestFootprint:
     ], ids=["dense-300", "dense-200", "sparse-20000", "one-wedge-hubs"])
     def test_workers_fit_the_measured_chunk_peaks(self, monkeypatch, make):
         # The tracemalloc peak of folding any chunk of any strategy's queue,
-        # either way (credit array aside), read 0.14 to 4 entries a wedge
-        # and 44 to 200 bytes a wedge on these graphs.  Half of memory holds
+        # either way (credit array aside), read 0.03 to 4 entries a wedge
+        # and 21 to 184 bytes a wedge on these graphs.  Half of memory holds
         # as many workers at that peak as _workers allows, and _workers
         # allows as many as half of twice that memory holds.
         g = make()
