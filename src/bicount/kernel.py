@@ -10,11 +10,12 @@ a suffix of v's row, past the reverse entry v -> u and past v itself.
 The start-dominant wedges of ``count_vp`` are the same wedges read from
 the other end, so every engine on this kernel runs the end rule.
 
-Wedges are expanded for a slice of start rows at a time, each slice
-holding about ``CHUNK_WEDGES`` wedges (more only when one start alone has
-more), so memory is bounded by the chunk rather than by the total wedge
-count.  The rows may be any subset in any order: each lane that
-``parallel.fold_lanes`` folds passes its own.
+Wedges are expanded one chunk of start rows at a time, each chunk holding
+about ``CHUNK_WEDGES`` wedges (more only when one start alone has more),
+so memory is bounded by the chunk rather than by the total wedge count.
+``chunks`` is the only place where rows are cut; a lane that
+``parallel.fold_lanes`` folds is its list of chunks, of any rows in any
+order, and ``count_rows`` and ``credit_rows`` expand each chunk once.
 Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
@@ -67,7 +68,7 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     """Build the rank-space CSR of ``g`` under the priorities ``p``.
 
     Arrays are freed as soon as they are used: the build holds at most
-    four arrays of 2m entries at a time.
+    four arrays of 2m entries of 8 bytes at a time, besides arrays of n + 1.
     """
     n, m = g.vertex_count, g.edge_count
     uppers, lowers = p[g.uppers] - 1, p[g.lowers] - 1
@@ -90,7 +91,8 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     first_end += 1
     np.maximum(first_end, above_self[columns], out=first_end)
     wedges_before = np.zeros(2 * m + 1, dtype=np.int64)
-    np.take(row_offsets[1:], columns, out=wedges_before[1:])
+    # "clip" writes to out directly ("raise" buffers 2m entries); no column is out of range.
+    np.take(row_offsets[1:], columns, out=wedges_before[1:], mode="clip")
     wedges_before[1:] -= first_end
     np.cumsum(wedges_before, out=wedges_before)
     wedges = np.diff(wedges_before[row_offsets])
@@ -164,10 +166,10 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     return row_entries, ends, positions, keys
 
 
-def iter_chunks(csr: RankCsr, rows: np.ndarray):
-    """``_expand`` over the slices ``chunk_bounds`` cuts ``rows`` into."""
-    for part in np.split(rows, chunk_bounds(csr.wedges[rows])):
-        yield _expand(csr, part)
+def chunks(csr: RankCsr, rows: np.ndarray) -> list[np.ndarray]:
+    """``rows`` cut by ``chunk_bounds`` into the chunks a fold expands, one
+    at a time: the only place where a fold's rows are cut."""
+    return np.split(rows, chunk_bounds(csr.wedges[rows]))
 
 
 def run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
@@ -176,12 +178,13 @@ def run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
     return np.diff(starts, prepend=0, append=len(sorted_keys))
 
 
-def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
-    """(butterflies, wedges) of the wedges starting at ``rows``.  A
-    butterfly's wedges share its start, so disjoint row sets partition
-    both totals."""
+def count_rows(csr: RankCsr, chunks: list[np.ndarray]) -> tuple[int, int]:
+    """(butterflies, wedges) of the wedges starting at the rows of
+    ``chunks``, each row array expanded once.  A butterfly's wedges share
+    its start, so disjoint row sets partition both totals."""
     butterflies = wedges = 0
-    for *_, keys in iter_chunks(csr, rows):
+    for rows in chunks:
+        keys = _expand(csr, rows)[3]
         keys.sort()
         runs = run_lengths(keys)
         butterflies += int((runs * (runs - 1) // 2).sum())
@@ -189,14 +192,16 @@ def count_rows(csr: RankCsr, rows: np.ndarray) -> tuple[int, int]:
     return butterflies, wedges
 
 
-def credit_rows(csr: RankCsr, rows: np.ndarray) -> np.ndarray:
+def credit_rows(csr: RankCsr, chunks: list[np.ndarray]) -> np.ndarray:
     """Per-entry credit (int64, one per CSR entry) of the wedges starting at
-    ``rows``: a wedge whose (start, end) pair closes c wedges adds c - 1 to
-    its (start, middle) and its (middle, end) entry.  Each (start, middle)
-    entry is credited once over its consecutive wedges.  A pair's wedges
-    share its start, so disjoint row sets give credits that add up."""
+    the rows of ``chunks``, each row array expanded once: a wedge whose
+    (start, end) pair closes c wedges adds c - 1 to its (start, middle) and
+    its (middle, end) entry.  Each (start, middle) entry is credited once
+    over its consecutive wedges.  A pair's wedges share its start, so
+    disjoint row sets give credits that add up."""
     per_entry = np.zeros(len(csr.columns), dtype=np.int64)
-    for row_entries, ends, positions, keys in iter_chunks(csr, rows):
+    for rows in chunks:
+        row_entries, ends, positions, keys = _expand(csr, rows)
         sorted_keys, order = _sort_order(keys, int(keys.max(initial=0)) + 1)
         runs = run_lengths(sorted_keys)
         del keys, sorted_keys

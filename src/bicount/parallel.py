@@ -2,35 +2,36 @@
 fold that every in-memory count runs on.
 
 The paper splits start vertices over threads.  Here the schedule decides
-each thread's share, its *lane*, and ``fold_lanes`` folds the lanes at
-the same time: each lane is one kernel call (``kernel.count_rows``, or
-``credit_rows`` for per-edge counts) over one shared, read-only rank-space
-CSR (``kernel.rank_csr``), made of long numpy passes (sort, take, cumsum)
-that release the GIL.  A thread pool that lives for one call folds them,
-one worker per lane with wedges up to ``_workers``, so ``threads`` is the
-lane count, never the OS thread count; with at most one such lane the
-call folds in the calling thread and starts none.  On the benchmark's
-``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon) the two lanes
-fold in 0.075 s on two workers against 0.122 s in turn.
+each thread's share, its *lane*: a list of chunks of start rows, cut once
+by ``kernel.chunks``.  ``fold_lanes`` folds the lanes at the same time,
+each with one kernel call (``kernel.count_rows``, or ``credit_rows`` for
+per-edge counts) that expands its chunks over one shared, read-only
+rank-space CSR (``kernel.rank_csr``) in long numpy passes (sort, take,
+cumsum) that release the GIL.  A thread pool that lives for one call
+folds them, one worker per lane with wedges up to ``_workers``, so
+``threads`` is the lane count, never the OS thread count; with at most
+one such lane the call folds in the calling thread and starts none.  On
+the benchmark's ``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon)
+the two lanes fold in 0.075 s on two workers against 0.122 s in turn.
 Every lane is dealt by one model, the list schedule (Graham 1969,
 ``simulate_list_schedule``): jobs leave one queue in order, each to the
 lane that frees earliest.  The strategy picks the queue of start
 vertices (highest priority first, a seeded shuffle, or most wedges
 first); the mode picks the jobs.  Either job lasts its exact wedge
 count, ``csr.wedges`` of the CSR built before the plan: a dynamic job is
-a slice of about ``kernel.CHUNK_WEDGES`` consecutive queued vertices, a
-static job is one queued vertex.  Counts are integers and results are
-collected in lane order, so the total is identical for every lane count,
-mode, strategy, and seed, and every lane's report repeats exactly across
-calls.
+a chunk of the queue, which its lane folds as dealt; a static job is one
+queued vertex, and each static lane is cut into chunks once dealt.
+Counts are integers and results are collected in lane order, so the
+total is identical for every lane count, mode, strategy, and seed, and
+every lane's report repeats exactly across calls.
 
 One rule, ``_workers``, caps how many threads fold at once: up to the
 CPUs the process may use, and as many as half the physical memory holds,
-each with the largest chunk's expansion and what its fold holds besides
-(a per-edge lane's credit array).  Memory never decides whether a graph
-is counted: under short memory fewer lanes fold at once, down to one in
-the calling thread, with the same results.  Only a lane count whose
-bookkeeping alone exceeds that memory is refused.
+each charged the expansion of the largest chunk it is handed and what
+its fold holds besides (a per-edge lane's credit array).  Memory never
+decides whether a graph is counted: under short memory fewer lanes fold
+at once, down to one in the calling thread, with the same results.  Only
+a lane count whose bookkeeping alone exceeds that memory is refused.
 """
 
 from __future__ import annotations
@@ -137,58 +138,47 @@ def _spare_memory() -> int | None:
         return None
 
 
-def _workers(csr: kernel.RankCsr, held: int = 0) -> int:
-    """How many threads may fold lanes over ``csr`` at once: up to
+def _workers(csr: kernel.RankCsr, chunks: list[np.ndarray], held: int = 0) -> int:
+    """How many threads may fold ``chunks`` of ``csr`` at once: up to
     ``_cpu_limit()``, as many as half the physical memory holds, each with
-    the largest chunk's expansion, ``held`` bytes of its own and
-    ``LANE_BYTES``; never fewer than one, which folds in the calling thread."""
+    the largest chunk's expansion (its wedges at ``WEDGE_BYTES`` and the
+    entries of its starts with wedges at ``ENTRY_BYTES``), ``held`` bytes of
+    its own and ``LANE_BYTES``; never fewer than one, which folds in the
+    calling thread."""
     cpus, spare = _cpu_limit(), _spare_memory()
     if spare is None or cpus == 1:
         return cpus
-    starts = csr.wedges > 0
-    wedges, entries = csr.wedges[starts], np.diff(csr.row_offsets)[starts]
-    fixed = max(kernel.CHUNK_WEDGES, int(wedges.max(initial=0))) * WEDGE_BYTES + held
-    # A chunk is one start, or starts with at most CHUNK_WEDGES wedges: its
-    # entries are at most all of the starts with wedges or, tighter (a
-    # fractional knapsack), those of the most entries a wedge that reach it.
-    workers = spare // (fixed + int(entries.sum()) * ENTRY_BYTES + LANE_BYTES)
-    if workers < cpus:
-        order = np.argsort(wedges / entries)
-        reach = int(np.searchsorted(np.cumsum(wedges[order]), kernel.CHUNK_WEDGES)) + 1
-        most = max(int(entries[order[:reach]].sum()), int(entries.max(initial=0)))
-        workers = spare // (fixed + most * ENTRY_BYTES + LANE_BYTES)
-    return max(1, min(cpus, workers))
+    entries = np.where(csr.wedges > 0, np.diff(csr.row_offsets), 0)
+    cost = csr.wedges * WEDGE_BYTES + entries * ENTRY_BYTES
+    largest = max(int(cost[rows].sum()) for rows in chunks)
+    return max(1, min(cpus, spare // (largest + held + LANE_BYTES)))
 
 
-def _deal(csr: kernel.RankCsr, queue: np.ndarray, threads: int) -> list[np.ndarray]:
-    """Dynamic lanes: ``queue`` (ranks) cut by ``kernel.chunk_bounds`` into
-    slices, each a job lasting its wedge count, dealt by the list schedule."""
-    slices = np.split(queue, kernel.chunk_bounds(csr.wedges[queue]))
-    durations = [int(csr.wedges[rows].sum()) for rows in slices]
-    # queue[:0] keeps a lane that is dealt no slice an empty array.
-    return [np.concatenate([queue[:0], *(slices[i] for i in lane)])
-            for lane in simulate_list_schedule(durations, threads)]
+def _deal(csr: kernel.RankCsr, chunks: list[np.ndarray], threads: int) -> list[list[np.ndarray]]:
+    """Dynamic lanes: ``chunks``, each a job lasting its wedge count, dealt
+    by the list schedule.  Returns each lane's chunks, in the order dealt."""
+    durations = [int(csr.wedges[rows].sum()) for rows in chunks]
+    return [[chunks[i] for i in lane] for lane in simulate_list_schedule(durations, threads)]
 
 
-def fold_lanes(csr: kernel.RankCsr, fold, lanes: list[np.ndarray] | None = None,
+def fold_lanes(csr: kernel.RankCsr, fold, lanes: list[list[np.ndarray]] | None = None,
                held: int = 0) -> list:
-    """``fold(csr, rows)`` of every lane, in lane order.  Without ``lanes``,
-    the highest-priority-first queue is one lane if its wedges fit one
-    chunk, else ``_deal`` deals it to each worker ``_workers`` allows with
-    ``held`` bytes, up to one a slice.  Lanes with wedges fold on a pool of
-    up to ``_workers`` threads for this call; with at most one, or one
-    worker, every lane folds in the calling thread, which starts none."""
+    """``fold(csr, chunks)`` of every lane, a list of chunks, in lane order.
+    Without ``lanes``, ``_deal`` deals the chunks of the highest-priority-first
+    queue to each worker ``_workers`` allows with ``held`` bytes, up to one a
+    chunk.  Lanes with wedges fold on a pool of up to ``_workers`` threads
+    for this call; with at most one, or one worker, every lane folds in the
+    calling thread, which starts none."""
     if lanes is None:
-        queue = np.arange(csr.n)[::-1]
-        if csr.wedges.sum() <= kernel.CHUNK_WEDGES:
-            lanes = [queue]
-        else:
-            # Every slice has wedges, so only lanes past the slices are empty.
-            lanes = [rows for rows in _deal(csr, queue, _workers(csr, held)) if len(rows)]
+        chunks = kernel.chunks(csr, np.arange(csr.n)[::-1])
+        threads = _workers(csr, chunks, held) if len(chunks) > 1 else 1
+        # Every chunk but a lone one has wedges: only lanes past the chunks are empty.
+        lanes = [lane for lane in _deal(csr, chunks, threads) if lane]
         workers = len(lanes)
     else:
-        busy = sum(1 for rows in lanes if csr.wedges[rows].any())
-        workers = min(busy, _workers(csr, held)) if busy > 1 else 1
+        busy = sum(1 for lane in lanes if any(csr.wedges[rows].any() for rows in lane))
+        workers = (min(busy, _workers(csr, [rows for lane in lanes for rows in lane], held))
+                   if busy > 1 else 1)
     fold = partial(fold, csr)
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
@@ -209,11 +199,15 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
         raise ConfigError(f"{cfg.threads} lanes need ~{cfg.threads * LANE_BYTES} bytes "
                           "of bookkeeping; reduce threads")
     csr = kernel.rank_csr(g, p)
-    plan = _deal if cfg.mode == "dynamic" else make_static_assignment
-    lanes = plan(csr, _queue(csr, p, cfg), cfg.threads)
+    queue = _queue(csr, p, cfg)
+    if cfg.mode == "dynamic":
+        lanes = _deal(csr, kernel.chunks(csr, queue), cfg.threads)
+    else:
+        lanes = [kernel.chunks(csr, rows)
+                 for rows in make_static_assignment(csr, queue, cfg.threads)]
     folds = fold_lanes(csr, kernel.count_rows, lanes)
-    reports = [ThreadReport(tid, *counts, len(rows))
-               for tid, (counts, rows) in enumerate(zip(folds, lanes))]
+    reports = [ThreadReport(tid, *counts, sum(map(len, lane)))
+               for tid, (counts, lane) in enumerate(zip(folds, lanes))]
     butterflies = exact.check_limit(sum(r.butterflies for r in reports), "butterfly count")
     wedges = sum(r.wedges_processed for r in reports)
     report = exact.CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,

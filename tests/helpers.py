@@ -8,6 +8,7 @@ import random
 import shutil
 from itertools import combinations
 
+from bicount import parallel
 from bicount.errors import ParseError
 from bicount.graph import BipartiteGraph
 
@@ -247,3 +248,15 @@ def makespan(assignment: list[list[int]], workloads: list[int]) -> int:
     if not all(seen):
         raise ValueError(f"vertex {seen.index(False)} unassigned")
     return max((sum(workloads[u] for u in lane) for lane in assignment), default=0)
+
+
+def chunk_bytes(csr, rows) -> int:
+    """What a folding worker is charged for the chunk ``rows`` of ``csr``:
+    its wedges at ``WEDGE_BYTES`` and the entries of its starts with wedges
+    at ``ENTRY_BYTES``, recounted here start by start."""
+    charge = 0
+    for r in rows.tolist():
+        if csr.wedges[r]:
+            entries = int(csr.row_offsets[r + 1] - csr.row_offsets[r])
+            charge += int(csr.wedges[r]) * parallel.WEDGE_BYTES + entries * parallel.ENTRY_BYTES
+    return charge

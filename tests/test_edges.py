@@ -1,6 +1,7 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +13,7 @@ from bicount.errors import ConsistencyError, CountOverflowError, GuardError
 from bicount.exact import count_vpp
 from bicount.generate import complete_graph, hub_graph, random_graph
 from bicount.graph import assign_priorities
-from helpers import (complete_3x2, four_cycle, random_graph_set, three_path,
+from helpers import (chunk_bytes, complete_3x2, four_cycle, random_graph_set, three_path,
                      transpose)
 from test_kernel import graphs
 
@@ -73,11 +74,11 @@ def record_credit_threads(monkeypatch, barrier=None):
     run at the same time break it."""
     real, idents = kernel.credit_rows, []
 
-    def recording(csr, rows):
+    def recording(csr, chunks):
         idents.append(threading.get_ident())
         if barrier is not None:
             barrier.wait()
-        return real(csr, rows)
+        return real(csr, chunks)
 
     monkeypatch.setattr(kernel, "credit_rows", recording)
     return idents
@@ -92,7 +93,7 @@ class TestThreadedCredit:
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_any_lane_count_matches_brute_force(self, g):
-        # A chunk cap of one makes every start its own slice.
+        # A chunk cap of one makes every start its own chunk.
         expected = brute_force_per_edge(g)
         with pytest.MonkeyPatch.context() as mp:
             for chunk in (1, 50):
@@ -135,16 +136,16 @@ class TestThreadedCredit:
         assert threading.active_count() == before
 
     def test_no_lane_is_dealt_without_rows(self, monkeypatch):
-        # 64 CPUs and a few slices: one lane a slice, and no lane of a
+        # 64 CPUs and a few chunks: one lane a chunk, and no lane of a
         # sum's folds is handed an empty row set (or a zero credit array).
         g = busy_graph()
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
         sizes = {"count_rows": [], "credit_rows": []}
         for name, seen in sizes.items():
-            def recording(csr, rows, real=getattr(kernel, name), seen=seen):
-                seen.append(len(rows))
-                return real(csr, rows)
+            def recording(csr, chunks, real=getattr(kernel, name), seen=seen):
+                seen.append(sum(map(len, chunks)))
+                return real(csr, chunks)
             monkeypatch.setattr(kernel, name, recording)
         expected = brute_force_per_edge(g)
         assert per_edge_counts(g) == expected
@@ -171,11 +172,11 @@ class TestThreadedCredit:
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         real, calls = kernel.credit_rows, []
 
-        def failing_once(csr, rows):
+        def failing_once(csr, chunks):
             calls.append(threading.get_ident())
             if len(calls) == 2:
                 raise MemoryError("simulated")
-            return real(csr, rows)
+            return real(csr, chunks)
 
         monkeypatch.setattr(kernel, "credit_rows", failing_once)
         before = threading.active_count()
@@ -191,19 +192,22 @@ class TestThreadedCredit:
         expected = per_edge_counts(g)
         csr = kernel.rank_csr(g, assign_priorities(g))
         held = 8 * len(csr.columns)
-        # 8 MiB of memory: half of it holds one worker with a credit array
-        # and a 3.25 MiB chunk expansion (2^16 wedges at WEDGE_BYTES, and the
-        # entries), or two with 1.63 MiB ones (2^15 wedges), not three.
-        pages = {"SC_PHYS_PAGES": 8 * 256, "SC_PAGE_SIZE": 4096}
+        # A worker is charged its credit array, LANE_BYTES and the largest
+        # chunk of the highest-priority-first queue: half of five workers'
+        # charge holds two workers, not three, and half of three holds one.
+        chunks = kernel.chunks(csr, np.arange(csr.n)[::-1])
+        worker = held + parallel.LANE_BYTES + max(chunk_bytes(csr, rows) for rows in chunks)
+        pages = {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
-        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 16)
-        assert parallel._workers(csr, held) == 1
-        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1 << 15)
-        assert parallel._workers(csr, held) == 2
-        # One page: not even one worker fits, and the inline fold still counts.
-        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        for memory, workers in ((5 * worker, 2), (3 * worker, 1)):
+            pages["SC_PHYS_PAGES"] = memory
+            assert parallel._workers(csr, chunks, held) == workers
+            idents = record_credit_threads(monkeypatch)
+            assert per_edge_counts(g) == expected
+            assert len(idents) == workers
+        # One byte: not even one worker fits, and the inline fold still counts.
         pages["SC_PHYS_PAGES"] = 1
-        assert parallel._workers(csr, held) == 1
+        assert parallel._workers(csr, chunks, held) == 1
         idents = record_credit_threads(monkeypatch)
         assert per_edge_counts(g) == expected
         assert idents == [threading.get_ident()]

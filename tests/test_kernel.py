@@ -3,6 +3,7 @@
 wedge enumerators and the oracles."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from bicount import kernel, parallel
 from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import _start_dominant, count_butterflies, count_vp, count_vpp
-from bicount.generate import hub_graph
+from bicount.generate import hub_graph, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
                      neighbor_lists, transpose)
@@ -85,7 +86,8 @@ class TestKernel:
         vertex = np.argsort(p)
         csr = kernel.rank_csr(g, p)
         expanded = Counter()
-        for row_entries, ends, _, keys in kernel.iter_chunks(csr, np.arange(csr.n)):
+        for rows in kernel.chunks(csr, np.arange(csr.n)):
+            row_entries, ends, _, keys = kernel._expand(csr, rows)
             # Keys number the starts within the chunk: read each start from
             # its (start, middle) entry instead.
             entries = np.repeat(row_entries, ends)
@@ -98,6 +100,20 @@ class TestKernel:
         assert csr.wedges.tolist() == [starts[u] for u in vertex.tolist()]
         # count_vp runs this kernel: its start-dominant wedges are these read backwards.
         assert Counter((w, v, u) for u, v, w in iter_start_dominant_wedges(g, p)) == expected
+
+    @pytest.mark.parametrize("r, l, m", [(500, 500, 50_000), (20_000, 20_000, 30_000)],
+                             ids=["dense", "sparse"])
+    def test_rank_csr_holds_at_most_four_arrays_of_2m_entries(self, r, l, m):
+        # Arrays of n + 1 entries are O(n); Python objects need a few KiB.
+        g = BipartiteGraph.build(random_pairs_m(r, l, m, seed=4))
+        p = assign_priorities(g)
+        tracemalloc.start()
+        try:
+            kernel.rank_csr(g, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * 2 * m + 4 * 8 * (g.vertex_count + 1) + (1 << 12)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs())
@@ -124,7 +140,7 @@ class TestKernel:
         expected = counted(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
         csr = kernel.rank_csr(g, assign_priorities(g))
-        chunks = [len(keys) for *_, keys in kernel.iter_chunks(csr, np.arange(csr.n))]
+        chunks = [int(csr.wedges[rows].sum()) for rows in kernel.chunks(csr, np.arange(csr.n))]
         assert len(chunks) > 1 and max(chunks) > 1
         report, per_edge, vp = counted(g)
         assert report.counters() == expected[0].counters()
@@ -151,7 +167,8 @@ class TestKeyWidths:
         p = assign_priorities(g)
         csr = kernel.rank_csr(g, p)
         assert csr.n == 4 * squares
-        widths = [keys.dtype for *_, keys in kernel.iter_chunks(csr, np.arange(csr.n))]
+        widths = [kernel._expand(csr, rows)[3].dtype
+                  for rows in kernel.chunks(csr, np.arange(csr.n))]
         assert widths[0] == np.uint64 and widths[-1] == np.uint32
         expected = (squares, 2 * squares)
         for report in (count_vpp(g, p), count_vp(g, p)):

@@ -18,7 +18,7 @@ from bicount.generate import hub_graph, random_graph, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               make_static_assignment, simulate_list_schedule)
-from helpers import four_cycle, makespan, random_graph_set, star
+from helpers import chunk_bytes, four_cycle, makespan, random_graph_set, star
 from test_edges import busy_graph
 from test_kernel import graphs
 
@@ -28,7 +28,8 @@ PROBS = (0.05, 0.1, 0.25, 0.5)
 def check_lanes_follow_the_list_schedule(monkeypatch, mode):
     """Every lane folds the jobs that the list schedule deals it from the
     strategy's queue, each lasting its vertices' wedges, so each lane's
-    wedges are predicted exactly and repeat across calls."""
+    wedges are predicted exactly and repeat across calls.  A dynamic lane
+    folds the chunks it was dealt as they are, in the order dealt."""
     g = random_graph(30, 30, 0.3, seed=7)
     p = assign_priorities(g)
     monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
@@ -39,22 +40,35 @@ def check_lanes_follow_the_list_schedule(monkeypatch, mode):
     queues = {"priority": list(range(g.vertex_count))[::-1],
               "random": (p - 1)[shuffled],
               "heuristic": sorted(range(g.vertex_count), key=lambda r: -csr.wedges[r])}
+    real, folded = kernel.count_rows, []
+
+    def recording(csr, chunks):
+        folded.append([rows.tolist() for rows in chunks])
+        return real(csr, chunks)
+
     for strategy, ranks in queues.items():
         ranks = np.asarray(ranks)
         if mode == "dynamic":
-            jobs = np.split(ranks, kernel.chunk_bounds(csr.wedges[ranks]))
+            jobs = kernel.chunks(csr, ranks)
             assert len(jobs) > 8
         else:
             jobs = [ranks[i:i + 1] for i in range(len(ranks))]
         durations = [int(csr.wedges[rows].sum()) for rows in jobs]
         # A job lasts the wedges its lane counts for it.
-        assert durations == [kernel.count_rows(csr, rows)[1] for rows in jobs]
+        assert durations == [real(csr, [rows])[1] for rows in jobs]
         for threads in (3, 8):
-            predicted = [sum(durations[i] for i in lane)
-                         for lane in simulate_list_schedule(durations, threads)]
+            dealt = simulate_list_schedule(durations, threads)
+            predicted = [sum(durations[i] for i in lane) for lane in dealt]
             cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=7)
+            folded.clear()
+            monkeypatch.setattr(kernel, "count_rows", recording)
             first = count_parallel(g, p, cfg)[1]
+            monkeypatch.setattr(kernel, "count_rows", real)
             assert [t.wedges_processed for t in first] == predicted
+            if mode == "dynamic":
+                # Lanes may fold in any order, each its own dealt jobs.
+                assert sorted(folded) == sorted([jobs[i].tolist() for i in lane]
+                                                for lane in dealt)
             for _ in range(2):
                 assert count_parallel(g, p, cfg)[1] == first
 
@@ -231,22 +245,27 @@ class TestCountParallel:
             count_parallel(g, assign_priorities(g), ScheduleConfig(threads=10 ** 14))
 
     def test_short_memory_folds_the_lanes_in_the_calling_thread(self, monkeypatch):
-        # Both static lanes of this graph have wedges.  A worker holds a
-        # chunk expansion of 2^16 wedges, 3.25 MiB at WEDGE_BYTES, and its
-        # entries: half of 8 MiB of memory holds one, not two, and half of
-        # 6 MiB not even one.  Either way the lanes fold here, one after the
-        # other, as they would on two workers; memory never refuses the graph.
+        # Both static lanes of this graph have wedges, each one chunk.  A
+        # worker is charged its chunk's expansion and LANE_BYTES: half of
+        # three workers' charge holds one worker, not two, and half of one
+        # worker's charge not even one.  Either way the lanes fold here, one
+        # after the other, as they would on two workers; memory never
+        # refuses the graph.
         g = random_graph(30, 40, 0.2, seed=12)
         p = assign_priorities(g)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
         report, lanes = count_parallel(g, p, cfg)
         assert all(t.wedges_processed for t in lanes)
+        csr = kernel.rank_csr(g, p)
+        worker = parallel.LANE_BYTES + max(
+            chunk_bytes(csr, rows)
+            for rows in make_static_assignment(csr, parallel._queue(csr, p, cfg), 2))
         idents, _ = record_fold_threads(monkeypatch)
-        pages = {"SC_PAGE_SIZE": 4096}
+        pages = {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
-        for mib in (8, 6):
-            pages["SC_PHYS_PAGES"] = mib * 256
+        for memory in (3 * worker, worker):
+            pages["SC_PHYS_PAGES"] = memory
             short_report, short_lanes = count_parallel(g, p, cfg)
             assert short_lanes == lanes
             assert short_report.counters() == report.counters()
@@ -261,11 +280,11 @@ class TestCountParallel:
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         real, calls = kernel.count_rows, []
 
-        def failing_once(csr, rows):
+        def failing_once(csr, chunks):
             calls.append(threading.get_ident())
             if len(calls) == 2:
                 raise MemoryError("simulated")
-            return real(csr, rows)
+            return real(csr, chunks)
 
         monkeypatch.setattr(kernel, "count_rows", failing_once)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
@@ -277,7 +296,7 @@ class TestCountParallel:
         assert threading.active_count() == before
 
     def test_dynamic_lanes_follow_the_list_schedule(self, monkeypatch):
-        # A dynamic job is a slice of the strategy's queue lasting its
+        # A dynamic job is a chunk of the strategy's queue lasting its
         # wedge count.
         check_lanes_follow_the_list_schedule(monkeypatch, "dynamic")
 
@@ -289,7 +308,7 @@ class TestCountParallel:
     @settings(max_examples=60, deadline=None)
     @given(graphs(), st.integers(min_value=0, max_value=2 ** 16))
     def test_matches_count_vpp_and_brute_force(self, g, seed):
-        # A chunk cap of one makes every start its own slice.
+        # A chunk cap of one makes every start its own chunk.
         p = assign_priorities(g)
         expected = count_vpp(g, p)
         assert expected.butterflies == brute_force_per_edge(g).butterflies
@@ -337,26 +356,27 @@ class TestFootprint:
         g = make()
         p = assign_priorities(g)
         csr = kernel.rank_csr(g, p)
-        peak = 0
+        peak, chunks = 0, []
         for strategy in STRATEGIES:
             queue = parallel._queue(csr, p, ScheduleConfig(strategy=strategy))
-            for rows in np.split(queue, kernel.chunk_bounds(csr.wedges[queue])):
-                for fold, held in ((kernel.count_rows, 0),
-                                   (kernel.credit_rows, 8 * len(csr.columns))):
-                    tracemalloc.start()
-                    try:
-                        fold(csr, rows)
-                        peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
-                    finally:
-                        tracemalloc.stop()
+            chunks += kernel.chunks(csr, queue)
+        for rows in chunks:
+            for fold, held in ((kernel.count_rows, 0),
+                               (kernel.credit_rows, 8 * len(csr.columns))):
+                tracemalloc.start()
+                try:
+                    fold(csr, [rows])
+                    peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
+                finally:
+                    tracemalloc.stop()
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
         pages = {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
         for workers in (1, 2, 5):
             pages["SC_PHYS_PAGES"] = 2 * workers * (peak + parallel.LANE_BYTES)
-            assert parallel._workers(csr) <= workers
+            assert parallel._workers(csr, chunks) <= workers
             pages["SC_PHYS_PAGES"] *= 2
-            assert parallel._workers(csr) >= workers
+            assert parallel._workers(csr, chunks) >= workers
 
 
 def record_fold_threads(monkeypatch, barrier=None):
@@ -365,12 +385,12 @@ def record_fold_threads(monkeypatch, barrier=None):
     there, so folds that do not run at the same time break it."""
     real, idents, alive = kernel.count_rows, [], []
 
-    def recording(csr, rows):
+    def recording(csr, chunks):
         idents.append(threading.get_ident())
         alive.append(threading.active_count())
         if barrier is not None:
             barrier.wait()
-        return real(csr, rows)
+        return real(csr, chunks)
 
     monkeypatch.setattr(kernel, "count_rows", recording)
     return idents, alive
@@ -387,7 +407,7 @@ class TestThreadPool:
         assert len(set(idents)) == 2 and threading.get_ident() not in idents
 
     def test_no_more_threads_than_cpus(self, monkeypatch):
-        # A chunk cap of one makes every start its own slice: most lanes get rows.
+        # A chunk cap of one makes every start its own chunk: most lanes get rows.
         g = random_graph(30, 40, 0.2, seed=12)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
         before = threading.active_count()
