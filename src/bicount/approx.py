@@ -48,15 +48,6 @@ def sparsify(g: BipartiteGraph, p: float, seed: int) -> BipartiteGraph:
     return g.replace_edges(g.uppers[kept], g.lowers[kept])
 
 
-def estimate_butterflies(g: BipartiteGraph, p: float, seed: int,
-                         counter: Counter = count_butterflies) -> Fraction:
-    """Unbiased estimate: exact count of the sample divided by p**4.
-
-    Returned as an exact rational; with p = 1 it equals the exact count.
-    """
-    return _trial(g, p, seed, counter)[0]
-
-
 def _trial(g: BipartiteGraph, p: float, seed: int, counter: Counter) -> tuple[Fraction, int]:
     """One trial: the estimate and the wedges its sample count processed."""
     report = counter(sparsify(g, p, seed))

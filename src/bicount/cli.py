@@ -259,8 +259,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # ParseError, ConfigError, GuardError and bad parameter values
-        # (probabilities, sizes) from deeper layers.
+        # ParseError, ConfigError and bad parameter values (probabilities,
+        # sizes) from deeper layers.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

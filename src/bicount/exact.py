@@ -57,11 +57,6 @@ class CountReport:
     end_accesses: int
     elapsed: float
 
-    def counters(self) -> tuple[int, int, int, int, int]:
-        """The deterministic fields, for equality checks across runs."""
-        return (self.butterflies, self.wedges_processed, self.start_accesses,
-                self.middle_accesses, self.end_accesses)
-
 
 def check_limit(value: int, what: str) -> int:
     if value >= COUNT_LIMIT:
@@ -165,8 +160,9 @@ def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray, None]:
     priorities, and no projection mapping.
 
     The rank-space kernel relabels vertices by priority itself, so no
-    engine needs a projected or sorted copy.  The three-value shape is kept
-    for callers that still unpack one (``perfbench/ops.py``).
+    engine needs a projected or sorted copy.  Its only caller is
+    ``perfbench/ops.py``, which unpacks the three values; ``bicount`` does
+    not export it.
     """
     return g, assign_priorities(g), None
 
@@ -199,9 +195,3 @@ def count_caterpillars(g: BipartiteGraph) -> int:
 def clustering_from_counts(butterflies: int, caterpillars: int) -> Fraction | None:
     """4 * butterflies / caterpillars, or None when there are no caterpillars."""
     return Fraction(4 * butterflies, caterpillars) if caterpillars else None
-
-
-def clustering_coefficient(g: BipartiteGraph) -> Fraction | None:
-    """The clustering coefficient of ``g`` (``clustering_from_counts``)."""
-    return clustering_from_counts(count_butterflies(g, "vpp").butterflies,
-                                  count_caterpillars(g))

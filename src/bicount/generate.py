@@ -3,7 +3,9 @@
 
 All generators return (upper-label, lower-label) pairs in a deterministic
 order, so the dense first-seen ID assignment of the parser (and of
-``BipartiteGraph.build``) is reproducible.
+``BipartiteGraph.build``) is reproducible.  A graph is built with
+``BipartiteGraph.build(*_pairs(...))``; ``complete_graph`` is kept only
+for the self-test of ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -63,21 +65,8 @@ def random_pairs_m(r: int, l: int, m: int, seed: int) -> list[tuple[int, int]]:
     return [(c // l, c % l) for c in cells]
 
 
-def hub_graph(a: int, b: int | None = None) -> BipartiteGraph:
-    pairs = hub_pairs(a, b)
-    return BipartiteGraph.build(pairs)
-
-
-def hub_path_graph(a: int) -> BipartiteGraph:
-    return BipartiteGraph.build(hub_path_pairs(a))
-
-
 def complete_graph(r: int, l: int) -> BipartiteGraph:
     return BipartiteGraph.build(complete_pairs(r, l), r, l)
-
-
-def random_graph(r: int, l: int, edge_probability: float, seed: int) -> BipartiteGraph:
-    return BipartiteGraph.build(random_pairs(r, l, edge_probability, seed), r, l)
 
 
 def pairs_to_text(pairs, header: str | None = None) -> str:

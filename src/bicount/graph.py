@@ -296,11 +296,6 @@ def load_edge_list(path) -> BipartiteGraph:
         return parse_edge_list(handle)
 
 
-def format_edge_list(g: BipartiteGraph) -> str:
-    """Serialize back to the input format using external labels."""
-    return "".join(f"{u} {v}\n" for u, v in zip(*g.edge_labels()))
-
-
 def degree_priorities(degrees: np.ndarray) -> np.ndarray:
     """The degree-major, ID-minor priorities of vertices 0..n-1 with the
     given int64 degrees: an int64 permutation of 1..n.  A vertex outranks

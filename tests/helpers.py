@@ -3,6 +3,7 @@ for the test suite."""
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 import shutil
@@ -10,6 +11,7 @@ from itertools import combinations
 
 from bicount import parallel
 from bicount.errors import ParseError
+from bicount.exact import CountReport
 from bicount.graph import BipartiteGraph
 
 
@@ -45,6 +47,12 @@ def neighbor_lists(g: BipartiteGraph) -> list[list[int]]:
         adjacency[u].append(v)
         adjacency[v].append(u)
     return adjacency
+
+
+def timeless(report: CountReport) -> CountReport:
+    """``report`` with ``elapsed`` cleared: every other field is
+    deterministic, so two runs' reports compare equal."""
+    return dataclasses.replace(report, elapsed=0.0)
 
 
 def four_cycle() -> BipartiteGraph:

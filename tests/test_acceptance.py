@@ -11,14 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from bicount.approx import estimate_butterflies, run_trials
+from bicount.approx import run_trials
 from bicount.edges import brute_force_per_edge, per_edge_counts, per_vertex_from_edges
-from bicount.exact import (clustering_coefficient,
-                           count_butterflies, count_caterpillars, count_vpp)
+from bicount.exact import (clustering_from_counts, count_butterflies,
+                           count_caterpillars, count_vpp)
 from bicount.external import EmConfig, em_count
-from bicount.generate import (hub_graph, hub_path_graph, pairs_to_text,
-                              random_pairs_m)
-from bicount.graph import assign_priorities, parse_edge_list
+from bicount.generate import hub_pairs, hub_path_pairs, pairs_to_text, random_pairs_m
+from bicount.graph import BipartiteGraph, assign_priorities, parse_edge_list
 from bicount.parallel import ScheduleConfig, count_parallel
 from helpers import (brute_force_three_paths, edge_list, four_cycle, random_graph_set,
                      star, three_path)
@@ -45,7 +44,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def hub1000():
-    return hub_graph(1000)
+    return BipartiteGraph.build(hub_pairs(1000))
 
 
 def test_criterion_01_oracle_equivalence(corpus):
@@ -76,7 +75,7 @@ def test_criterion_02_hub_graph_wedge_counts(hub1000):
 
 
 def test_criterion_03_hub_path_wedge_counts():
-    g = hub_path_graph(1000)
+    g = BipartiteGraph.build(hub_path_pairs(1000))
     assert g.vertex_count == 2002 and g.edge_count == 3000
     ibs = count_butterflies(g, "ibs")
     vp = count_butterflies(g, "vp")
@@ -161,8 +160,8 @@ def test_criterion_08_external_memory_equivalence(tmp_path):
 
 def test_criterion_09_approximate_unbiasedness(hub1000):
     start = time.perf_counter()
-    exact = estimate_butterflies(hub1000, 1.0, seed=0)
-    assert exact == 999_000  # p = 1 reproduces the exact count bit-for-bit
+    exact, _ = run_trials(hub1000, 1.0, 1, seed=0, with_exact=False)
+    assert exact.estimates == [999_000]  # p = 1 reproduces the exact count bit-for-bit
     trials = 200
     _, summary = run_trials(hub1000, 0.5, trials, seed=CORPUS_SEED,
                             with_exact=False)
@@ -176,11 +175,12 @@ def test_criterion_09_approximate_unbiasedness(hub1000):
 
 
 def test_criterion_10_clustering_coefficient(corpus):
-    assert clustering_coefficient(four_cycle()) == 1
-    assert clustering_coefficient(three_path()) == 0
-    for g in corpus.graphs:
+    for g, expected in ((four_cycle(), 1), (three_path(), 0)):
+        assert clustering_from_counts(count_butterflies(g).butterflies,
+                                      count_caterpillars(g)) == expected
+    for g, vpp in zip(corpus.graphs, corpus.vpp):
         assert count_caterpillars(g) == brute_force_three_paths(g)
-        cc = clustering_coefficient(g)
+        cc = clustering_from_counts(vpp.butterflies, count_caterpillars(g))
         if cc is not None:
             assert Fraction(0) <= cc <= Fraction(1)
     print(f"\ncriterion 10: PASS - coefficient exact on the anchors and "
@@ -191,7 +191,7 @@ def test_criterion_11_wedge_scaling():
     start = time.perf_counter()
     ratios = {}
     for width in (100, 300, 1000):
-        g = hub_graph(width)
+        g = BipartiteGraph.build(hub_pairs(width))
         ibs = count_butterflies(g, "ibs").wedges_processed
         vp = count_butterflies(g, "vp").wedges_processed
         ratios[width] = Fraction(ibs, vp)

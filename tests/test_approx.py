@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from bicount.approx import _draws, estimate_butterflies, run_trials, sparsify
+from bicount.approx import _draws, run_trials, sparsify
 from bicount.exact import count_vpp
-from bicount.generate import complete_graph, hub_graph
-from bicount.graph import assign_priorities
+from bicount.generate import complete_pairs, hub_pairs
+from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import complete_3x2, edge_list, three_path
 
 
@@ -17,15 +17,15 @@ def exact_count(g):
 
 class TestSparsify:
     def test_p_one_keeps_everything(self):
-        g = hub_graph(20)
+        g = BipartiteGraph.build(hub_pairs(20))
         assert edge_list(sparsify(g, 1.0, seed=5)) == edge_list(g)
 
     def test_same_seed_same_subset(self):
-        g = hub_graph(20)
+        g = BipartiteGraph.build(hub_pairs(20))
         assert edge_list(sparsify(g, 0.5, seed=9)) == edge_list(sparsify(g, 0.5, seed=9))
 
     def test_vertex_universe_unchanged(self):
-        g = hub_graph(20)
+        g = BipartiteGraph.build(hub_pairs(20))
         sample = sparsify(g, 0.3, seed=1)
         assert sample.upper_count == g.upper_count
         assert sample.lower_count == g.lower_count
@@ -37,7 +37,7 @@ class TestSparsify:
             draw = random.Random(seed).random
             assert _draws(seed, count).tolist() == [draw() for _ in range(count)]
         # One draw per edge, in edge order: an edge stays iff its draw is below p.
-        g = complete_graph(7, 25)
+        g = BipartiteGraph.build(complete_pairs(7, 25))
         draw = random.Random(seed).random
         assert edge_list(sparsify(g, 0.5, seed)) == [e for e in edge_list(g) if draw() < 0.5]
 
@@ -51,7 +51,7 @@ class TestSparsify:
     def test_kept_count_tracks_the_binomial(self, p):
         # 1000 trials on a 100-edge graph: the mean kept count sits within
         # three standard errors of 100p.
-        g = complete_graph(10, 10)
+        g = BipartiteGraph.build(complete_pairs(10, 10))
         assert g.edge_count == 100
         trials = 1000
         kept = [sparsify(g, p, seed=i).edge_count for i in range(trials)]
@@ -63,12 +63,14 @@ class TestSparsify:
 class TestEstimate:
     def test_p_one_is_exact(self):
         g = complete_3x2()
-        assert estimate_butterflies(g, 1.0, seed=3) == exact_count(g) == 3
+        trials, _ = run_trials(g, 1.0, 1, seed=3, with_exact=False)
+        assert trials.estimates[0] == exact_count(g) == 3
 
     def test_zero_butterflies_stay_zero(self):
         g = three_path()
-        for seed in range(5):
-            assert estimate_butterflies(g, 0.5, seed=seed) == 0
+        # Trial i samples with seed i: seeds 0..4.
+        trials, _ = run_trials(g, 0.5, 5, seed=0, with_exact=False)
+        assert trials.estimates == [0] * 5
 
     def test_unbiased_on_complete_3x2(self):
         # Spec-scale check: mean of 10,000 seeded trials within three
@@ -95,7 +97,7 @@ class TestRunTrials:
         assert summary.relative_error == 0
 
     def test_deterministic_given_seed(self):
-        g = hub_graph(15)
+        g = BipartiteGraph.build(hub_pairs(15))
         a, _ = run_trials(g, 0.4, 8, seed=12)
         b, _ = run_trials(g, 0.4, 8, seed=12)
         assert a.estimates == b.estimates
@@ -110,7 +112,7 @@ class TestRunTrials:
         assert "relative_error" not in summary.to_dict()  # exact count is 0
 
     def test_expected_work_shrinks_with_p(self):
-        g = hub_graph(30)
+        g = BipartiteGraph.build(hub_pairs(30))
         averages = []
         for p in (1.0, 0.5, 0.25):
             trials, _ = run_trials(g, p, 30, seed=6, with_exact=False)
@@ -131,7 +133,7 @@ class TestInjectedCounter:
             calls.append(report.butterflies)
             return report
 
-        value = estimate_butterflies(complete_3x2(), 1.0, seed=0,
-                                     counter=spy_counter)
+        trials, _ = run_trials(complete_3x2(), 1.0, 1, seed=0,
+                               counter=spy_counter, with_exact=False)
         assert calls == [3]
-        assert value == Fraction(3)
+        assert trials.estimates == [Fraction(3)]

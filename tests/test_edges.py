@@ -11,8 +11,8 @@ from bicount.edges import (EdgeCounts, brute_force_per_edge, count_per_edge_evpp
                            per_vertex_from_edges)
 from bicount.errors import ConsistencyError, CountOverflowError, GuardError
 from bicount.exact import count_vpp
-from bicount.generate import complete_graph, hub_graph, random_graph
-from bicount.graph import assign_priorities
+from bicount.generate import complete_pairs, hub_pairs, random_pairs
+from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import (chunk_bytes, complete_3x2, four_cycle, random_graph_set, three_path,
                      transpose)
 from test_kernel import graphs
@@ -36,7 +36,6 @@ class TestExamples:
         assert brute_force_per_edge(four_cycle()).per_edge == [1, 1, 1, 1]
 
     def test_brute_force_disjoint_union_adds(self):
-        from bicount.graph import BipartiteGraph
         pairs = [(0, 0), (0, 1), (1, 0), (1, 1),
                  (2, 2), (2, 3), (3, 2), (3, 3)]
         g = BipartiteGraph.build(pairs)
@@ -46,7 +45,7 @@ class TestExamples:
 
     def test_brute_force_guard(self):
         with pytest.raises(GuardError):
-            brute_force_per_edge(complete_graph(101, 100))
+            brute_force_per_edge(BipartiteGraph.build(complete_pairs(101, 100)))
 
 
 class TestOracleEquivalence:
@@ -86,7 +85,7 @@ def record_credit_threads(monkeypatch, barrier=None):
 
 def busy_graph():
     """Under a chunk cap of 50 wedges, both of its dynamic lanes have wedges."""
-    return random_graph(30, 40, 0.2, seed=12)
+    return BipartiteGraph.build(random_pairs(30, 40, 0.2, seed=12), 30, 40)
 
 
 class TestThreadedCredit:
@@ -127,7 +126,7 @@ class TestThreadedCredit:
         assert len(set(idents)) == 2 and threading.get_ident() not in idents
 
     def test_one_chunk_folds_in_the_calling_thread(self, monkeypatch):
-        g = hub_graph(40)
+        g = BipartiteGraph.build(hub_pairs(40))
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         idents = record_credit_threads(monkeypatch)
         before = threading.active_count()
@@ -233,7 +232,7 @@ class TestPerVertexFromEdges:
             per_vertex_from_edges(bogus, g)
 
     def test_counts_past_int64_are_an_error(self):
-        g = complete_graph(1, 2)
+        g = BipartiteGraph.build(complete_pairs(1, 2))
         with pytest.raises(CountOverflowError):
             per_vertex_from_edges(EdgeCounts([2 ** 62, 2 ** 62], 2 ** 61), g)
 

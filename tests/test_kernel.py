@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from bicount import kernel, parallel
 from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import _start_dominant, count_butterflies, count_vp, count_vpp
-from bicount.generate import hub_graph, random_pairs_m
+from bicount.generate import hub_pairs, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
-                     neighbor_lists, transpose)
+                     neighbor_lists, timeless, transpose)
 
 
 @st.composite
@@ -52,7 +52,7 @@ def loop_reference(g):
 
 def counted(g):
     return (count_butterflies(g, "vpp"), per_edge_counts(g).per_edge,
-            count_vp(g, assign_priorities(g)).counters())
+            timeless(count_vp(g, assign_priorities(g))))
 
 
 class TestKernel:
@@ -129,21 +129,21 @@ class TestKernel:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel, "CHUNK_WEDGES", 1)
             report, per_edge, vp = counted(g)
-        assert report.counters() == expected[0].counters()
+        assert timeless(report) == timeless(expected[0])
         assert per_edge == expected[1]
         assert vp == expected[2]
 
     def test_cap_of_one_splits_and_overruns(self, monkeypatch):
         # Every start of a hub graph with wedges gets its own chunk, and the
         # hub-side starts each have more wedges than the cap.
-        g = hub_graph(6)
+        g = BipartiteGraph.build(hub_pairs(6))
         expected = counted(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
         csr = kernel.rank_csr(g, assign_priorities(g))
         chunks = [int(csr.wedges[rows].sum()) for rows in kernel.chunks(csr, np.arange(csr.n))]
         assert len(chunks) > 1 and max(chunks) > 1
         report, per_edge, vp = counted(g)
-        assert report.counters() == expected[0].counters()
+        assert timeless(report) == timeless(expected[0])
         assert per_edge == expected[1]
         assert vp == expected[2]
 

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 from bicount import kernel, parallel
 from bicount.errors import ConfigError
 from bicount.edges import brute_force_per_edge
-from bicount.exact import count_vpp
-from bicount.generate import hub_graph, random_graph, random_pairs_m
+from bicount.exact import CountReport, count_vpp
+from bicount.generate import hub_pairs, random_pairs, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               make_static_assignment, simulate_list_schedule)
-from helpers import chunk_bytes, four_cycle, makespan, random_graph_set, star
+from helpers import chunk_bytes, four_cycle, makespan, random_graph_set, star, timeless
 from test_edges import busy_graph
 from test_kernel import graphs
 
@@ -30,7 +30,7 @@ def check_lanes_follow_the_list_schedule(monkeypatch, mode):
     strategy's queue, each lasting its vertices' wedges, so each lane's
     wedges are predicted exactly and repeat across calls.  A dynamic lane
     folds the chunks it was dealt as they are, in the order dealt."""
-    g = random_graph(30, 30, 0.3, seed=7)
+    g = BipartiteGraph.build(random_pairs(30, 30, 0.3, seed=7), 30, 30)
     p = assign_priorities(g)
     monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
     csr = kernel.rank_csr(g, p)
@@ -198,7 +198,7 @@ class TestScheduleQuality:
 
 class TestCountParallel:
     def test_single_thread_matches_sequential(self):
-        g = hub_graph(40)
+        g = BipartiteGraph.build(hub_pairs(40))
         p = assign_priorities(g)
         sequential = count_vpp(g, p)
         cfg = ScheduleConfig(mode="dynamic", strategy="priority", threads=1)
@@ -211,7 +211,8 @@ class TestCountParallel:
         assert threads[0].vertices_handled == g.vertex_count
 
     def test_result_independent_of_everything(self):
-        graphs = random_graph_set(4, 15, (0.25,), seed=81) + [hub_graph(30)]
+        graphs = random_graph_set(4, 15, (0.25,), seed=81)
+        graphs.append(BipartiteGraph.build(hub_pairs(30)))
         for g in graphs:
             p = assign_priorities(g)
             expected = count_vpp(g, p)
@@ -225,7 +226,7 @@ class TestCountParallel:
                         assert report.wedges_processed == expected.wedges_processed
 
     def test_thread_totals_partition_the_work(self):
-        g = hub_graph(50)
+        g = BipartiteGraph.build(hub_pairs(50))
         p = assign_priorities(g)
         sequential = count_vpp(g, p)
         cfg = ScheduleConfig(mode="static", strategy="heuristic", threads=4)
@@ -251,7 +252,7 @@ class TestCountParallel:
         # worker's charge not even one.  Either way the lanes fold here, one
         # after the other, as they would on two workers; memory never
         # refuses the graph.
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         p = assign_priorities(g)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         cfg = ScheduleConfig(mode="static", strategy="priority", threads=2)
@@ -268,13 +269,13 @@ class TestCountParallel:
             pages["SC_PHYS_PAGES"] = memory
             short_report, short_lanes = count_parallel(g, p, cfg)
             assert short_lanes == lanes
-            assert short_report.counters() == report.counters()
+            assert timeless(short_report) == timeless(report)
         assert idents == [threading.get_ident()] * 4
 
     def test_worker_failure_is_raised(self, monkeypatch):
         # A worker that dies must not leave a silently short count.  Both
         # static lanes of this graph have wedges, so both fold on the pool.
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         p = assign_priorities(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
@@ -320,7 +321,7 @@ class TestCountParallel:
                         cfg = ScheduleConfig(mode=mode, strategy=strategy,
                                              threads=threads, seed=seed)
                         report, reports = count_parallel(g, p, cfg)
-                        assert report.counters() == expected.counters()
+                        assert timeless(report) == timeless(expected)
                         assert sum(t.butterflies for t in reports) == report.butterflies
                         assert sum(t.wedges_processed for t in reports) == \
                             report.wedges_processed
@@ -342,8 +343,8 @@ def one_wedge_hubs(hubs: int, leaves: int) -> BipartiteGraph:
 
 class TestFootprint:
     @pytest.mark.parametrize("make", [
-        lambda: random_graph(300, 300, 0.2, seed=1),
-        lambda: random_graph(200, 200, 0.1, seed=1),
+        lambda: BipartiteGraph.build(random_pairs(300, 300, 0.2, seed=1), 300, 300),
+        lambda: BipartiteGraph.build(random_pairs(200, 200, 0.1, seed=1), 200, 200),
         lambda: BipartiteGraph.build(random_pairs_m(20_000, 20_000, 60_000, seed=2)),
         lambda: one_wedge_hubs(1 << 16, 3),
     ], ids=["dense-300", "dense-200", "sparse-20000", "one-wedge-hubs"])
@@ -399,7 +400,7 @@ def record_fold_threads(monkeypatch, barrier=None):
 class TestThreadPool:
     @pytest.mark.skipif(parallel._cpu_limit() < 2, reason="needs 2 CPUs")
     def test_two_busy_lanes_fold_on_two_threads(self, monkeypatch):
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         idents, _ = record_fold_threads(monkeypatch, threading.Barrier(2, timeout=10))
         _, lanes = count_parallel(g, assign_priorities(g), ScheduleConfig(threads=2))
@@ -408,7 +409,7 @@ class TestThreadPool:
 
     def test_no_more_threads_than_cpus(self, monkeypatch):
         # A chunk cap of one makes every start its own chunk: most lanes get rows.
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 1)
         before = threading.active_count()
         idents, alive = record_fold_threads(monkeypatch)
@@ -419,7 +420,7 @@ class TestThreadPool:
         assert threading.active_count() == before
 
     def test_one_cpu_folds_the_same_lanes_inline(self, monkeypatch):
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         p = assign_priorities(g)
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         configs = [ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=5)
@@ -431,7 +432,7 @@ class TestThreadPool:
             for _ in range(2):
                 inline_report, inline_lanes = count_parallel(g, p, cfg)
                 assert inline_lanes == lanes
-                assert inline_report.counters() == report.counters()
+                assert timeless(inline_report) == timeless(report)
         assert set(idents) == {threading.get_ident()}
 
     def test_lanes_without_wedges_start_no_worker(self, monkeypatch):
@@ -454,7 +455,8 @@ class TestThreadPool:
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 2)
         idents, _ = record_fold_threads(monkeypatch, threading.Barrier(2, timeout=10))
-        assert count_vpp(g, assign_priorities(g)).counters() == (477, 784, 70, 464, 784)
+        assert timeless(count_vpp(g, assign_priorities(g))) == \
+            CountReport(477, 784, 70, 464, 784, 0.0)
         assert len(idents) == len(set(idents)) == 2 and threading.get_ident() not in idents
 
     def test_one_cpu_folds_count_vpp_inline(self, monkeypatch):
@@ -468,12 +470,12 @@ class TestThreadPool:
         idents.clear()
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 1)
         before = threading.active_count()
-        assert count_vpp(g, p).counters() == threaded.counters()
+        assert timeless(count_vpp(g, p)) == timeless(threaded)
         assert idents == [threading.get_ident()]
         assert threading.active_count() == before
 
     def test_one_slice_folds_in_the_calling_thread(self, monkeypatch):
-        g = hub_graph(40)
+        g = BipartiteGraph.build(hub_pairs(40))
         idents, _ = record_fold_threads(monkeypatch)
         before = threading.active_count()
         _, lanes = count_parallel(g, assign_priorities(g), ScheduleConfig(threads=4))
@@ -491,7 +493,7 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
 
 
 # Each lane's (butterflies, wedges, vertices handled) per (mode, strategy,
-# lanes) on random_graph(30, 40, 0.2, seed=12), with seed 5 and a chunk cap
+# lanes) on busy_graph(), with seed 5 and a chunk cap
 # of 50 wedges, so the dynamic queue is cut into many slices.
 LANE_SPLIT = {
     ("dynamic", "priority", 2): [(249, 397, 40), (228, 387, 30)],
@@ -532,13 +534,13 @@ class TestLaneSplit:
     def test_every_lane_is_pinned(self, monkeypatch, key):
         mode, strategy, threads = key
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
-        g = random_graph(30, 40, 0.2, seed=12)
+        g = busy_graph()
         cfg = ScheduleConfig(mode=mode, strategy=strategy, threads=threads, seed=5)
         report, lanes = count_parallel(g, assign_priorities(g), cfg)
         assert [t.thread for t in lanes] == list(range(threads))
         assert [(t.butterflies, t.wedges_processed, t.vertices_handled)
                 for t in lanes] == LANE_SPLIT[key]
-        assert report.counters() == (477, 784, 70, 464, 784)
+        assert timeless(report) == CountReport(477, 784, 70, 464, 784, 0.0)
 
 
 class TestScheduleConfig:

@@ -16,9 +16,9 @@ from bicount.cli import main
 from bicount.errors import ParseError
 from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
-from bicount.graph import (assign_priorities, format_edge_list, load_edge_list,
-                           parse_edge_list)
-from helpers import edge_list, neighbor_lists, reference_parse
+from bicount.generate import pairs_to_text
+from bicount.graph import assign_priorities, load_edge_list, parse_edge_list
+from helpers import edge_list, neighbor_lists, reference_parse, timeless
 
 HUGE = 10 ** 30
 EM_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -53,7 +53,8 @@ class TestHugeLabels:
         g = load_edge_list(write(tmp_path, self.TEXT))
         assert labelled_edges(g) == [(HUGE, 1), (HUGE, 2), (HUGE + 1, 1), (HUGE + 1, 2)]
         assert all(type(label) is int for label in g.external_labels)
-        assert labelled_edges(parse_edge_list(format_edge_list(g))) == labelled_edges(g)
+        text = pairs_to_text(zip(*g.edge_labels()))
+        assert labelled_edges(parse_edge_list(text)) == labelled_edges(g)
 
     def test_count_edges_and_em_exit_0(self, capsys, tmp_path):
         path = write(tmp_path, self.TEXT)
@@ -129,7 +130,7 @@ class TestAcceptedForms:
         for g in (load_edge_list(headed), parse_edge_list(Path(headed).read_text())):
             outcome, _ = parse_outcome(lambda: g)
             assert outcome == expected
-        assert em_count(headed, EM_CFG)[0].counters() == em_count(plain, EM_CFG)[0].counters()
+        assert timeless(em_count(headed, EM_CFG)[0]) == timeless(em_count(plain, EM_CFG)[0])
 
     def test_empty_file(self, capsys, tmp_path):
         path = write(tmp_path, "")
