@@ -11,13 +11,22 @@ other engines run the rank-space kernel, which builds its own CSR
 Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
 and upper-layer vertices occupy [lower_count, lower_count + upper_count),
 so every upper ID is strictly greater than every lower ID.
+
+A file is read in chunks of whole lines (``text_chunks``), each handed to
+numpy's ``loadtxt`` as one ``io.StringIO``; a string or an iterable of lines is read
+in lists of lines (``_line_batches``).  ``read_label_batches`` reads both,
+going line by line only through a batch ``loadtxt`` declines.  Labels are
+numbered and duplicate edges dropped with one packed sort of
+``key << b | index`` (``_sort_order``, which the kernel shares), whose ties
+keep input order, so each key's first occurrence heads its run.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -25,8 +34,10 @@ from .errors import ParseError
 
 COMMENT_PREFIXES = ("%", "#")
 
-# Lines the reader parses together; a batch bounds the reader's memory.
+# What the reader parses together, which bounds its memory: lines of a
+# string or of an iterable of lines, and characters of a file.
 BATCH_LINES = 1 << 15
+CHUNK_CHARS = 1 << 18
 
 
 class BipartiteGraph:
@@ -102,7 +113,7 @@ class BipartiteGraph:
                      lower_count: int, labels: list[int]) -> "BipartiteGraph":
         """The graph of the per-layer index arrays ``upper`` and ``lower``
         (edge order), keeping the first copy of each duplicate edge."""
-        _, first, _ = _unique_first(upper * lower_count + lower)
+        first = _first_occurrences(upper * lower_count + lower)[3]
         kept = np.zeros(len(upper), dtype=bool)
         kept[first] = True
         return cls(upper_count, lower_count, upper[kept] + lower_count, lower[kept],
@@ -142,20 +153,23 @@ def read_edges(lines: Iterable[str], first_line: int = 1):
         yield u, v
 
 
-def _tokenize(batch: list[str]) -> np.ndarray | None:
-    """The int64 labels of a batch of lines, upper then lower for each
-    edge line in line order, when numpy's ``loadtxt`` reads every line as
-    blank or two nonnegative labels below 2**63; None otherwise."""
+def _tokenize(batch: str | list[str]) -> np.ndarray | None:
+    """The int64 labels of a batch, a text of lines or a list of lines,
+    upper then lower for each edge line in line order, when numpy's
+    ``loadtxt`` reads every line as blank or two nonnegative labels below
+    2**63; None otherwise."""
+    text = batch if isinstance(batch, str) else "".join(batch)
     # loadtxt reads some non-ASCII characters as digits where ``int``
     # rejects them (numpy 2.4 reads "Ǿ1" as 4621): such a batch goes
     # line by line.
-    if not "".join(batch).isascii():
+    if not text.isascii():
         return None
     try:
         # No data, and on older numpy an integer read through a float, warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = np.loadtxt(batch, dtype=np.int64, comments=None, ndmin=2)
+            labels = np.loadtxt(io.StringIO(batch) if isinstance(batch, str) else batch,
+                                dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
     if labels.shape[1] != 2 or (labels < 0).any():
@@ -171,41 +185,116 @@ def _label_array(pairs: list[tuple[int, int]]) -> np.ndarray:
         return np.array(pairs, dtype=object).reshape(-1)
 
 
-def read_label_batches(lines: Iterable[str], batch_lines: int):
-    """Yield the (upper, lower) label arrays of the edge lines, a batch of
-    ``batch_lines`` lines at a time.
+def _line_batches(lines: Iterable[str], batch_lines: int):
+    """``lines`` in lists of ``batch_lines`` lines (the last may be shorter)."""
+    lines = iter(lines)
+    while batch := list(islice(lines, batch_lines)):
+        yield batch
+
+
+def text_chunks(handle: TextIO, chunk_chars: int):
+    """The text of a file opened in text mode, in chunks of whole lines:
+    ``chunk_chars`` characters, then the rest of the line they end in.
+    A line longer than a chunk is one chunk, or the end of one."""
+    while chunk := handle.read(chunk_chars):
+        if not chunk.endswith("\n"):
+            chunk += handle.readline()
+        yield chunk
+
+
+def read_label_batches(batches: Iterable[str | list[str]]):
+    """Yield the (upper, lower) label arrays of the edge lines of each
+    batch: a chunk of whole lines of a text file (``text_chunks``), or a
+    list of lines, as iterating a text file yields them (``_line_batches``).
 
     A batch of plain ASCII lines is read by numpy's ``loadtxt``
-    (``_tokenize``), and so is one whose other lines are all blank or
-    comments, once those are left out; any other batch goes through
-    ``read_edges``, which reads every form ``int`` accepts, labels of any
-    size (an object array of Python ints), and raises ParseError with the
-    line number.  Each element of ``lines`` is one line, as iterating a
-    text file yields them.
+    (``_tokenize``), a chunk as one ``io.StringIO`` that numpy reads line
+    by line itself, so no list of its lines is built.  A batch it declines is split into lines, a chunk as file
+    iteration splits it (at ``\\n`` only), and is read by ``loadtxt``
+    again without its blank and comment lines, if it has any.  Any other
+    batch goes through ``read_edges``, which reads every form ``int``
+    accepts, labels of any size (an object array of Python ints), and
+    raises ParseError with the line number, counted across batches.
     """
-    lines = iter(lines)
     first_line = 1
-    while batch := list(islice(lines, batch_lines)):
+    for batch in batches:
         labels = _tokenize(batch)
+        lines = batch
+        if isinstance(batch, str):
+            # The count numbers the lines of later chunks, and only the last
+            # may end without a line end: its line ends suffice.  numpy
+            # counts them in the UTF-8 bytes faster than str.count does.
+            line_count = np.count_nonzero(
+                np.frombuffer(batch.encode("utf-8"), dtype=np.uint8) == ord("\n"))
+            if labels is None:
+                lines = list(io.StringIO(batch, newline="\n"))
+        else:
+            line_count = len(batch)
         if labels is None:
-            kept = [line for line in batch if not _skipped(line.strip())]
-            if len(kept) < len(batch):
+            kept = [line for line in lines if not _skipped(line.strip())]
+            if len(kept) < len(lines):
                 labels = _tokenize(kept)
         if labels is None:
-            labels = _label_array(list(read_edges(batch, first_line)))
-        first_line += len(batch)
+            labels = _label_array(list(read_edges(lines, first_line)))
+        first_line += line_count
         yield labels[0::2], labels[1::2]
+
+
+def _packs(bound: int, count: int) -> bool:
+    """Whether ``count`` keys below ``bound`` pack beside their indices:
+    ``bound << b`` fits 64 bits, b the bit length of ``count``."""
+    return bound << count.bit_length() <= 1 << 64
+
+
+def _sort_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted keys, order)`` of nonnegative integer ``keys``, all below
+    ``bound``: one uint64 sort of ``key << b | index`` (b the bit length of
+    ``len(keys)``) when they pack (``_packs``), which leaves ties in input
+    order, otherwise an argsort, which leaves them in any order."""
+    if not _packs(bound, len(keys)):
+        order = np.argsort(keys)
+        return keys[order], order
+    b = len(keys).bit_length()
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(b)
+    packed |= np.arange(len(keys), dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64((1 << b) - 1)).view(np.int64)
+    packed >>= np.uint64(b)
+    return packed.view(np.int64), order
+
+
+def _first_occurrences(values: np.ndarray):
+    """``(sorted values, order, new, first)``: ``values`` sorted by
+    ``order``, whether each sorted value starts a run of equal values, and
+    the index where each run's value first occurs in ``values``.
+
+    Integers that pack (``_packs``) go through ``_sort_order``'s packed
+    sort, whose ties come out in input order: a run's first index is its
+    first.  Integers too wide to pack, and object arrays (Python ints,
+    which may reach 2**63), are argsorted, and a run's first index is its
+    smallest."""
+    bound = None if values.dtype == object else int(values.max(initial=0)) + 1
+    packed = bound is not None and _packs(bound, len(values))
+    if packed:
+        sorted_values, order = _sort_order(values, bound)
+    else:
+        order = np.argsort(values)
+        sorted_values = values[order]
+    new = np.ones(len(values), dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    first = order[starts] if packed else np.minimum.reduceat(order, starts)
+    return sorted_values, order, new, first
 
 
 def _unique_first(values: np.ndarray):
     """``np.unique(values, return_index=True, return_inverse=True)``: the
-    distinct values, where each first occurs and the inverse.  The first
-    index is the minimum over each value's positions, so the sort that
-    finds them need not be stable (numpy's unstable sorts are faster)."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    first = np.full(len(distinct), len(values), dtype=np.int64)
-    np.minimum.at(first, inverse, np.arange(len(values)))
-    return distinct, first, inverse
+    distinct values, where each first occurs and the inverse."""
+    sorted_values, order, new, first = _first_occurrences(values)
+    inverse = np.empty(len(values), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return sorted_values[new], first, inverse
 
 
 class LabelIndex:
@@ -279,9 +368,22 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     """
     if isinstance(source, str):
         source = source.splitlines(keepends=True)
+    return _graph(read_label_batches(_line_batches(source, BATCH_LINES)))
+
+
+def load_edge_list(path) -> BipartiteGraph:
+    """``parse_edge_list`` of the UTF-8 file at ``path``, read in chunks of
+    ``CHUNK_CHARS`` characters of whole lines."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _graph(read_label_batches(text_chunks(handle, CHUNK_CHARS)))
+
+
+def _graph(label_batches) -> BipartiteGraph:
+    """The graph of the edges whose (upper, lower) label arrays
+    ``label_batches`` yields, labels numbered in first-seen order."""
     uppers = [np.zeros(0, dtype=np.int64)]
     lowers = [np.zeros(0, dtype=np.int64)]
-    for upper, lower in read_label_batches(source, BATCH_LINES):
+    for upper, lower in label_batches:
         uppers.append(upper)
         lowers.append(lower)
     upper_ids, lower_ids = LabelIndex(), LabelIndex()
@@ -289,11 +391,6 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     lower = lower_ids.number(np.concatenate(lowers))
     return BipartiteGraph.from_indices(upper, lower, len(upper_ids), len(lower_ids),
                                        lower_ids.labels() + upper_ids.labels())
-
-
-def load_edge_list(path) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle)
 
 
 def degree_priorities(degrees: np.ndarray) -> np.ndarray:

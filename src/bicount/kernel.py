@@ -22,7 +22,8 @@ of those wedges lies in c - 1 of them together with both of its edges.
 A key is i * n + end, i its start's index among the chunk's starts with
 wedges: uint32 when their count times n is at most 2^32, else uint64.  The
 CSR build and the credit, which need the sort's order, sort the uint64
-``key << b | index`` (b the bit length of the key count) when it fits.
+``key << b | index`` (b the bit length of the key count) when it fits
+(``graph._sort_order``, which the parser shares).
 ``count_rows`` sums the butterflies of its rows and ``credit_rows`` the
 credit of every entry (one int64 array of 2m entries a call), which the
 per-edge engine maps to edges once, after adding up its lanes.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _sort_order
 
 # Wedges expanded per chunk; a chunk exceeds it only to keep one start whole.
 CHUNK_WEDGES = 1 << 16
@@ -99,23 +100,6 @@ def rank_csr(g: BipartiteGraph, p: np.ndarray) -> RankCsr:
     # keys[:m] read each edge upper to lower, keys[m:] lower to upper.
     sources %= m
     return RankCsr(n, row_offsets, wedges, columns, sources, first_end)
-
-
-def _sort_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted keys, order)`` of ``keys``, all below ``bound``, ties in any
-    order: one uint64 sort of ``key << b | index`` (b the bit length of
-    ``len(keys)``) when ``bound << b`` fits 64 bits, otherwise an argsort."""
-    b = len(keys).bit_length()
-    if bound << b > 1 << 64:
-        order = np.argsort(keys)
-        return keys[order], order
-    packed = keys.astype(np.uint64)
-    packed <<= np.uint64(b)
-    packed |= np.arange(len(keys), dtype=np.uint64)
-    packed.sort()
-    order = (packed & np.uint64((1 << b) - 1)).view(np.int64)
-    packed >>= np.uint64(b)
-    return packed.view(np.int64), order
 
 
 def chunk_bounds(counts: np.ndarray, cap: int | None = None) -> list[int]:

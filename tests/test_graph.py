@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bicount import graph
 from bicount.approx import run_trials
 from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.errors import ParseError
@@ -214,3 +215,46 @@ class TestLabelIndex:
         assert [run.dtype for run in runs] == [object, object]
         assert index.number(np.array([7, 2 ** 63], dtype=object)).tolist() == [7, 100]
         assert all(now is before for (now, _), before in zip(index._runs, runs))
+
+
+# int64 labels that pack beside their indices (labels below 2^46 pack
+# beside up to 2^18 indices), labels of 2^62 and more beside at least four
+# indices, which do not, and object arrays, which mix labels of 2^63 and
+# more with small ones.
+packing = st.lists(st.integers(0, 40) | st.integers(0, (1 << 46) - 1), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+unpacked = st.builds(lambda xs, big, at: np.array(xs[:at] + [big] + xs[at:], dtype=np.int64),
+                    st.lists(st.integers(1 << 62, (1 << 62) + 5) | st.integers(0, 5),
+                             min_size=3, max_size=40),
+                    st.integers(1 << 62, (1 << 62) + 5), st.integers(0, 40))
+objects = st.lists(st.integers(0, 5) | st.integers(2 ** 63, 2 ** 63 + 3) | st.just(2 ** 64),
+                   max_size=40).map(lambda xs: np.array(xs, dtype=object))
+
+
+class TestFirstOccurrences:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(packing.map(lambda a: (a, True)), unpacked.map(lambda a: (a, False)),
+                     objects.map(lambda a: (a, False))))
+    def test_unique_first_is_np_unique(self, drawn):
+        values, packs = drawn
+        if values.dtype != object:
+            assert graph._packs(int(values.max(initial=0)) + 1, len(values)) == packs
+        distinct, first, inverse = graph._unique_first(values)
+        expected = np.unique(values, return_index=True, return_inverse=True)
+        assert distinct.tolist() == expected[0].tolist()
+        assert first.tolist() == expected[1].tolist()
+        assert inverse.tolist() == expected[2].reshape(-1).tolist()
+
+    @pytest.mark.parametrize("packs", [True, False], ids=["packed", "argsort"])
+    def test_from_indices_keeps_the_first_copy_of_each_duplicate(self, monkeypatch, packs):
+        # Duplicates in both orders around their first copy, on the packed
+        # sort and, forced, on the argsort; each run's first index is kept.
+        if not packs:
+            monkeypatch.setattr(graph, "_packs", lambda bound, count: False)
+        rng = np.random.default_rng(5)
+        upper, lower = rng.integers(0, 4, 60), rng.integers(0, 5, 60)
+        g = BipartiteGraph.from_indices(upper, lower, 4, 5, list(range(9)))
+        pairs = list(zip(upper.tolist(), lower.tolist()))
+        kept = list(dict.fromkeys(pairs))
+        assert edge_list(g) == [(u + 5, v) for u, v in kept]
+        assert g.duplicates_dropped == len(pairs) - len(kept) > 0

@@ -2,6 +2,7 @@
 and at which line.  Files go through ``load_edge_list``, the CLI and the
 external engine alike."""
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -255,38 +256,113 @@ def parse_outcome(parse):
             "adjacency": neighbor_lists(g)}, g
 
 
+def reference_outcome(text):
+    try:
+        return reference_parse(text)
+    except ParseError as exc:
+        return exc.line_number
+
+
+def check_file_against_reference(path, text):
+    """``load_edge_list`` and ``em_count`` read the file ``path`` of
+    ``text`` as ``reference_parse`` reads ``text``: the same graph and the
+    butterflies and wedges of ``count_vpp`` on it, or the same error line."""
+    expected = reference_outcome(text)
+    outcome, g = parse_outcome(lambda: load_edge_list(path))
+    assert outcome == expected
+    if g is None:
+        with pytest.raises(ParseError) as caught:
+            em_count(path, EM_CFG)
+        assert caught.value.line_number == expected
+    else:
+        report, _ = em_count(path, EM_CFG)
+        vpp = count_vpp(g, assign_priorities(g))
+        assert (report.butterflies, report.wedges_processed) == \
+            (vpp.butterflies, vpp.wedges_processed)
+
+
 class TestBatchedAgainstLineByLine:
     @settings(max_examples=150, deadline=None)
-    @given(edge_list_texts(), st.integers(1, 3))
+    @given(edge_list_texts(), st.integers(1, 3), st.integers(1, 16))
     # Four digit runs that pair up on two lines, but one run crosses a line
     # end when the lines come without their ends; four tokens on one line.
-    @example("0 1\n2 3 4\n", 2)
-    @example("1 2 3 4\n", 1)
-    def test_same_graph_or_same_error_line(self, text, batch_lines):
-        def reference_outcome(text):
-            try:
-                return reference_parse(text)
-            except ParseError as exc:
-                return exc.line_number
-        expected = reference_outcome(text)
+    @example("0 1\n2 3 4\n", 2, 4)
+    @example("1 2 3 4\n", 1, 3)
+    def test_same_graph_or_same_error_line(self, text, batch_lines, chunk_chars):
         # A string splits into lines as str.splitlines does: also at \x0b and \x0c.
         split = reference_outcome("".join(line + "\n" for line in text.splitlines()))
+        # Chunks of a few characters split the files every few lines.
         with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "BATCH_LINES", batch_lines)
+            mp.setattr(graph, "CHUNK_CHARS", chunk_chars)
             path = Path(scratch) / "g.txt"
             path.write_bytes(text.encode("utf-8"))
             # A string, lines without their line ends, and a file.
             for parse in (lambda: parse_edge_list(text),
                           lambda: parse_edge_list(text.splitlines())):
                 assert parse_outcome(parse)[0] == split
-            outcome, g = parse_outcome(lambda: load_edge_list(path))
-            assert outcome == expected
-            if g is None:
-                with pytest.raises(ParseError) as caught:
-                    em_count(path, EM_CFG)
-                assert caught.value.line_number == expected
-            else:
-                report, _ = em_count(path, EM_CFG)
-                vpp = count_vpp(g, assign_priorities(g))
-                assert (report.butterflies, report.wedges_processed) == \
-                    (vpp.butterflies, vpp.wedges_processed)
+            check_file_against_reference(path, text)
+            # Chunks are whole lines that add up to the file's text.
+            with open(path, encoding="utf-8") as handle:
+                chunks = list(graph.text_chunks(handle, chunk_chars))
+            assert "".join(chunks) == "".join(io.StringIO(text, newline=None))
+            assert all(chunk.endswith("\n") for chunk in chunks[:-1])
+
+
+# 16-character lines: a read of CHUNK chars ends at a line end.
+CHUNK = 64
+PLAIN = [f"{i:07d} {i % 7:07d}\n" for i in range(12)]
+
+
+class TestChunkBoundaries:
+    """Files that split into chunks of ``CHUNK`` characters, in
+    ``load_edge_list`` and ``em_count`` alike (``EM_CFG``'s block is
+    larger), each read as ``reference_parse`` reads it."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(graph, "CHUNK_CHARS", CHUNK)
+
+    @pytest.mark.parametrize("kind", sorted(MALFORMED))
+    @pytest.mark.parametrize("pad", [0, 5], ids=["read-ends-a-line", "read-ends-mid-line"])
+    def test_malformed_line_just_past_a_chunk_boundary(self, tmp_path, kind, pad):
+        # The first chunk is the first four lines, read to the end of the
+        # fourth when the read ends inside it; line 5 starts the next chunk.
+        bad, message = MALFORMED[kind]
+        lines = ["0" * pad + PLAIN[0]] + PLAIN[1:4] + [bad + "\n"] + PLAIN[4:]
+        assert len("".join(lines[:3])) < CHUNK <= len("".join(lines[:4]))
+        text = "".join(lines)
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError, match=f"line 5: .*{message}"):
+            load_edge_list(path)
+        with pytest.raises(ParseError, match=f"line 5: .*{message}"):
+            em_count(path, EM_CFG)
+        check_file_against_reference(path, text)
+
+    @pytest.mark.parametrize("at", [0, 2], ids=["first-line", "mid-file"])
+    def test_comment_line_longer_than_a_chunk(self, tmp_path, at):
+        comment = "% " + "long comment " * (3 * CHUNK // 13) + "\n"
+        assert len(comment) > 2 * CHUNK
+        text = "".join(PLAIN[:at] + [comment] + PLAIN[at:] + ["x y\n"])
+        path = write(tmp_path, text)
+        # The line after the comment is numbered past it.
+        with pytest.raises(ParseError, match=f"line {len(PLAIN) + 2}: "):
+            load_edge_list(path)
+        check_file_against_reference(path, text)
+        check_file_against_reference(write(tmp_path, text[:-len("x y\n")], "ok.txt"),
+                                     text[:-len("x y\n")])
+
+    @pytest.mark.parametrize("last", ["7 7", "7 -7"], ids=["edge", "malformed"])
+    def test_last_line_without_newline_across_a_chunk_boundary(self, tmp_path, last):
+        # The last line starts before the first read's end and ends past it.
+        head = "".join(PLAIN[:3])
+        last = " " * (CHUNK - len(head) - 2) + last
+        text = head + last
+        assert len(head) < CHUNK < len(text)
+        path = write(tmp_path, text)
+        check_file_against_reference(path, text)
+        if "-" in last:
+            with pytest.raises(ParseError, match="line 4: negative"):
+                load_edge_list(path)
+        else:
+            assert labelled_edges(load_edge_list(path))[-1] == (7, 7)
