@@ -12,20 +12,20 @@ Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
 and upper-layer vertices occupy [lower_count, lower_count + upper_count),
 so every upper ID is strictly greater than every lower ID.
 
-A file is read in chunks of whole lines (``text_chunks``), each handed to
-numpy's ``loadtxt`` as one ``io.StringIO``; a string or an iterable of lines is read
-in lists of lines (``_line_batches``).  ``read_label_batches`` reads both,
-going line by line only through a batch ``loadtxt`` declines.  Labels are
-numbered and duplicate edges dropped with one packed sort of
-``key << b | index`` (``_sort_order``, which the kernel shares), whose ties
-keep input order, so each key's first occurrence heads its run.
+Every edge list is read as a text stream in chunks of whole lines
+(``text_chunks``), a string as the file of that text is.
+``read_label_batches`` hands each chunk to numpy's ``loadtxt`` as one
+``io.StringIO`` and goes line by line only through a chunk ``loadtxt``
+declines.  Labels are numbered and duplicate edges dropped with one
+packed sort of ``key << b | index`` (``_sort_order``, which the kernel
+shares), whose ties keep input order, so each key's first occurrence
+heads its run.
 """
 
 from __future__ import annotations
 
 import io
 import warnings
-from itertools import islice
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -34,9 +34,7 @@ from .errors import ParseError
 
 COMMENT_PREFIXES = ("%", "#")
 
-# What the reader parses together, which bounds its memory: lines of a
-# string or of an iterable of lines, and characters of a file.
-BATCH_LINES = 1 << 15
+# The characters the reader parses together, which bounds its memory.
 CHUNK_CHARS = 1 << 18
 
 
@@ -153,14 +151,12 @@ def read_edges(lines: Iterable[str], first_line: int = 1):
         yield u, v
 
 
-def _tokenize(batch: str | list[str]) -> np.ndarray | None:
-    """The int64 labels of a batch, a text of lines or a list of lines,
-    upper then lower for each edge line in line order, when numpy's
-    ``loadtxt`` reads every line as blank or two nonnegative labels below
-    2**63; None otherwise."""
-    text = batch if isinstance(batch, str) else "".join(batch)
+def _tokenize(text: str) -> np.ndarray | None:
+    """The int64 labels of a text of lines, upper then lower for each edge
+    line in line order, when numpy's ``loadtxt`` reads every line as blank
+    or two nonnegative labels below 2**63; None otherwise."""
     # loadtxt reads some non-ASCII characters as digits where ``int``
-    # rejects them (numpy 2.4 reads "Ǿ1" as 4621): such a batch goes
+    # rejects them (numpy 2.4 reads "Ǿ1" as 4621): such a text goes
     # line by line.
     if not text.isascii():
         return None
@@ -168,8 +164,7 @@ def _tokenize(batch: str | list[str]) -> np.ndarray | None:
         # No data, and on older numpy an integer read through a float, warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = np.loadtxt(io.StringIO(batch) if isinstance(batch, str) else batch,
-                                dtype=np.int64, comments=None, ndmin=2)
+            labels = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
     if labels.shape[1] != 2 or (labels < 0).any():
@@ -185,13 +180,6 @@ def _label_array(pairs: list[tuple[int, int]]) -> np.ndarray:
         return np.array(pairs, dtype=object).reshape(-1)
 
 
-def _line_batches(lines: Iterable[str], batch_lines: int):
-    """``lines`` in lists of ``batch_lines`` lines (the last may be shorter)."""
-    lines = iter(lines)
-    while batch := list(islice(lines, batch_lines)):
-        yield batch
-
-
 def text_chunks(handle: TextIO, chunk_chars: int):
     """The text of a file opened in text mode, in chunks of whole lines:
     ``chunk_chars`` characters, then the rest of the line they end in.
@@ -202,41 +190,34 @@ def text_chunks(handle: TextIO, chunk_chars: int):
         yield chunk
 
 
-def read_label_batches(batches: Iterable[str | list[str]]):
-    """Yield the (upper, lower) label arrays of the edge lines of each
-    batch: a chunk of whole lines of a text file (``text_chunks``), or a
-    list of lines, as iterating a text file yields them (``_line_batches``).
+def read_label_batches(chunks: Iterable[str]):
+    """Yield the (upper, lower) label arrays of the edge lines of each of
+    ``chunks``, texts of whole lines ending in ``\\n`` (``text_chunks``).
 
-    A batch of plain ASCII lines is read by numpy's ``loadtxt``
-    (``_tokenize``), a chunk as one ``io.StringIO`` that numpy reads line
-    by line itself, so no list of its lines is built.  A batch it declines is split into lines, a chunk as file
-    iteration splits it (at ``\\n`` only), and is read by ``loadtxt``
-    again without its blank and comment lines, if it has any.  Any other
-    batch goes through ``read_edges``, which reads every form ``int``
-    accepts, labels of any size (an object array of Python ints), and
-    raises ParseError with the line number, counted across batches.
+    A chunk of plain ASCII lines is read by numpy's ``loadtxt``
+    (``_tokenize``) as one ``io.StringIO`` that numpy reads line by line
+    itself, so no list of its lines is built.  A chunk it declines is split
+    into lines at ``\\n``, as iterating the file splits it, and is read by
+    ``loadtxt`` again without its blank and comment lines, if it has any.
+    Any other chunk goes through ``read_edges``, which reads every form
+    ``int`` accepts, labels of any size (an object array of Python ints),
+    and raises ParseError with the line number, counted across chunks.
     """
     first_line = 1
-    for batch in batches:
-        labels = _tokenize(batch)
-        lines = batch
-        if isinstance(batch, str):
-            # The count numbers the lines of later chunks, and only the last
-            # may end without a line end: its line ends suffice.  numpy
-            # counts them in the UTF-8 bytes faster than str.count does.
-            line_count = np.count_nonzero(
-                np.frombuffer(batch.encode("utf-8"), dtype=np.uint8) == ord("\n"))
-            if labels is None:
-                lines = list(io.StringIO(batch, newline="\n"))
-        else:
-            line_count = len(batch)
+    for chunk in chunks:
+        labels = _tokenize(chunk)
         if labels is None:
+            lines = list(io.StringIO(chunk, newline="\n"))
             kept = [line for line in lines if not _skipped(line.strip())]
             if len(kept) < len(lines):
-                labels = _tokenize(kept)
-        if labels is None:
-            labels = _label_array(list(read_edges(lines, first_line)))
-        first_line += line_count
+                labels = _tokenize("".join(kept))
+            if labels is None:
+                labels = _label_array(list(read_edges(lines, first_line)))
+        # The count numbers the lines of later chunks, and only the last
+        # may end without a line end: its line ends suffice.  numpy counts
+        # them in the UTF-8 bytes faster than str.count does.
+        first_line += np.count_nonzero(
+            np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8) == ord("\n"))
         yield labels[0::2], labels[1::2]
 
 
@@ -269,23 +250,19 @@ def _first_occurrences(values: np.ndarray):
     ``order``, whether each sorted value starts a run of equal values, and
     the index where each run's value first occurs in ``values``.
 
-    Integers that pack (``_packs``) go through ``_sort_order``'s packed
-    sort, whose ties come out in input order: a run's first index is its
-    first.  Integers too wide to pack, and object arrays (Python ints,
-    which may reach 2**63), are argsorted, and a run's first index is its
-    smallest."""
+    Both sorts leave ties in input order, so a run's first index is its
+    head: integers that pack (``_packs``) go through ``_sort_order``'s
+    packed sort, and integers too wide to pack and object arrays (Python
+    ints, which may reach 2**63) through a stable argsort."""
     bound = None if values.dtype == object else int(values.max(initial=0)) + 1
-    packed = bound is not None and _packs(bound, len(values))
-    if packed:
+    if bound is not None and _packs(bound, len(values)):
         sorted_values, order = _sort_order(values, bound)
     else:
-        order = np.argsort(values)
+        order = np.argsort(values, kind="stable")
         sorted_values = values[order]
     new = np.ones(len(values), dtype=bool)
     np.not_equal(sorted_values[1:], sorted_values[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    first = order[starts] if packed else np.minimum.reduceat(order, starts)
-    return sorted_values, order, new, first
+    return sorted_values, order, new, order[new]
 
 
 def _unique_first(values: np.ndarray):
@@ -354,7 +331,7 @@ class LabelIndex:
         return ordered.tolist()
 
 
-def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
+def parse_edge_list(source: TextIO | str) -> BipartiteGraph:
     """Parse an edge-list stream into a graph.
 
     Format: one edge per line, two whitespace-separated nonnegative integer
@@ -363,19 +340,20 @@ def parse_edge_list(source: Iterable[str] | str) -> BipartiteGraph:
     and blank lines are ignored.  Labels are remapped to dense internal IDs
     in first-seen order; duplicate edges are dropped and counted on the
     returned graph's `duplicates_dropped`.  An empty stream yields the
-    empty graph.  ``source`` is a string (split as ``str.splitlines``
-    does) or an iterable of lines, as iterating a text file yields them.
+    empty graph.  ``source`` is a text stream whose lines end in ``\\n``
+    (a file opened in text mode), read in chunks of ``CHUNK_CHARS``
+    characters of whole lines, or a string, read as the file of that text
+    is: its lines end at ``\\n``, ``\\r\\n`` or ``\\r``.
     """
     if isinstance(source, str):
-        source = source.splitlines(keepends=True)
-    return _graph(read_label_batches(_line_batches(source, BATCH_LINES)))
+        source = io.StringIO(source, newline=None)
+    return _graph(read_label_batches(text_chunks(source, CHUNK_CHARS)))
 
 
 def load_edge_list(path) -> BipartiteGraph:
-    """``parse_edge_list`` of the UTF-8 file at ``path``, read in chunks of
-    ``CHUNK_CHARS`` characters of whole lines."""
+    """``parse_edge_list`` of the UTF-8 file at ``path``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return _graph(read_label_batches(text_chunks(handle, CHUNK_CHARS)))
+        return parse_edge_list(handle)
 
 
 def _graph(label_batches) -> BipartiteGraph:

@@ -23,9 +23,6 @@ from helpers import edge_list, neighbor_lists, reference_parse, timeless
 
 HUGE = 10 ** 30
 EM_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
-# Lines in one batch of the in-memory reader; a multiple of the external
-# engine's batch under EM_CFG.
-BATCH = 1 << 15
 
 
 def write(tmp_path, data, name="g.txt"):
@@ -74,14 +71,16 @@ class TestAcceptedForms:
     @pytest.mark.parametrize("text", [
         "1\t2\n3\t\t4\n",
         "1 2\r\n3 4\r\n",
+        "1 2\r3 4\r",
         "1\x0c2\n3 \x0c 4\n",
         "1\xa02\n3\xa0\xa04\n",
         "  1 2  \n\t3 4\t\n",
-    ], ids=["tabs", "crlf", "form-feed", "nbsp", "padding"])
+    ], ids=["tabs", "crlf", "cr", "form-feed", "nbsp", "padding"])
     def test_separators_and_line_ends(self, tmp_path, text):
         path = write(tmp_path, text)
         g = load_edge_list(path)
         assert labelled_edges(g) == [(1, 2), (3, 4)]
+        assert labelled_edges(parse_edge_list(text)) == [(1, 2), (3, 4)]
         report, _ = em_count(path, EM_CFG)
         assert report.butterflies == 0 and report.start_accesses == 4
 
@@ -95,7 +94,7 @@ class TestAcceptedForms:
         calls = []
 
         def tokenize(batch):
-            calls.append(len(batch))
+            calls.append(batch.count("\n"))
             return tokenize.real(batch)
         tokenize.real = graph._tokenize
         monkeypatch.setattr(graph, "_tokenize", tokenize)
@@ -188,12 +187,17 @@ class TestParseErrorLine:
 
     @pytest.mark.parametrize("kind", sorted(MALFORMED))
     def test_just_past_a_batch_boundary(self, tmp_path, kind):
+        # 16-character lines: the malformed line starts at character
+        # CHUNK_CHARS, the first character of load_edge_list's second chunk
+        # and of one of em_count's (two blocks under EM_CFG).
         bad, message = MALFORMED[kind]
-        lines = [f"{i % 97} {i % 89}\n" for i in range(BATCH)]
+        count = graph.CHUNK_CHARS // 16
+        assert graph.CHUNK_CHARS % (2 * EM_CFG.block_size) == 0
+        lines = [f"{i % 97:07d} {i % 89:07d}\n" for i in range(count)]
         path = write(tmp_path, "".join(lines) + f"{bad}\n1 1\n")
-        with pytest.raises(ParseError, match=f"line {BATCH + 1}: .*{message}"):
+        with pytest.raises(ParseError, match=f"line {count + 1}: .*{message}"):
             load_edge_list(path)
-        with pytest.raises(ParseError, match=f"line {BATCH + 1}: .*{message}"):
+        with pytest.raises(ParseError, match=f"line {count + 1}: .*{message}"):
             em_count(path, EM_CFG)
 
 
@@ -205,7 +209,7 @@ class TestParseErrorLine:
 def test_tokenize_reads_two_int64_labels_or_declines(line, labels):
     # The rules the batch reader relies on numpy's loadtxt to keep; the
     # lines it declines go through read_edges.
-    tokens = graph._tokenize([line + "\n"])
+    tokens = graph._tokenize(line + "\n")
     assert (None if tokens is None else tokens.tolist()) == labels
     assert tokens is None or tokens.dtype == np.int64
 
@@ -240,7 +244,7 @@ def edge_list_texts(draw):
     bad = draw(st.none() | st.tuples(st.integers(0, 14), malformed_line))
     if bad is not None:
         lines.insert(min(bad[0], len(lines)), bad[1])
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
                          max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text[:-1] if lines and draw(st.booleans()) and text.endswith("\n") else text
@@ -283,24 +287,21 @@ def check_file_against_reference(path, text):
 
 class TestBatchedAgainstLineByLine:
     @settings(max_examples=150, deadline=None)
-    @given(edge_list_texts(), st.integers(1, 3), st.integers(1, 16))
-    # Four digit runs that pair up on two lines, but one run crosses a line
-    # end when the lines come without their ends; four tokens on one line.
-    @example("0 1\n2 3 4\n", 2, 4)
-    @example("1 2 3 4\n", 1, 3)
-    def test_same_graph_or_same_error_line(self, text, batch_lines, chunk_chars):
-        # A string splits into lines as str.splitlines does: also at \x0b and \x0c.
-        split = reference_outcome("".join(line + "\n" for line in text.splitlines()))
-        # Chunks of a few characters split the files every few lines.
+    @given(edge_list_texts(), st.integers(1, 16))
+    # A malformed line that is the second chunk; four tokens on one line,
+    # also across a vertical tab, which ends no line of a file.
+    @example("0 1\n2 3 4\n", 4)
+    @example("1 2 3 4\n", 3)
+    @example("1 2\x0b3 4\n", 16)
+    def test_same_graph_or_same_error_line(self, text, chunk_chars):
+        # Chunks of a few characters split the string and the files every
+        # few lines.
         with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "BATCH_LINES", batch_lines)
             mp.setattr(graph, "CHUNK_CHARS", chunk_chars)
             path = Path(scratch) / "g.txt"
             path.write_bytes(text.encode("utf-8"))
-            # A string, lines without their line ends, and a file.
-            for parse in (lambda: parse_edge_list(text),
-                          lambda: parse_edge_list(text.splitlines())):
-                assert parse_outcome(parse)[0] == split
+            # A string reads as the file of that text.
+            assert parse_outcome(lambda: parse_edge_list(text))[0] == reference_outcome(text)
             check_file_against_reference(path, text)
             # Chunks are whole lines that add up to the file's text.
             with open(path, encoding="utf-8") as handle:
