@@ -4,11 +4,12 @@ The engine runs the end-dominant wedge rule in the rank-space kernel
 (``kernel.py``): each wedge (u, v, w) whose (u, w) pair closes c wedges
 lies in c - 1 butterflies together with each of its two edges, and the
 kernel credits the CSR entries of both, which carry their edge ids, so no
-edge-index lookup is needed.  The start vertices fold on the lanes of
-``parallel.fold_lanes``, each summing into an int64 credit array of its
-own, 2m entries, so lanes never race; the arrays are added up and mapped
-to edges once.  The sums are integers, so the counts are identical for
-every lane count.
+edge-index lookup is needed.  A wedge with c = 1 lies in none, so only
+the wedges of runs of two or more equal pairs are credited.  The start
+vertices fold on the lanes of ``parallel.fold_lanes``, each summing into
+an int64 credit array of its own, 2m entries, so lanes never race; the
+arrays are added up and mapped to edges once.  The sums are integers, so
+the counts are identical for every lane count.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ Pipeline, entirely over 8-byte records, each the key
    whose end outranks both the middle and the start, straight into sorted
    runs (``_write_runs``);
 5. merge the runs (``_merged``) and fold equal pairs as the last merge
-   streams them: a run of c equal pairs adds C(c, 2) butterflies.  The
-   pairs never pass through a file of their own, sorted or unsorted.
+   streams them: a run of c >= 2 equal pairs adds C(c, 2) butterflies,
+   and only such runs are folded.  The pairs never pass through a file of
+   their own, sorted or unsorted.
 
 The passes over a sorted stream read it as whole runs (``_whole_runs``):
 every array they get holds complete groups, or complete runs of equal
@@ -384,13 +385,14 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         del rank
         _discard([sorted_path], cfg)
 
-        # A run of c equal pairs adds C(c, 2).  The int64 sum is exact
-        # while an array holds fewer than 2**32 records.
+        # A run of c >= 2 equal pairs adds C(c, 2); runs of one add nothing.
+        # The int64 dot, twice the sum, is exact while an array holds fewer
+        # than 3 * 10**9 records.
         butterflies = 0
         with closing(_merged(runs, cfg, stats, scratch, "pairs")) as merged:
             for records in _whole_runs(merged, lambda records: records):
-                lengths = kernel.run_lengths(records)
-                butterflies += int((lengths * (lengths - 1) // 2).sum())
+                lengths = kernel.repeated_runs(records)[1]
+                butterflies += int(np.dot(lengths, lengths - 1)) // 2
         check_limit(butterflies, "butterfly count")
 
         report = CountReport(butterflies, stats.pairs_emitted, groups, records_scanned,

@@ -57,9 +57,9 @@ STRATEGIES = ("priority", "random", "heuristic")
 LANE_BYTES = 512
 # Bytes a folding worker holds per wedge and per (start, middle) entry of
 # its chunk.  Under tracemalloc, every chunk of ``kernel.count_rows`` and
-# ``credit_rows`` (credit array aside) peaked within 35 bytes a wedge plus
+# ``credit_rows`` (credit array aside) peaked within 36 bytes a wedge plus
 # 48 an entry on ``tests/test_parallel.py``'s graphs (0.03 to 4 entries and
-# 21 to 184 bytes a wedge), and 50 plus 48 on seed-3 skewed and uniform.
+# 21 to 176 bytes a wedge), and 32 plus 48 on seed-3 skewed and uniform.
 WEDGE_BYTES = 52
 ENTRY_BYTES = 48
 

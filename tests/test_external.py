@@ -279,21 +279,25 @@ class TestEmCount:
             assert size <= capacity or members == 1
 
     def test_a_failure_in_any_pass_closes_its_files_first(self, tmp_path, monkeypatch):
-        # An error in the degree pass, the emission or the fold (any call of
-        # run_lengths) closes every file before the scratch dir is removed,
-        # not when the garbage collector gets to it.
+        # An error in the degree pass, the emission (any call of run_lengths)
+        # or the fold (any call of repeated_runs) closes every file before
+        # the scratch dir is removed, not when the garbage collector gets to it.
         path = write_graph(tmp_path, random_pairs_m(60, 60, 1200, seed=4))
-        real, calls, fail_at = kernel.run_lengths, [], [0]
+        calls, fail_at = [], [0]
 
-        def run_lengths(keys):
-            calls.append(len(keys))
-            if len(calls) == fail_at[0]:
-                raise RuntimeError("injected")
-            return real(keys)
+        def failing(real):
+            def run(keys):
+                calls.append(real.__name__)
+                if len(calls) == fail_at[0]:
+                    raise RuntimeError("injected")
+                return real(keys)
+            return run
 
-        monkeypatch.setattr(kernel, "run_lengths", run_lengths)
+        for name in ("run_lengths", "repeated_runs"):
+            monkeypatch.setattr(kernel, name, failing(getattr(kernel, name)))
         left_open = files_left_open(monkeypatch, external)
         em_count(path, MIN_CFG)
+        assert set(calls) == {"run_lengths", "repeated_runs"}
         for fail_at[0] in range(1, len(calls) + 1):
             calls.clear()
             with pytest.raises(RuntimeError, match="injected"):

@@ -8,13 +8,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicount import kernel, parallel
 from bicount.edges import brute_force_per_edge, per_edge_counts
 from bicount.exact import _start_dominant, count_butterflies, count_vp, count_vpp
-from bicount.generate import hub_pairs, random_pairs_m
+from bicount.generate import complete_pairs, hub_pairs, hub_path_pairs, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
                      neighbor_lists, timeless, transpose)
@@ -194,3 +194,57 @@ class TestKeyWidths:
         assert bool(argsorts) != packed
         assert np.array_equal(keys[order], np.sort(keys))
         assert np.array_equal(sorted_keys, np.sort(keys))
+
+
+# Each dtype with the lowest value of a window of 16 at either end of its range.
+KEY_WINDOWS = [(np.uint32, 0), (np.uint32, (1 << 32) - 16), (np.uint64, 0),
+               (np.uint64, (1 << 64) - 16), (np.int64, -1 << 63), (np.int64, (1 << 63) - 16)]
+
+
+class TestRepeatedRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KEY_WINDOWS), st.lists(st.integers(0, 15), max_size=80))
+    @example(KEY_WINDOWS[0], [])
+    @example(KEY_WINDOWS[3], [7])
+    @example(KEY_WINDOWS[4], [5] * 9)
+    @example(KEY_WINDOWS[5], list(range(16)))
+    def test_matches_a_counter(self, window, offsets):
+        dtype, low = window
+        keys = np.array(sorted(low + x for x in offsets), dtype=dtype)
+        counts = Counter(keys.tolist())
+        starts, lengths = kernel.repeated_runs(keys)
+        firsts = np.cumsum([0] + list(counts.values()))[:-1]
+        expected = [(int(first), c) for first, c in zip(firsts, counts.values()) if c > 1]
+        assert list(zip(starts.tolist(), lengths.tolist())) == expected
+        assert keys[starts].tolist() == [k for k, c in counts.items() if c > 1]
+
+
+def credit_per_edge(g, cap=None):
+    """``credit_rows`` over every start of ``g``, mapped to its edges."""
+    csr = kernel.rank_csr(g, assign_priorities(g))
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(kernel, "CHUNK_WEDGES", cap)
+        per_entry = kernel.credit_rows(csr, kernel.chunks(csr, np.arange(csr.n)))
+    per_edge = np.zeros(g.edge_count, dtype=np.int64)
+    np.add.at(per_edge, csr.edges, per_entry)
+    return csr, per_entry, per_edge
+
+
+class TestCreditExtremes:
+    @pytest.mark.parametrize("cap", [None, 1])
+    @pytest.mark.parametrize("a", [2, 6, 40])
+    def test_no_closing_pair_credits_nothing(self, a, cap):
+        # Every wedge of the hub path has a (start, end) pair of its own.
+        g = BipartiteGraph.build(hub_path_pairs(a))
+        csr, per_entry, _ = credit_per_edge(g, cap)
+        assert csr.wedges.sum() > 0
+        assert not per_entry.any()
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    @pytest.mark.parametrize("a, b", [(1, 5), (2, 2), (4, 3), (7, 12)])
+    def test_a_biclique_credits_every_edge_alike(self, a, b, cap):
+        # Each edge of K_{a,b} lies in (a - 1)(b - 1) butterflies.
+        g = BipartiteGraph.build(complete_pairs(a, b))
+        _, _, per_edge = credit_per_edge(g, cap)
+        assert per_edge.tolist() == [(a - 1) * (b - 1)] * (a * b)

@@ -341,35 +341,46 @@ def one_wedge_hubs(hubs: int, leaves: int) -> BipartiteGraph:
                                        list(range(lowers)) + list(range(hubs + 1)))
 
 
+def fold_peaks(g):
+    """``(csr, chunks, peaks)``: every chunk of every strategy's queue of
+    ``g``, and the tracemalloc peak of folding each by ``count_rows`` and
+    by ``credit_rows`` (credit array aside), as (rows, peak) pairs."""
+    p = assign_priorities(g)
+    csr = kernel.rank_csr(g, p)
+    chunks, peaks = [], []
+    for strategy in STRATEGIES:
+        queue = parallel._queue(csr, p, ScheduleConfig(strategy=strategy))
+        chunks += kernel.chunks(csr, queue)
+    for rows in chunks:
+        for fold, held in ((kernel.count_rows, 0),
+                           (kernel.credit_rows, 8 * len(csr.columns))):
+            tracemalloc.start()
+            try:
+                fold(csr, [rows])
+                peaks.append((rows, tracemalloc.get_traced_memory()[1] - held))
+            finally:
+                tracemalloc.stop()
+    return csr, chunks, peaks
+
+
+FOOTPRINT_GRAPHS = pytest.mark.parametrize("make", [
+    lambda: BipartiteGraph.build(random_pairs(300, 300, 0.2, seed=1), 300, 300),
+    lambda: BipartiteGraph.build(random_pairs(200, 200, 0.1, seed=1), 200, 200),
+    lambda: BipartiteGraph.build(random_pairs_m(20_000, 20_000, 60_000, seed=2)),
+    lambda: one_wedge_hubs(1 << 16, 3),
+], ids=["dense-300", "dense-200", "sparse-20000", "one-wedge-hubs"])
+
+
 class TestFootprint:
-    @pytest.mark.parametrize("make", [
-        lambda: BipartiteGraph.build(random_pairs(300, 300, 0.2, seed=1), 300, 300),
-        lambda: BipartiteGraph.build(random_pairs(200, 200, 0.1, seed=1), 200, 200),
-        lambda: BipartiteGraph.build(random_pairs_m(20_000, 20_000, 60_000, seed=2)),
-        lambda: one_wedge_hubs(1 << 16, 3),
-    ], ids=["dense-300", "dense-200", "sparse-20000", "one-wedge-hubs"])
+    @FOOTPRINT_GRAPHS
     def test_workers_fit_the_measured_chunk_peaks(self, monkeypatch, make):
         # The tracemalloc peak of folding any chunk of any strategy's queue,
         # either way (credit array aside), read 0.03 to 4 entries a wedge
-        # and 21 to 184 bytes a wedge on these graphs.  Half of memory holds
+        # and 21 to 176 bytes a wedge on these graphs.  Half of memory holds
         # as many workers at that peak as _workers allows, and _workers
         # allows as many as half of twice that memory holds.
-        g = make()
-        p = assign_priorities(g)
-        csr = kernel.rank_csr(g, p)
-        peak, chunks = 0, []
-        for strategy in STRATEGIES:
-            queue = parallel._queue(csr, p, ScheduleConfig(strategy=strategy))
-            chunks += kernel.chunks(csr, queue)
-        for rows in chunks:
-            for fold, held in ((kernel.count_rows, 0),
-                               (kernel.credit_rows, 8 * len(csr.columns))):
-                tracemalloc.start()
-                try:
-                    fold(csr, [rows])
-                    peak = max(peak, tracemalloc.get_traced_memory()[1] - held)
-                finally:
-                    tracemalloc.stop()
+        csr, chunks, peaks = fold_peaks(make())
+        peak = max(peak for _, peak in peaks)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
         pages = {"SC_PAGE_SIZE": 1}
         monkeypatch.setattr(parallel.os, "sysconf", pages.__getitem__)
@@ -378,6 +389,14 @@ class TestFootprint:
             assert parallel._workers(csr, chunks) <= workers
             pages["SC_PHYS_PAGES"] *= 2
             assert parallel._workers(csr, chunks) >= workers
+
+    @FOOTPRINT_GRAPHS
+    def test_each_chunk_folds_within_its_charge(self, make):
+        # Either fold of a chunk peaks within what _workers charges it:
+        # WEDGE_BYTES a wedge and ENTRY_BYTES an entry of its starts.
+        csr, _, peaks = fold_peaks(make())
+        for rows, peak in peaks:
+            assert peak <= chunk_bytes(csr, rows)
 
 
 def record_fold_threads(monkeypatch, barrier=None):
