@@ -57,7 +57,9 @@ MIN_BLOCK = 4096
 
 @dataclass
 class EmConfig:
-    """Memory budget M and block size B for the external pipeline."""
+    """Memory budget M and block size B for the external pipeline, and
+    where its scratch directories go: under ``scratch_dir`` (the system's
+    temporary directory when None), removed afterwards unless ``keep_scratch``."""
 
     memory_budget: int
     block_size: int = 64 * 1024
@@ -215,35 +217,45 @@ def _discard(paths, cfg: EmConfig) -> None:
             os.remove(path)
 
 
-def external_sort(in_path, out_path, cfg: EmConfig, *, suffix: str = "run",
-                  scratch_dir=None, stats: IoStats | None = None) -> IoStats:
+@contextmanager
+def _scratch(cfg: EmConfig, prefix: str):
+    """Yield a new scratch directory ``prefix*``, as ``cfg`` places it."""
+    path = tempfile.mkdtemp(prefix=prefix, dir=cfg.scratch_dir)
+    try:
+        yield path
+    finally:
+        if not cfg.keep_scratch:
+            shutil.rmtree(path, ignore_errors=True)
+
+
+def _sort(in_path, out_path, cfg: EmConfig, stats: IoStats, scratch_dir, suffix: str):
+    """``external_sort`` through run files ``*.{suffix}`` in ``scratch_dir``."""
+    # No buffer beyond the file's records: the budget may be far larger.
+    capacity = max(1, min(cfg.run_records, os.path.getsize(in_path) // RECORD_WIDTH))
+    with closing(iter_records(in_path, cfg.block_size, stats)) as blocks:
+        runs = _write_runs(blocks, capacity, cfg, stats, scratch_dir, suffix)
+    if len(runs) == 1:
+        # A rename, or a copy where the scratch dir is on another filesystem.
+        shutil.move(runs[0], out_path)
+        return stats
+    with _writer(out_path, cfg.block_size, stats) as write, \
+            closing(_merged(runs, cfg, stats, scratch_dir, suffix)) as merged:
+        for records in merged:
+            write(records)
+    return stats
+
+
+def external_sort(in_path, out_path, cfg: EmConfig) -> IoStats:
     """Sort a file of 8-byte big-endian keys, numerically and so bytewise.
 
     Run formation fills at most the memory budget with records; merging
     folds floor(M/B) - 1 runs at a time, one ``merge_passes`` increment
     per sweep over the current runs.  A file that fits in memory sorts in
-    zero merge passes: its one run becomes the output.
+    zero merge passes: its one run becomes the output.  The runs go to an
+    ``extsort-*`` directory, as ``EmConfig`` places it.
     """
-    stats = stats if stats is not None else IoStats()
-    own_scratch = scratch_dir is None
-    if own_scratch:
-        scratch_dir = tempfile.mkdtemp(prefix="extsort-")
-    try:
-        # No buffer beyond the file's records: the budget may be far larger.
-        capacity = max(1, min(cfg.run_records, os.path.getsize(in_path) // RECORD_WIDTH))
-        with closing(iter_records(in_path, cfg.block_size, stats)) as blocks:
-            runs = _write_runs(blocks, capacity, cfg, stats, scratch_dir, suffix)
-        if len(runs) == 1:
-            os.replace(runs[0], out_path)
-            return stats
-        with _writer(out_path, cfg.block_size, stats) as write, \
-                closing(_merged(runs, cfg, stats, scratch_dir, suffix)) as merged:
-            for records in merged:
-                write(records)
-        return stats
-    finally:
-        if own_scratch:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
+    with _scratch(cfg, "extsort-") as scratch:
+        return _sort(in_path, out_path, cfg, IoStats(), scratch, "run")
 
 
 def _final_ids(records: np.ndarray, lower_count: int) -> np.ndarray:
@@ -273,15 +285,15 @@ def _whole_runs(blocks, key):
 
 
 def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
-    """Yield ``(centers, sizes, neighbors)`` of a sorted record file's
-    groups (final IDs), a block's whole groups at a time, without
-    duplicate records (duplicate input edges)."""
+    """Yield ``(centers, starts, sizes, neighbors)`` of a sorted record
+    file's groups (final IDs; a start is a record index), a block's whole
+    groups at a time, without duplicate records (duplicate input edges)."""
     with closing(iter_records(path, cfg.block_size, stats)) as blocks:
         for records in _whole_runs(blocks, lambda records: records >> 32):
             records = records[np.concatenate(([True], records[1:] != records[:-1]))]
             centers, neighbors = _final_ids(records, lower_count)
-            sizes = kernel.run_lengths(centers)
-            yield centers[np.cumsum(sizes) - sizes], sizes, neighbors
+            starts = np.flatnonzero(np.diff(centers, prepend=-1))
+            yield centers[starts], starts, np.diff(starts, append=len(centers)), neighbors
 
 
 def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
@@ -290,14 +302,14 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
     group's center) and its start.  An array holds at most ``capacity``
     pairs, the records of a pair run, or the pairs of one member if more."""
     cap = min(kernel.CHUNK_WEDGES, capacity)
-    for centers, sizes, neighbors in groups:
+    for centers, starts, sizes, neighbors in groups:
         # One sort orders each group's members by rank: an end that
         # outranks the center pairs with every member before it.
         group = np.repeat(np.arange(len(centers)), sizes)
         keys = group << 32 | rank[neighbors]
         keys.sort()
         members = keys & 0xFFFF_FFFF
-        firsts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        firsts = np.repeat(starts, sizes)
         counts = np.where(members > rank[centers][group],
                           np.arange(len(members)) - firsts, 0)
         stats.pairs_emitted += int(counts.sum())
@@ -328,8 +340,7 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     """
     t0 = perf_counter()
     stats = IoStats()
-    scratch = tempfile.mkdtemp(prefix="emcount-", dir=cfg.scratch_dir)
-    try:
+    with _scratch(cfg, "emcount-") as scratch:
         raw_path = os.path.join(scratch, "adjacency.raw")
         sorted_path = os.path.join(scratch, "adjacency.sorted")
 
@@ -361,12 +372,11 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         n = lower_count + len(upper_ids)
         del upper_ids, lower_ids
 
-        external_sort(raw_path, sorted_path, cfg, suffix="edges",
-                      scratch_dir=scratch, stats=stats)
+        _sort(raw_path, sorted_path, cfg, stats, scratch, "edges")
         _discard([raw_path], cfg)
 
         degrees = np.zeros(n, dtype=np.int64)
-        for centers, sizes, _ in _iter_groups(sorted_path, cfg, stats, lower_count):
+        for centers, _, sizes, _ in _iter_groups(sorted_path, cfg, stats, lower_count):
             degrees[centers] = sizes
         rank = degree_priorities(degrees) - 1
         groups, records_scanned = int(np.count_nonzero(degrees)), int(degrees.sum())
@@ -398,6 +408,3 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         report = CountReport(butterflies, stats.pairs_emitted, groups, records_scanned,
                              stats.pairs_emitted, perf_counter() - t0)
         return report, stats
-    finally:
-        if not cfg.keep_scratch:
-            shutil.rmtree(scratch, ignore_errors=True)

@@ -162,12 +162,6 @@ def chunks(csr: RankCsr, rows: np.ndarray) -> list[np.ndarray]:
     return np.split(rows, chunk_bounds(csr.wedges[rows]))
 
 
-def run_lengths(sorted_keys: np.ndarray) -> np.ndarray:
-    """Lengths of the runs of equal values in a sorted array ([0] if empty)."""
-    starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    return np.diff(starts, prepend=0, append=len(sorted_keys))
-
-
 def repeated_runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, lengths)`` of the runs of two or more equal values in a
     sorted array, in order: the only runs of wedge keys that close

@@ -10,9 +10,7 @@ rank-space CSR (``kernel.rank_csr``) in long numpy passes (sort, take,
 cumsum) that release the GIL.  A thread pool that lives for one call
 folds them, one worker per lane with wedges up to ``_workers``, so
 ``threads`` is the lane count, never the OS thread count; with at most
-one such lane the call folds in the calling thread and starts none.  On
-the benchmark's ``skewed`` graph (185k edges, 3.24M wedges; 2-core Xeon)
-the two lanes fold in 0.075 s on two workers against 0.122 s in turn.
+one such lane the call folds in the calling thread and starts none.
 Every lane is dealt by one model, the list schedule (Graham 1969,
 ``simulate_list_schedule``): jobs leave one queue in order, each to the
 lane that frees earliest.  The strategy picks the queue of start

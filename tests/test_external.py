@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import math
+import os
 import random
 import struct
 import tempfile
@@ -96,6 +98,46 @@ class TestExternalSort:
         stats = external_sort(src, dst, MIN_CFG)
         assert dst.read_bytes() == b""
         assert stats.merge_passes == 0
+
+    def test_scratch_follows_the_config(self, tmp_path):
+        # 10,000 records in runs of 2,048 under a merge width of 3: five
+        # runs, two of them merged ahead of the last merge.
+        records = self.make_records(10_000, 5)
+        src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+        self.write_records(src, records)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        cfg = EmConfig(16384, 4096, scratch_dir=str(scratch))
+        assert external_sort(src, dst, cfg).merge_passes == 2
+        assert list(scratch.iterdir()) == []
+        external_sort(src, dst, dataclasses.replace(cfg, keep_scratch=True))
+        [kept] = scratch.iterdir()
+        assert kept.name.startswith("extsort-")
+        assert {p.name for p in kept.iterdir()} == {
+            "0.run", "1.run", "2.run", "3.run", "4.run", "m1-0.run", "m1-1.run"}
+        assert dst.read_bytes() == b"".join(sorted(records))
+
+    def test_one_run_moves_across_filesystems(self, tmp_path, monkeypatch):
+        # A scratch dir on another filesystem than the output: no rename can
+        # move the one run there, so it is copied, with the same stats.
+        records = self.make_records(1000, 6)
+        src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+        self.write_records(src, records)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        cfg = EmConfig(memory_budget=1 << 20, scratch_dir=str(scratch))
+        renamed = external_sort(src, dst, cfg)
+
+        def cross_device(*args, **kwargs):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        dst.unlink()
+        for name in ("rename", "replace"):
+            monkeypatch.setattr(os, name, cross_device)
+        assert external_sort(src, dst, cfg) == renamed
+        assert renamed.merge_passes == 0
+        assert dst.read_bytes() == b"".join(sorted(records))
+        assert list(scratch.iterdir()) == []
 
     def test_truncated_record_rejected(self, tmp_path):
         src = tmp_path / "in.bin"
@@ -279,25 +321,26 @@ class TestEmCount:
             assert size <= capacity or members == 1
 
     def test_a_failure_in_any_pass_closes_its_files_first(self, tmp_path, monkeypatch):
-        # An error in the degree pass, the emission (any call of run_lengths)
-        # or the fold (any call of repeated_runs) closes every file before
-        # the scratch dir is removed, not when the garbage collector gets to it.
+        # An error in the degree pass, the emission (any block of groups, whose
+        # IDs _final_ids reads) or the fold (any call of repeated_runs) closes
+        # every file before the scratch dir is removed, not when the garbage
+        # collector gets to it.
         path = write_graph(tmp_path, random_pairs_m(60, 60, 1200, seed=4))
         calls, fail_at = [], [0]
 
         def failing(real):
-            def run(keys):
+            def run(*args):
                 calls.append(real.__name__)
                 if len(calls) == fail_at[0]:
                     raise RuntimeError("injected")
-                return real(keys)
+                return real(*args)
             return run
 
-        for name in ("run_lengths", "repeated_runs"):
-            monkeypatch.setattr(kernel, name, failing(getattr(kernel, name)))
+        monkeypatch.setattr(external, "_final_ids", failing(external._final_ids))
+        monkeypatch.setattr(kernel, "repeated_runs", failing(kernel.repeated_runs))
         left_open = files_left_open(monkeypatch, external)
         em_count(path, MIN_CFG)
-        assert set(calls) == {"run_lengths", "repeated_runs"}
+        assert set(calls) == {"_final_ids", "repeated_runs"}
         for fail_at[0] in range(1, len(calls) + 1):
             calls.clear()
             with pytest.raises(RuntimeError, match="injected"):
