@@ -11,7 +11,7 @@ from .exact import (CountReport, count_butterflies, count_caterpillars,
                     count_ibs, count_vp, count_vpp)
 from .external import EmConfig, IoStats, em_count, external_sort
 from .graph import (BipartiteGraph, assign_priorities, load_edge_list,
-                    parse_edge_list, ranked_neighbors, read_edges)
+                    parse_edge_list, read_edges)
 from .parallel import (ScheduleConfig, ThreadReport, count_parallel,
                        make_static_assignment)
 

@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--algo", choices=("ibs", "vp", "vpp"), default="vpp",
                    help="ibs: layer-selected baseline; vp: vertex-priority; "
-                        "vpp: end-dominant vertex-priority, vectorized (default)")
+                        "vpp: end-dominant vertex-priority (default); all three "
+                        "count on the vectorized kernel")
     add_io(p)
     p.set_defaults(func=cmd_count)
 

@@ -1,21 +1,22 @@
 """Exact butterfly counting.
 
-Three global counters, each a wedge rule under a priority:
+Three global counters, each a wedge rule under a priority, all on the
+vectorized rank-space kernel (``kernel.py``):
 
-* ``count_vp``   -- vertex-priority counter; the start-dominant rule
-  (the start outranks the middle and the end) under a vertex priority.
-  Its wedges are those of ``count_vpp`` read from the other end, so it
-  runs the same vectorized rank-space kernel (``kernel.py``); only its
-  middle-access count, that of the paper's early-stopping walk, differs.
 * ``count_vpp``  -- end-dominant counter; the END vertex outranks start
-  and middle, under the same priorities as ``count_vp``.
+  and middle, under a vertex priority.
+* ``count_vp``   -- vertex-priority counter; the start-dominant rule
+  (the start outranks the middle and the end) under the same priorities.
+  Its wedges are those of ``count_vpp`` read from the other end, so it
+  runs ``count_vpp``; only its middle-access count, that of the paper's
+  early-stopping walk, differs.
 * ``count_ibs``  -- layer-selected baseline; the start-dominant rule under
-  a layer priority, run as one Python loop over neighbor lists in rank
-  space (``graph.ranked_neighbors``), off the kernel so that it checks
-  it.  The start layer is the one whose opposite side has the larger sum
-  of squared degrees; it outranks the other layer, and inside it a lower
-  ID outranks a higher one, so every wedge runs from a start to a start
-  of higher ID.
+  a layer priority, so it runs ``count_vpp`` under that priority; only
+  its start and middle accesses differ.  The start layer is the one with
+  the larger sum of squared degrees, so its opposite side, the middles,
+  has the smaller; it outranks the other layer, and inside it a lower ID
+  outranks a higher one, so every wedge runs from a start to a start of
+  higher ID.
 
 Plus the caterpillar / clustering-coefficient statistics.  The
 brute-force oracle is ``edges.brute_force_per_edge``, whose total is the
@@ -24,7 +25,6 @@ butterfly count.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernel, parallel
 from .errors import CountOverflowError
-from .graph import BipartiteGraph, assign_priorities, degree_priorities, ranked_neighbors
+from .graph import BipartiteGraph, assign_priorities, degree_priorities
 
 COUNT_LIMIT = 1 << 128
 
@@ -64,40 +64,6 @@ def check_limit(value: int, what: str) -> int:
     return value
 
 
-def _start_dominant(rows: list[list[int]]) -> tuple[int, int]:
-    """(butterflies, wedges) of the start-dominant rule over rank-space
-    neighbor lists, each ascending (``ranked_neighbors``).
-
-    Wedge (u, v, w) counts when u outranks both v and w: the middles of u
-    and the ends of each middle are the prefixes of their rows ranked
-    below u.
-    """
-    counts = [0] * len(rows)
-    touched: list[int] = []
-    append = touched.append
-    butterflies = 0
-    wedges = 0
-    for u, row in enumerate(rows):
-        for v in row[:bisect_left(row, u)]:
-            lst = rows[v]
-            ends = lst[:bisect_left(lst, u)]
-            wedges += len(ends)
-            for w in ends:
-                c = counts[w]
-                if not c:
-                    append(w)
-                counts[w] = c + 1
-        if touched:
-            for w in touched:
-                c = counts[w]
-                counts[w] = 0
-                if c > 1:
-                    butterflies += c * (c - 1) // 2
-            touched.clear()
-    check_limit(butterflies, "butterfly count")
-    return butterflies, wedges
-
-
 def count_ibs(g: BipartiteGraph) -> CountReport:
     """Layer-selected baseline counter; exact on any graph.
 
@@ -105,7 +71,10 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
     is strictly smaller (then the lower layer starts, keeping the heavier
     wedge work off the middles).  Ties keep the upper layer.  The start
     layer outranks the other, and inside it a lower ID outranks a higher
-    one; every start visits all its neighbors as middles.
+    one.  Its start-dominant wedges are the end-dominant wedges of
+    ``count_vpp`` under that priority, so the kernel counts them; every
+    start visits all its neighbors as middles, so the start and middle
+    accesses are the start layer's size and m.
     """
     t0 = perf_counter()
     n = g.vertex_count
@@ -113,10 +82,11 @@ def count_ibs(g: BipartiteGraph) -> CountReport:
     upper = ids >= g.lower_count
     squares = g.degrees ** 2
     start = ~upper if squares[upper].sum() < squares[~upper].sum() else upper
-    rows = ranked_neighbors(g, degree_priorities(np.where(start, 2 * n - ids, ids)))
-    butterflies, wedges = _start_dominant(rows)
-    return CountReport(butterflies, wedges, int(start.sum()), g.edge_count, wedges,
-                       perf_counter() - t0)
+    report = count_vpp(g, degree_priorities(np.where(start, 2 * n - ids, ids)))
+    report.start_accesses = int(start.sum())
+    report.middle_accesses = g.edge_count
+    report.elapsed = perf_counter() - t0
+    return report
 
 
 def count_vp(g: BipartiteGraph, p: np.ndarray) -> CountReport:

@@ -1,11 +1,10 @@
-"""Bipartite graph representation, edge-list parsing, vertex priorities,
-and neighbor lists in priority-rank space.
+"""Bipartite graph representation, edge-list parsing and vertex
+priorities.
 
 ``degree_priorities`` builds both priorities the exact engines use: the
 degree-major, ID-minor order of ``assign_priorities`` and the layer
-order of ``exact.count_ibs``.  ``ranked_neighbors`` lays the adjacency
-out as Python lists for the start-dominant loop of ``count_ibs``; the
-other engines run the rank-space kernel, which builds its own CSR
+order of ``exact.count_ibs``.  Every engine runs the rank-space kernel
+under one of them, which lays the adjacency out as a CSR of its own
 (``kernel.rank_csr``).
 
 Internal vertex IDs are dense: lower-layer vertices occupy [0, lower_count)
@@ -387,18 +386,3 @@ def assign_priorities(g: BipartiteGraph) -> np.ndarray:
     """``degree_priorities`` of ``g``'s vertex degrees."""
     return degree_priorities(g.degrees)
 
-
-def ranked_neighbors(g: BipartiteGraph, priority: np.ndarray) -> list[list[int]]:
-    """Neighbor lists in rank space (``priority - 1``) under the
-    permutation ``priority``: row r holds the ranks of the neighbors of
-    the vertex of rank r, ascending.  In the package only ``exact.count_ibs``
-    reads them."""
-    n = g.vertex_count
-    rank = priority - 1
-    centers = rank[np.concatenate((g.uppers, g.lowers))]
-    # One sort of (center, neighbor) packed in an int64 orders both.
-    keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]
-    keys.sort()
-    flat = (keys % n).tolist()
-    stops = np.cumsum(np.bincount(centers, minlength=n)).tolist()
-    return [flat[start:stop] for start, stop in zip([0] + stops, stops)]

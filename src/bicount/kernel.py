@@ -7,8 +7,9 @@ row, ascend by rank.  The end-dominant rule processes a wedge
 (start u, middle v, end w) when w outranks both u and v, so the ends of
 the directed entry u -> v are the neighbors of v ranked above max(u, v):
 a suffix of v's row, past the reverse entry v -> u and past v itself.
-The start-dominant wedges of ``count_vp`` are the same wedges read from
-the other end, so every engine on this kernel runs the end rule.
+The start-dominant wedges of ``count_vp``, and of ``count_ibs`` under its
+layer priority, are the same wedges read from the other end, so every
+engine on this kernel runs the end rule, under the priority it passes.
 
 Wedges are expanded one chunk of start rows at a time, each chunk holding
 about ``CHUNK_WEDGES`` wedges (more only when one start alone has more),

@@ -7,7 +7,10 @@ import dataclasses
 import io
 import random
 import shutil
+from bisect import bisect_left
 from itertools import combinations
+
+import numpy as np
 
 from bicount import parallel
 from bicount.errors import ParseError
@@ -214,6 +217,68 @@ def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int,
             butterflies += c * (c - 1) // 2
     touched.clear()
     return butterflies, wedges, middles
+
+
+def layer_priority(g: BipartiteGraph) -> np.ndarray:
+    """The layer priority of ``count_ibs``, built without numpy's sorts: the
+    start layer (the upper one unless its squared-degree sum is strictly
+    smaller) outranks the other; inside it a lower ID outranks a higher
+    one, and inside the other a higher ID outranks a lower one."""
+    d = g.degrees.tolist()
+    upper, lower = list(g.upper_vertices()), list(g.lower_vertices())
+    if sum(d[u] ** 2 for u in upper) < sum(d[v] ** 2 for v in lower):
+        upper, lower = lower, upper
+    priority = np.empty(g.vertex_count, dtype=np.int64)
+    priority[lower + upper[::-1]] = np.arange(1, g.vertex_count + 1)
+    return priority
+
+
+def ranked_neighbors(g: BipartiteGraph, priority) -> list[list[int]]:
+    """Neighbor lists in rank space (``priority - 1``) under the
+    permutation ``priority``: row r holds the ranks of the neighbors of
+    the vertex of rank r, ascending."""
+    n = g.vertex_count
+    rank = priority - 1
+    centers = rank[np.concatenate((g.uppers, g.lowers))]
+    # One sort of (center, neighbor) packed in an int64 orders both.
+    keys = centers * n + rank[np.concatenate((g.lowers, g.uppers))]
+    keys.sort()
+    flat = (keys % n).tolist()
+    stops = np.cumsum(np.bincount(centers, minlength=n)).tolist()
+    return [flat[start:stop] for start, stop in zip([0] + stops, stops)]
+
+
+def start_dominant(rows: list[list[int]]) -> tuple[int, int]:
+    """(butterflies, wedges) of the start-dominant rule over rank-space
+    neighbor lists, each ascending (``ranked_neighbors``): a pure-Python
+    loop that runs no kernel code.
+
+    Wedge (u, v, w) counts when u outranks both v and w: the middles of u
+    and the ends of each middle are the prefixes of their rows ranked
+    below u.
+    """
+    counts = [0] * len(rows)
+    touched: list[int] = []
+    append = touched.append
+    butterflies = 0
+    wedges = 0
+    for u, row in enumerate(rows):
+        for v in row[:bisect_left(row, u)]:
+            lst = rows[v]
+            ends = lst[:bisect_left(lst, u)]
+            wedges += len(ends)
+            for w in ends:
+                c = counts[w]
+                if not c:
+                    append(w)
+                counts[w] = c + 1
+        for w in touched:
+            c = counts[w]
+            counts[w] = 0
+            if c > 1:
+                butterflies += c * (c - 1) // 2
+        touched.clear()
+    return butterflies, wedges
 
 
 def iter_start_dominant_wedges(g: BipartiteGraph, p):

@@ -1,10 +1,11 @@
 """Every engine on one graph, and how the counts move with the input.
 
 One Hypothesis property over ``test_kernel.graphs()``: ibs, vp, vpp, both
-parallel modes and the external engine agree; the per-edge and per-vertex
-counts sum to four times the total; and transposing the layers, permuting
-the labels, reordering the lines or repeating some of them moves each
-per-edge count with its edge and changes no count.
+parallel modes, the external engine and the pure-Python start-dominant
+loop of ``helpers.py``, which runs no kernel code, agree; the per-edge and
+per-vertex counts sum to four times the total; and transposing the layers,
+permuting the labels, reordering the lines or repeating some of them moves
+each per-edge count with its edge and changes no count.
 """
 
 import tempfile
@@ -19,7 +20,7 @@ from bicount.external import EmConfig, em_count
 from bicount.generate import pairs_to_text
 from bicount.graph import assign_priorities, parse_edge_list
 from bicount.parallel import ScheduleConfig, count_parallel
-from helpers import edge_list
+from helpers import edge_list, layer_priority, ranked_neighbors, start_dominant
 from test_kernel import graphs
 
 SMALL_EM = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -44,6 +45,7 @@ def test_engines_agree_and_counts_follow_their_edges(g, rng):
     totals = {algo: count_butterflies(g, algo).butterflies for algo in ("ibs", "vp", "vpp")}
     for mode in ("dynamic", "static"):
         totals[mode] = count_parallel(g, p, ScheduleConfig(mode=mode, threads=3))[0].butterflies
+    totals["loop"] = start_dominant(ranked_neighbors(g, layer_priority(g)))[0]
     # A built graph labels each vertex with its index in its layer.
     pairs = [(u - g.lower_count, v) for u, v in edge_list(g)]
     with tempfile.TemporaryDirectory() as scratch:

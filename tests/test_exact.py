@@ -234,6 +234,23 @@ class TestClosedForms:
         assert vp.start_accesses == g.vertex_count
         assert vp.butterflies == ibs.butterflies
 
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_wedge_counters_against_degree_sums(self, g):
+        # Each pair of a middle's neighbors is one ibs wedge, and the layer
+        # rule takes its middles from the layer of smaller squared-degree
+        # sum, so of smaller sum of C(d, 2): both sums of d are m.  The vp
+        # wedges stay within the paper's bound, and that bound within the
+        # smaller squared-degree sum, as each edge's min is at most the
+        # degree of its end in either layer.
+        d = g.degrees
+        upper, lower = d[g.lower_count:], d[:g.lower_count]
+        pairs = min(int((upper * (upper - 1) // 2).sum()), int((lower * (lower - 1) // 2).sum()))
+        assert count_ibs(g).wedges_processed == pairs
+        bound = int((np.minimum(d[g.uppers], d[g.lowers]) - 1).sum())
+        squares = min(int((upper ** 2).sum()), int((lower ** 2).sum()))
+        assert vp_report(g).wedges_processed <= bound <= squares
+
     def test_squared_degree_tie_starts_from_the_upper_layer(self):
         # Both layers of a four-cycle sum to 8; an isolated vertex makes
         # the layer sizes differ, so the start count shows the layer.

@@ -12,8 +12,8 @@ PUBLIC_NAMES = (
     "count_caterpillars", "count_ibs", "count_parallel", "count_per_edge_evpp",
     "count_vp", "count_vpp", "edge_counts_tsv", "em_count", "external_sort",
     "load_edge_list", "make_static_assignment", "parse_edge_list",
-    "per_edge_counts", "per_vertex_from_edges", "ranked_neighbors",
-    "read_edges", "run_trials", "sparsify",
+    "per_edge_counts", "per_vertex_from_edges", "read_edges", "run_trials",
+    "sparsify",
 )
 
 

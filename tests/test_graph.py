@@ -11,10 +11,10 @@ from bicount.edges import per_edge_counts, per_vertex_from_edges
 from bicount.errors import ParseError
 from bicount.exact import count_butterflies
 from bicount.generate import hub_pairs, pairs_to_text, random_pairs_m
-from bicount.graph import (BipartiteGraph, LabelIndex, assign_priorities,
-                           parse_edge_list, ranked_neighbors)
+from bicount.graph import BipartiteGraph, LabelIndex, assign_priorities, parse_edge_list
 from bicount.parallel import MODES, STRATEGIES, ScheduleConfig, count_parallel
-from helpers import complete_3x2, edge_list, neighbor_lists, priority_by_comparison
+from helpers import (complete_3x2, edge_list, neighbor_lists, priority_by_comparison,
+                     ranked_neighbors)
 
 
 @st.composite
@@ -143,6 +143,7 @@ class TestPriorities:
 
 
 class TestRankedNeighbors:
+    # The rows that the start-dominant loop of the tests (helpers.py) reads.
     def test_complete_3x2_neighbor_order(self):
         # Ranks: u0, u1, u2 (degree 2) are 0, 1, 2; v0, v1 (degree 3) 3, 4.
         g = complete_3x2()

@@ -1,6 +1,6 @@
-"""Property tests for the rank-space wedge kernel behind ``count_vp``,
-``count_vpp`` and the per-edge counts, against the pure-Python engines, the
-wedge enumerators and the oracles."""
+"""Property tests for the rank-space wedge kernel behind ``count_ibs``,
+``count_vp``, ``count_vpp`` and the per-edge counts, against the
+pure-Python loops, the wedge enumerators and the oracles."""
 
 import random
 import tracemalloc
@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from bicount import kernel, parallel
 from bicount.edges import brute_force_per_edge, per_edge_counts
-from bicount.exact import _start_dominant, count_butterflies, count_vp, count_vpp
+from bicount.exact import count_butterflies, count_ibs, count_vp, count_vpp
 from bicount.generate import complete_pairs, hub_pairs, hub_path_pairs, random_pairs_m
-from bicount.graph import BipartiteGraph, assign_priorities, ranked_neighbors
+from bicount.graph import BipartiteGraph, assign_priorities
 from helpers import (end_dominant_pass, iter_end_dominant_wedges, iter_start_dominant_wedges,
-                     neighbor_lists, timeless, transpose)
+                     layer_priority, neighbor_lists, ranked_neighbors, start_dominant,
+                     timeless, transpose)
 
 
 @st.composite
@@ -70,13 +71,16 @@ class TestKernel:
     @settings(max_examples=100, deadline=None)
     @given(graphs(), st.integers(min_value=0))
     def test_count_vp_equals_the_start_dominant_loop_under_either_priority(self, g, seed):
-        # The Python loop of count_ibs runs no kernel code.
+        # The Python loop runs no kernel code; count_ibs is count_vp's
+        # wedges under the layer priority.
         shuffled = list(range(1, g.vertex_count + 1))
         random.Random(seed).shuffle(shuffled)
         for p in (assign_priorities(g), np.array(shuffled, dtype=np.int64)):
             vp = count_vp(g, p)
-            assert (vp.butterflies, vp.wedges_processed) == \
-                _start_dominant(ranked_neighbors(g, p))
+            assert (vp.butterflies, vp.wedges_processed) == start_dominant(ranked_neighbors(g, p))
+        ibs = count_ibs(g)
+        assert (ibs.butterflies, ibs.wedges_processed) == \
+            start_dominant(ranked_neighbors(g, layer_priority(g)))
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(), st.integers(min_value=0))

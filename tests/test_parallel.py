@@ -18,7 +18,8 @@ from bicount.generate import hub_pairs, random_pairs, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
                               make_static_assignment, simulate_list_schedule)
-from helpers import chunk_bytes, four_cycle, makespan, random_graph_set, star, timeless
+from helpers import (chunk_bytes, four_cycle, layer_priority, makespan, random_graph_set, star,
+                     timeless)
 from test_edges import busy_graph
 from test_kernel import graphs
 
@@ -341,11 +342,11 @@ def one_wedge_hubs(hubs: int, leaves: int) -> BipartiteGraph:
                                        list(range(lowers)) + list(range(hubs + 1)))
 
 
-def fold_peaks(g):
-    """``(csr, chunks, peaks)``: every chunk of every strategy's queue of
-    ``g``, and the tracemalloc peak of folding each by ``count_rows`` and
-    by ``credit_rows`` (credit array aside), as (rows, peak) pairs."""
-    p = assign_priorities(g)
+def fold_peaks(g, p):
+    """``(csr, chunks, peaks)`` of ``g`` under the priorities ``p``: every
+    chunk of every strategy's queue, and the tracemalloc peak of folding
+    each by ``count_rows`` and by ``credit_rows`` (credit array aside), as
+    (rows, peak) pairs."""
     csr = kernel.rank_csr(g, p)
     chunks, peaks = [], []
     for strategy in STRATEGIES:
@@ -379,7 +380,8 @@ class TestFootprint:
         # and 21 to 176 bytes a wedge on these graphs.  Half of memory holds
         # as many workers at that peak as _workers allows, and _workers
         # allows as many as half of twice that memory holds.
-        csr, chunks, peaks = fold_peaks(make())
+        g = make()
+        csr, chunks, peaks = fold_peaks(g, assign_priorities(g))
         peak = max(peak for _, peak in peaks)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
         pages = {"SC_PAGE_SIZE": 1}
@@ -393,10 +395,13 @@ class TestFootprint:
     @FOOTPRINT_GRAPHS
     def test_each_chunk_folds_within_its_charge(self, make):
         # Either fold of a chunk peaks within what _workers charges it:
-        # WEDGE_BYTES a wedge and ENTRY_BYTES an entry of its starts.
-        csr, _, peaks = fold_peaks(make())
-        for rows, peak in peaks:
-            assert peak <= chunk_bytes(csr, rows)
+        # WEDGE_BYTES a wedge and ENTRY_BYTES an entry of its starts, under
+        # the vertex priority and under count_ibs's layer priority.
+        g = make()
+        for p in (assign_priorities(g), layer_priority(g)):
+            csr, _, peaks = fold_peaks(g, p)
+            for rows, peak in peaks:
+                assert peak <= chunk_bytes(csr, rows)
 
 
 def record_fold_threads(monkeypatch, barrier=None):
