@@ -352,8 +352,13 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # (at most CHUNK_CHARS), and the rest of the line (``text_chunks``):
         # at most B/2 + 1 edge lines ("1 2\n"), whose records take at most
         # eight blocks and 16 bytes.  Each chunk costs a loadtxt call and a
-        # search of every label run: on 200k-edge files at B = 64 KiB, chunks
-        # of one block made this pass 10-15% slower than chunks of two.
+        # gather in each label table.  On the 200k-edge benchmark files at
+        # B = 64 KiB (2-core Xeon, 15 interleaved passes), chunks of one
+        # block and of two were within noise on ``uniform`` (47-53 against
+        # 53-62 ms), and one block was slower on ``skewed`` (101-111
+        # against 62-71 ms): a first chunk of one block holds 4,157 of the
+        # 20,000 labels its largest label spans, too few for a table
+        # (``graph.LabelIndex``), so both indexes number in sorted runs.
         chunk = min(graph.CHUNK_CHARS, 2 * cfg.block_size)
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 _writer(raw_path, cfg.block_size, stats) as write:

@@ -15,9 +15,12 @@ Every edge list is read as a text stream in chunks of whole lines
 (``text_chunks``), a string as the file of that text is.
 ``read_label_batches`` hands each chunk to numpy's ``loadtxt`` as one
 ``io.StringIO`` and goes line by line only through a chunk ``loadtxt``
-declines.  Labels are numbered and duplicate edges dropped with one
-packed sort of ``key << b | index`` (``_sort_order``, which the kernel
-shares), whose ties keep input order, so each key's first occurrence
+declines.  Labels are numbered in first-seen order by ``LabelIndex``:
+while they are dense, a direct-address table numbers a batch in one
+gather; sparse labels and labels of 2**63 or more are numbered in sorted
+runs.  Duplicate edges are dropped with one packed sort of
+``key << b | index`` (``_sort_order``, which the kernel and the runs
+share), whose ties keep input order, so each key's first occurrence
 heads its run.
 """
 
@@ -35,6 +38,9 @@ COMMENT_PREFIXES = ("%", "#")
 
 # The characters the reader parses together, which bounds its memory.
 CHUNK_CHARS = 1 << 18
+
+# The entries a ``LabelIndex`` table may hold per label it has numbered.
+TABLE_ENTRIES_PER_LABEL = 4
 
 
 class BipartiteGraph:
@@ -274,21 +280,42 @@ def _unique_first(values: np.ndarray):
 
 
 class LabelIndex:
-    """Dense indices for labels, numbered in first-seen order across
-    batches.
+    """Dense indices for nonnegative labels, numbered in first-seen order
+    across batches.
 
-    The labels seen so far are kept in sorted runs, each beside the index
-    of every label in it.  A batch is numbered by binary search in the
-    runs, and its new labels are a new run.  A run is merged into the one
-    before it (``np.insert``) until each run is at least eight times as
-    long as the next, so there are O(log n) runs, and the longest is
-    copied only once the others add up to an eighth of it: small batches
-    do not copy the whole index each.  The labels are int64 until a batch
-    holds labels of 2**63 or more (an object array of Python ints); from
-    then on they are Python ints.
+    While the labels are dense, the index is a direct-address table:
+    entry ``label`` holds the label's index + 1, 0 for a label not seen.
+    A batch is numbered by one gather, and its new labels take the next
+    indices in first-seen order: ``np.minimum.at`` writes each new label's
+    first position into its entry, and the new labels found at their first
+    positions are numbered in batch order, with no sort.
+
+    Memory rule: after every batch the table holds at most
+    ``TABLE_ENTRIES_PER_LABEL`` entries (8 bytes each) per label numbered,
+    and within a batch at most that many per label numbered plus label in
+    the batch, so the index stays proportional to the vertex count.  A
+    table that grows at least doubles, within that bound, so labels that
+    rise from batch to batch do not copy it every time.
+
+    The table serves int64 batches.  A batch whose largest label would
+    break the memory rule (sparse IDs, labels of 2**62), or that holds
+    Python ints (labels of 2**63 or more), converts the index once to
+    sorted runs, each beside the index of every label in it, which serve
+    every later batch.  Small batches of scattered labels fall back early:
+    at 4 KiB blocks ``em_count`` numbers chunks of about a thousand lines,
+    and a first chunk that holds a thousand of 20,000 labels already breaks
+    the rule.  A batch is numbered in the runs by binary search, and its
+    new labels are a new run.  A run is merged into the one before it
+    (``np.insert``) until each run is at least eight times as long as the
+    next, so there are O(log n) runs, and the longest is copied only once
+    the others add up to an eighth of it: small batches do not copy the
+    whole index each.  The run labels are int64 until a batch holds labels
+    of 2**63 or more (an object array of Python ints); from then on they
+    are Python ints.
     """
 
     def __init__(self):
+        self._table: np.ndarray | None = np.zeros(0, dtype=np.int64)
         self._runs: list[tuple[np.ndarray, np.ndarray]] = []
         self._count = 0
 
@@ -298,6 +325,12 @@ class LabelIndex:
     def number(self, labels: np.ndarray) -> np.ndarray:
         """The dense index of each of ``labels``; labels not seen before
         get the next indices, in the order they first occur."""
+        if self._table is not None:
+            indices = self._number_in_table(labels)
+            if indices is not None:
+                return indices
+            self._runs = [self._table_run()] if self._count else []
+            self._table = None
         distinct, first, inverse = _unique_first(labels)
         if distinct.dtype == object:
             self._runs = [(run.astype(object, copy=False), indices)
@@ -320,13 +353,52 @@ class LabelIndex:
                                 np.insert(before_indices, at, run_indices))]
         return indices[inverse]
 
+    def _number_in_table(self, labels: np.ndarray) -> np.ndarray | None:
+        """``number`` through the table, or None, the table unchanged, for
+        a batch it does not serve (see the memory rule)."""
+        if labels.dtype != np.int64:
+            return None
+        table, count = self._table, self._count
+        top = int(labels.max(initial=-1)) + 1
+        if top > len(table):
+            if top > TABLE_ENTRIES_PER_LABEL * (count + len(labels)):
+                return None
+            grown = np.zeros(max(top, min(2 * len(table), TABLE_ENTRIES_PER_LABEL * count)),
+                             dtype=np.int64)
+            grown[:len(table)] = table
+            table = grown
+        found = table[labels]
+        at = np.flatnonzero(found == 0)
+        fresh = labels[at]
+        # Each new label's entry takes its first position, as a negative
+        # number, so the new labels read it back at their first positions
+        # only, in batch order.
+        first = at - len(labels)
+        np.minimum.at(table, fresh, first)
+        firsts = fresh[table[fresh] == first]
+        table[firsts] = np.arange(count + 1, count + 1 + len(firsts))
+        found[at] = table[fresh]
+        count += len(firsts)
+        # Only a grown table, a copy, can break the rule here.
+        if len(table) > TABLE_ENTRIES_PER_LABEL * count:
+            return None
+        self._table, self._count = table, count
+        found -= 1
+        return found
+
+    def _table_run(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's labels, sorted, beside their indices: one run."""
+        labels = np.flatnonzero(self._table)
+        return labels, self._table[labels] - 1
+
     def labels(self) -> list[int]:
         """The labels as Python ints, in index order."""
-        if not self._runs:
+        if not self._count:
             return []
-        labels = np.concatenate([run for run, _ in self._runs])
+        runs = self._runs if self._table is None else [self._table_run()]
+        labels = np.concatenate([run for run, _ in runs])
         ordered = np.empty_like(labels)
-        ordered[np.concatenate([indices for _, indices in self._runs])] = labels
+        ordered[np.concatenate([indices for _, indices in runs])] = labels
         return ordered.tolist()
 
 

@@ -183,6 +183,29 @@ def reference_parse(text: str) -> dict:
             "degrees": [len(a) for a in adjacency], "adjacency": adjacency}
 
 
+def mixed_label_text(dense_lines: int = 20_000, side: int = 500, seed: int = 7) -> str:
+    """An edge list whose labels turn from dense to sparse to huge: lines
+    of labels 0..side-1, then edges with labels from 10**12 in both layers,
+    as many dense lines again, then edges with labels from 10**30.  The
+    dense lines repeat 3 * side seeded edges; the wide and the huge labels
+    join four dense ones in each layer and each other, so they close
+    butterflies.  Fewer than 2,048 vertices: 16 KiB holds the EM rank table.
+    """
+    rng = random.Random(seed)
+    base = [(rng.randrange(side), rng.randrange(side)) for _ in range(3 * side)]
+
+    def dense():
+        return [rng.choice(base) for _ in range(dense_lines)]
+
+    def far(start):
+        return ([(start + i, v) for i in range(3) for v in range(4)]
+                + [(u, start + j) for u in range(4) for j in range(3)]
+                + [(start + i, start + j) for i in range(3) for j in range(3)])
+
+    pairs = dense() + far(10 ** 12) + dense() + far(10 ** 30)
+    return "".join(f"{u} {v}\n" for u, v in pairs)
+
+
 def end_dominant_pass(u: int, adjacency, pr, counts, touched) -> tuple[int, int, int]:
     """One start-vertex pass of the end-dominant rule; returns
     (butterflies, wedges, middle_accesses) and leaves counters zeroed.

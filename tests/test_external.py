@@ -18,8 +18,9 @@ from bicount.exact import CountReport, count_vpp
 from bicount.cli import main
 from bicount.external import EmConfig, IoStats, em_count, external_sort, iter_records
 from bicount.generate import complete_pairs, hub_pairs, pairs_to_text, random_pairs_m
-from bicount.graph import assign_priorities, parse_edge_list
-from helpers import edge_list, files_left_open, random_graph_set, timeless
+from bicount.graph import LabelIndex, assign_priorities, load_edge_list, parse_edge_list
+from helpers import (edge_list, files_left_open, mixed_label_text, random_graph_set,
+                     reference_parse, timeless)
 from test_kernel import graphs
 
 PROBS = (0.05, 0.1, 0.25, 0.5)
@@ -264,6 +265,35 @@ class TestEmCount:
             report, stats = em_count(write_graph(Path(scratch), graph_pairs(g)), cfg)
         assert report.butterflies == expected.butterflies
         assert report.wedges_processed == stats.pairs_emitted == expected.wedges_processed
+
+    @pytest.mark.parametrize("budget, block", [(16 << 10, 4 << 10), (4 << 20, 64 << 10)])
+    def test_labels_turn_from_table_to_runs_to_python_ints(self, tmp_path, monkeypatch,
+                                                           budget, block):
+        # The first chunks are numbered through the label tables, labels
+        # from 10**12 convert each index to int64 runs, and labels from
+        # 10**30 promote the runs to Python ints: the count is unchanged.
+        path = tmp_path / "mixed.txt"
+        path.write_text(mixed_label_text())
+        g = load_edge_list(path)
+        expected = reference_parse(path.read_text())
+        assert g.external_labels == expected["external_labels"]
+        assert edge_list(g) == expected["edges"]
+        forms = {}
+        number = LabelIndex.number
+
+        def spied(index, labels):
+            indices = number(index, labels)
+            form = "table" if index._table is not None else index._runs[0][0].dtype.kind
+            if forms.setdefault(id(index), [form])[-1] != form:
+                forms[id(index)].append(form)
+            return indices
+
+        monkeypatch.setattr(LabelIndex, "number", spied)
+        report, stats = em_count(path, EmConfig(memory_budget=budget, block_size=block))
+        assert list(forms.values()) == [["table", "i", "O"]] * 2
+        vpp = count_vpp(g, assign_priorities(g))
+        assert report.butterflies == vpp.butterflies > 0
+        assert report.wedges_processed == stats.pairs_emitted == vpp.wedges_processed
 
     def test_budget_beyond_the_file_reads_only_the_file(self, tmp_path):
         # A run buffer holds up to budget // 8 records: it is sized no larger

@@ -184,21 +184,32 @@ class TestArrayOnlyPaths:
 
 
 def label_batches():
+    # Short and long dense int64 batches, which the table serves; then
+    # also int64 batches with labels up to 2**62, which convert the index
+    # to runs; then also object batches, which promote the runs.
     small = st.integers(0, 60)
+    wide = st.integers(2 ** 62 - 3, 2 ** 62)
     huge = st.integers(2 ** 63, 2 ** 63 + 3) | st.integers(2 ** 64 - 2, 2 ** 64 + 1)
     as_int64 = st.lists(small, max_size=24).map(lambda xs: np.array(xs, dtype=np.int64))
+    dense = st.builds(lambda side, seed: np.random.default_rng(seed).integers(0, side, 3 * side),
+                      st.integers(1, 400), st.integers(0, 2 ** 32))
+    as_wide = st.lists(small | wide, max_size=12).map(lambda xs: np.array(xs, dtype=np.int64))
     as_object = st.lists(small | huge, max_size=12).map(lambda xs: np.array(xs, dtype=object))
-    return st.lists(as_int64, max_size=5).flatmap(
-        lambda first: st.lists(as_int64 | as_object, max_size=4).map(lambda rest: first + rest))
+    stages = (as_int64 | dense, as_int64 | dense | as_wide,
+              as_int64 | dense | as_wide | as_object)
+    return st.tuples(*(st.lists(stage, max_size=4) for stage in stages)).map(
+        lambda parts: sum(parts, []))
 
 
 class TestLabelIndex:
     @settings(max_examples=300, deadline=None)
     @given(label_batches())
     def test_numbers_labels_as_a_dict_does(self, batches):
-        # int64 batches, then object batches (labels of 2**63 and more) mixed
-        # with int64 ones; empty batches and repeated labels.  Batches of
-        # various sizes leave one or several sorted runs to search.
+        # int64 batches, then int64 batches with labels up to 2**62 and
+        # object batches (labels of 2**63 and more) mixed with int64 ones;
+        # empty batches and repeated labels.  One stream may go from the
+        # table to sorted runs to Python ints; batches of various sizes
+        # leave one or several sorted runs to search.
         index, reference = LabelIndex(), {}
         for batch in batches:
             expected = [reference.setdefault(label, len(reference)) for label in batch.tolist()]
@@ -207,15 +218,47 @@ class TestLabelIndex:
         assert index.labels() == list(reference)
 
     def test_object_runs_are_not_copied_again(self):
-        # Each batch with a label of 2**63 or more promotes the runs to
-        # object; runs promoted before are kept as they are, not copied.
+        # The first batch goes into the table, which the first batch with a
+        # label of 2**63 or more converts to one run.  Each such batch
+        # promotes the runs to object; runs promoted before are kept as they
+        # are, not copied.
         index = LabelIndex()
         index.number(np.arange(100, dtype=np.int64))
+        assert index._table is not None and not index._runs
         index.number(np.array([2 ** 63, 5], dtype=object))
+        assert index._table is None
         runs = [run for run, _ in index._runs]
         assert [run.dtype for run in runs] == [object, object]
         assert index.number(np.array([7, 2 ** 63], dtype=object)).tolist() == [7, 100]
         assert all(now is before for (now, _), before in zip(index._runs, runs))
+
+    def test_table_holds_a_bounded_number_of_entries_per_label(self):
+        # Dense batches, labels rising batch by batch (a file sorted by its
+        # first column), and sparse or repeated labels: after every batch a
+        # table holds at most TABLE_ENTRIES_PER_LABEL entries per label, and
+        # a rising table grows a few times, not once a batch.
+        rng = np.random.default_rng(3)
+        streams = {
+            "dense": [rng.permutation(1000)[:700], rng.integers(0, 1000, 5000)],
+            "rising": [np.repeat(np.arange(i, i + 100), 3) for i in range(0, 10_000, 100)],
+            "sparse": [np.arange(0, 10_000, 10)],
+            "repeated": [np.arange(50), np.full(10_000, 9_999)],
+            "late sparse": [np.arange(1000), np.arange(1000, 2000), np.array([10 ** 6])],
+        }
+        kept = {}
+        for name, batches in streams.items():
+            index, reference, sizes = LabelIndex(), {}, []
+            for batch in batches:
+                expected = [reference.setdefault(label, len(reference)) for label in batch.tolist()]
+                assert index.number(batch.astype(np.int64)).tolist() == expected
+                if index._table is not None:
+                    assert len(index._table) <= graph.TABLE_ENTRIES_PER_LABEL * len(index)
+                    sizes.append(len(index._table))
+            assert index.labels() == list(reference)
+            kept[name] = index._table is not None
+            assert len(set(sizes)) <= 10, name
+        assert kept == {"dense": True, "rising": True, "sparse": False, "repeated": False,
+                        "late sparse": False}
 
 
 # int64 labels that pack beside their indices (labels below 2^46 pack
