@@ -351,18 +351,23 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # The text is read in chunks of two blocks' worth of characters, 2B
         # (at most CHUNK_CHARS), and the rest of the line (``text_chunks``):
         # at most B/2 + 1 edge lines ("1 2\n"), whose records take at most
-        # eight blocks and 16 bytes.  Each chunk costs a loadtxt call and a
+        # eight blocks and 16 bytes.  The reader parses chunks ahead on up
+        # to one worker thread per CPU, so it holds at most workers + 1
+        # chunks in flight (``graph.read_label_batches``), and each chunk
+        # costs one fromstring pass over its bytes on a worker and a
         # gather in each label table.  On the 200k-edge benchmark files at
         # B = 64 KiB (2-core Xeon, 15 interleaved passes), chunks of one
         # block and of two were within noise on ``uniform`` (47-53 against
         # 53-62 ms), and one block was slower on ``skewed`` (101-111
         # against 62-71 ms): a first chunk of one block holds 4,157 of the
         # 20,000 labels its largest label spans, too few for a table
-        # (``graph.LabelIndex``), so both indexes number in sorted runs.
+        # (``graph.LabelIndex``), so both indexes numbered in sorted runs,
+        # which then never turned back into tables.
         chunk = min(graph.CHUNK_CHARS, 2 * cfg.block_size)
         with open(edge_path, "r", encoding="utf-8") as handle, \
-                _writer(raw_path, cfg.block_size, stats) as write:
-            for upper, lower in read_label_batches(text_chunks(handle, chunk)):
+                _writer(raw_path, cfg.block_size, stats) as write, \
+                closing(read_label_batches(text_chunks(handle, chunk))) as batches:
+            for upper, lower in batches:
                 # Both directions of every edge, as (center, neighbor) keys.
                 uppers = upper_ids.number(upper) << 1 | 1
                 lowers = lower_ids.number(lower) << 1

@@ -13,21 +13,27 @@ so every upper ID is strictly greater than every lower ID.
 
 Every edge list is read as a text stream in chunks of whole lines
 (``text_chunks``), a string as the file of that text is.
-``read_label_batches`` hands each chunk to numpy's ``loadtxt`` as one
-``io.StringIO`` and goes line by line only through a chunk ``loadtxt``
-declines.  Labels are numbered in first-seen order by ``LabelIndex``:
-while they are dense, a direct-address table numbers a batch in one
-gather; sparse labels and labels of 2**63 or more are numbered in sorted
-runs.  Duplicate edges are dropped with one packed sort of
-``key << b | index`` (``_sort_order``, which the kernel and the runs
-share), whose ties keep input order, so each key's first occurrence
-heads its run.
+``read_label_batches`` parses the chunks of one stream on worker threads,
+up to one per CPU, and hands them on in file order.  A chunk whose bytes
+are all digits, blanks and line ends, with two runs of digits or none on
+every line, is read by numpy's ``fromstring`` in one pass (``_tokenize``);
+the calling thread goes line by line only through a chunk it declines.
+Labels are numbered in first-seen order by ``LabelIndex``: while they are
+dense, a direct-address table numbers a batch in one gather; sparse
+labels and labels of 2**63 or more are numbered in sorted runs.
+Duplicate edges are dropped with one packed sort of ``key << b | index``
+(``_sort_order``, which the kernel and the runs share), whose ties keep
+input order, so each key's first occurrence heads its run.
 """
 
 from __future__ import annotations
 
 import io
-import warnings
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from itertools import chain, islice
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -158,23 +164,55 @@ def read_edges(lines: Iterable[str], first_line: int = 1):
 
 def _tokenize(text: str) -> np.ndarray | None:
     """The int64 labels of a text of lines, upper then lower for each edge
-    line in line order, when numpy's ``loadtxt`` reads every line as blank
-    or two nonnegative labels below 2**63; None otherwise."""
-    # loadtxt reads some non-ASCII characters as digits where ``int``
-    # rejects them (numpy 2.4 reads "Ǿ1" as 4621): such a text goes
-    # line by line.
-    if not text.isascii():
+    line in line order, when every line is blank or two nonnegative labels
+    below 2**63 in plain ASCII digits (``_array_labels``); None otherwise."""
+    return _read_chunk(text)[0]
+
+
+def _read_chunk(chunk: str) -> tuple[np.ndarray | None, int]:
+    """``_tokenize`` of a chunk, and the line ends it holds, counted in the
+    bytes that are parsed: the work of one worker of
+    ``read_label_batches``."""
+    data = chunk.encode("utf-8")
+    newline = np.frombuffer(data, dtype=np.uint8) == ord("\n")
+    return _array_labels(data, newline), int(np.count_nonzero(newline))
+
+
+def _array_labels(data: bytes, newline: np.ndarray) -> np.ndarray | None:
+    """The labels of the UTF-8 text ``data`` (``newline`` where its bytes
+    are ``\\n``) as numpy's ``fromstring`` reads them, or None unless each of
+    them reads as ``int`` reads it: every byte is an ASCII digit, a blank
+    (space, tab, ``\\x0b`` or ``\\x0c``) or ``\\n``, every line holds two
+    runs of digits or none, and no label reaches 2**63."""
+    # fromstring would also read signs and "\r", and it reads a line end
+    # as a blank: only digits, blanks and "\n" pass, and the lines are
+    # checked one by one for their two labels.
+    codes = np.frombuffer(data, dtype=np.uint8)
+    digit = (codes - np.uint8(ord("0"))) < 10
+    # Spaces, and the bytes from tab to "\x0c", "\n" among them.
+    spacing = np.count_nonzero(codes == ord(" ")) + np.count_nonzero((codes - np.uint8(9)) < 4)
+    if np.count_nonzero(digit) + spacing != len(codes):
         return None
-    try:
-        # No data, and on older numpy an integer read through a float, warn.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            labels = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, Warning):
+    starts = np.empty_like(digit)
+    starts[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=starts[1:])
+    # The runs each line holds: the run starts between its line ends.
+    events = np.flatnonzero(starts | newline)
+    per_line = np.diff(np.flatnonzero(newline[events]), prepend=-1, append=len(events)) - 1
+    if ((per_line != 0) & (per_line != 2)).any():
         return None
-    if labels.shape[1] != 2 or (labels < 0).any():
+    count = np.count_nonzero(starts)
+    if not count:
+        # fromstring reads a text of blanks alone as [0].
+        return np.zeros(0, dtype=np.int64)
+    labels = np.fromstring(data, dtype=np.int64, sep=" ")
+    if len(labels) != count:
         return None
-    return labels.reshape(-1)
+    # fromstring reads a label of 2**63 or more as 2**63 - 1.
+    limit = np.iinfo(np.int64).max
+    if labels.max() == limit and max(map(int, data.split())) > limit:
+        return None
+    return labels
 
 
 def _label_array(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -195,35 +233,74 @@ def text_chunks(handle: TextIO, chunk_chars: int):
         yield chunk
 
 
+def _cpu_limit() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _read_ahead(chunks: Iterable[str]):
+    """``(chunk, _read_chunk(chunk))`` of each of ``chunks``, in order.
+
+    The chunks are read on a thread pool that lives for one pass, one
+    worker for each of ``_cpu_limit()``: it holds at most workers + 1
+    chunks in flight, read but not yet handed on.  With one CPU or one
+    chunk, every chunk is read in the calling thread, which starts none.
+    """
+    chunks = iter(chunks)
+    head = list(islice(chunks, 2))
+    workers = _cpu_limit() if len(head) > 1 else 1
+    if workers == 1:
+        yield from ((chunk, _read_chunk(chunk)) for chunk in chain(head, chunks))
+        return
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for chunk in chain(head, chunks):
+            pending.append((chunk, pool.submit(_read_chunk, chunk)))
+            if len(pending) > workers:
+                chunk, future = pending.popleft()
+                yield chunk, future.result()
+        while pending:
+            chunk, future = pending.popleft()
+            yield chunk, future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def read_label_batches(chunks: Iterable[str]):
     """Yield the (upper, lower) label arrays of the edge lines of each of
-    ``chunks``, texts of whole lines ending in ``\\n`` (``text_chunks``).
+    ``chunks``, texts of whole lines ending in ``\\n`` (``text_chunks``),
+    in their order.
 
-    A chunk of plain ASCII lines is read by numpy's ``loadtxt``
-    (``_tokenize``) as one ``io.StringIO`` that numpy reads line by line
-    itself, so no list of its lines is built.  A chunk it declines is split
-    into lines at ``\\n``, as iterating the file splits it, and is read by
-    ``loadtxt`` again without its blank and comment lines, if it has any.
-    Any other chunk goes through ``read_edges``, which reads every form
-    ``int`` accepts, labels of any size (an object array of Python ints),
-    and raises ParseError with the line number, counted across chunks.
+    The chunks are parsed ahead on worker threads (``_read_ahead``): up
+    to one per CPU the process may use, with at most workers + 1 chunks in
+    flight, and none outlives the pass, even one left early.  A chunk of
+    digits, blanks and line ends, each line two labels or none, is read by
+    numpy's ``fromstring`` in one pass over its bytes (``_tokenize``).  A
+    chunk it declines is read in the calling thread: split into lines at
+    ``\\n``, as iterating the file splits it, and read by ``_tokenize``
+    again without its blank and comment lines, if it has any.  Any other
+    chunk goes through ``read_edges``, which reads every form ``int``
+    accepts, labels of any size (an object array of Python ints), and
+    raises ParseError with the line number, counted across chunks.
     """
     first_line = 1
-    for chunk in chunks:
-        labels = _tokenize(chunk)
-        if labels is None:
-            lines = list(io.StringIO(chunk, newline="\n"))
-            kept = [line for line in lines if not _skipped(line.strip())]
-            if len(kept) < len(lines):
-                labels = _tokenize("".join(kept))
+    with closing(_read_ahead(chunks)) as parsed:
+        for chunk, (labels, line_ends) in parsed:
             if labels is None:
-                labels = _label_array(list(read_edges(lines, first_line)))
-        # The count numbers the lines of later chunks, and only the last
-        # may end without a line end: its line ends suffice.  numpy counts
-        # them in the UTF-8 bytes faster than str.count does.
-        first_line += np.count_nonzero(
-            np.frombuffer(chunk.encode("utf-8"), dtype=np.uint8) == ord("\n"))
-        yield labels[0::2], labels[1::2]
+                lines = list(io.StringIO(chunk, newline="\n"))
+                kept = [line for line in lines if not _skipped(line.strip())]
+                if len(kept) < len(lines):
+                    labels = _tokenize("".join(kept))
+                if labels is None:
+                    labels = _label_array(list(read_edges(lines, first_line)))
+            # Only the last chunk may end without a line end: the line ends
+            # of the others number the lines of the next.
+            first_line += line_ends
+            yield labels[0::2], labels[1::2]
 
 
 def _packs(bound: int, count: int) -> bool:
@@ -299,25 +376,30 @@ class LabelIndex:
 
     The table serves int64 batches.  A batch whose largest label would
     break the memory rule (sparse IDs, labels of 2**62), or that holds
-    Python ints (labels of 2**63 or more), converts the index once to
-    sorted runs, each beside the index of every label in it, which serve
-    every later batch.  Small batches of scattered labels fall back early:
-    at 4 KiB blocks ``em_count`` numbers chunks of about a thousand lines,
-    and a first chunk that holds a thousand of 20,000 labels already breaks
-    the rule.  A batch is numbered in the runs by binary search, and its
-    new labels are a new run.  A run is merged into the one before it
-    (``np.insert``) until each run is at least eight times as long as the
-    next, so there are O(log n) runs, and the longest is copied only once
-    the others add up to an eighth of it: small batches do not copy the
-    whole index each.  The run labels are int64 until a batch holds labels
-    of 2**63 or more (an object array of Python ints); from then on they
-    are Python ints.
+    Python ints (labels of 2**63 or more), converts the index to sorted
+    runs, each beside the index of every label in it.  Small batches of
+    scattered labels fall back early: at 4 KiB blocks ``em_count`` numbers
+    chunks of about a thousand lines, and a first chunk that holds a
+    thousand of 20,000 labels already breaks the rule.  So int64 runs
+    return to a table once their largest label meets the rule again,
+    checked at most once each time the labels numbered have doubled since
+    the runs were made or last checked: an index converts O(log n) times.
+    A batch is numbered in the runs by binary search, and its new labels
+    are a new run.  A run is merged into the one before it (``np.insert``)
+    until each run is at least eight times as long as the next, so there
+    are O(log n) runs, and the longest is copied only once the others add
+    up to an eighth of it: small batches do not copy the whole index each.
+    The run labels are int64 until a batch holds labels of 2**63 or more
+    (an object array of Python ints); from then on they are Python ints,
+    and stay in runs.
     """
 
     def __init__(self):
         self._table: np.ndarray | None = np.zeros(0, dtype=np.int64)
         self._runs: list[tuple[np.ndarray, np.ndarray]] = []
         self._count = 0
+        # The count from which int64 runs next check for a table.
+        self._recheck = 0
 
     def __len__(self) -> int:
         return self._count
@@ -331,6 +413,7 @@ class LabelIndex:
                 return indices
             self._runs = [self._table_run()] if self._count else []
             self._table = None
+            self._recheck = 2 * self._count
         distinct, first, inverse = _unique_first(labels)
         if distinct.dtype == object:
             self._runs = [(run.astype(object, copy=False), indices)
@@ -351,6 +434,9 @@ class LabelIndex:
             at = np.searchsorted(before, run)
             self._runs[-2:] = [(np.insert(before, at, run),
                                 np.insert(before_indices, at, run_indices))]
+        if self._count >= self._recheck and self._runs and self._runs[0][0].dtype != object:
+            self._recheck = 2 * self._count
+            self._runs_to_table()
         return indices[inverse]
 
     def _number_in_table(self, labels: np.ndarray) -> np.ndarray | None:
@@ -385,6 +471,16 @@ class LabelIndex:
         self._table, self._count = table, count
         found -= 1
         return found
+
+    def _runs_to_table(self) -> None:
+        """Number through a table again if the runs' largest label keeps
+        the memory rule."""
+        top = max(int(run[-1]) for run, _ in self._runs) + 1
+        if top <= TABLE_ENTRIES_PER_LABEL * self._count:
+            self._table = np.zeros(top, dtype=np.int64)
+            for run, indices in self._runs:
+                self._table[run] = indices + 1
+            self._runs = []
 
     def _table_run(self) -> tuple[np.ndarray, np.ndarray]:
         """The table's labels, sorted, beside their indices: one run."""

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import exact, kernel
 from .errors import ConfigError
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, _cpu_limit
 
 MODES = ("dynamic", "static")
 STRATEGIES = ("priority", "random", "heuristic")
@@ -118,14 +118,6 @@ def make_static_assignment(csr: kernel.RankCsr, queue: np.ndarray,
     list schedule, each vertex lasting its wedge count.  Returns each
     lane's ranks, in the order dealt."""
     return [queue[lane] for lane in simulate_list_schedule(csr.wedges[queue].tolist(), threads)]
-
-
-def _cpu_limit() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _spare_memory() -> int | None:

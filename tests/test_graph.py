@@ -260,6 +260,40 @@ class TestLabelIndex:
         assert kept == {"dense": True, "rising": True, "sparse": False, "repeated": False,
                         "late sparse": False}
 
+    def test_dense_labels_return_to_the_table(self):
+        # A first batch of 750 of 20,000 labels is too sparse for a table;
+        # once the later batches have numbered most of them, the int64 runs
+        # turn back into a table, at most once each time the count doubles.
+        rng = np.random.default_rng(11)
+        batches = [rng.choice(20_000, 750, replace=False)]
+        batches += [rng.integers(0, 20_000, 1000) for _ in range(60)]
+        index, reference, forms = LabelIndex(), {}, []
+        for batch in batches:
+            expected = [reference.setdefault(label, len(reference)) for label in batch.tolist()]
+            assert index.number(batch.astype(np.int64)).tolist() == expected
+            forms.append("table" if index._table is not None else "runs")
+            if index._table is not None:
+                assert len(index._table) <= graph.TABLE_ENTRIES_PER_LABEL * len(index)
+        assert forms[0] == "runs" and forms[-1] == "table"
+        assert forms.index("table") > 0 and "runs" not in forms[forms.index("table"):]
+        assert index.labels() == list(reference)
+
+    def test_runs_are_checked_once_a_doubling(self, monkeypatch):
+        # Labels that stay sparse: the runs are checked for a table after
+        # the first batch and then each time the count has doubled.
+        checked = []
+        real = LabelIndex._runs_to_table
+
+        def runs_to_table(index):
+            checked.append(len(index))
+            real(index)
+        monkeypatch.setattr(LabelIndex, "_runs_to_table", runs_to_table)
+        index = LabelIndex()
+        for start in range(0, 100_000, 100):
+            index.number(np.arange(start, start + 100, dtype=np.int64) * 1000)
+        assert index._table is None and len(index) == 100_000
+        assert checked == [100 * 2 ** k for k in range(10)]
+
 
 # int64 labels that pack beside their indices (labels below 2^46 pack
 # beside up to 2^18 indices), labels of 2^62 and more beside at least four

@@ -4,7 +4,10 @@ external engine alike."""
 
 import io
 import json
+import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from bicount import graph
 from bicount.cli import main
-from bicount.errors import ParseError
+from bicount.errors import ConfigError, ParseError
 from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
 from bicount.generate import pairs_to_text
@@ -90,14 +93,15 @@ class TestAcceptedForms:
         assert g.duplicates_dropped == 1
 
     def test_rejected_batch_without_skipped_lines_is_tokenized_once(self, monkeypatch):
-        # Leaving out blank and comment lines cannot help a batch that has none.
+        # Leaving out blank and comment lines cannot help a batch that has
+        # none.  Each try is one pass of the array path over the batch's bytes.
         calls = []
 
-        def tokenize(batch):
-            calls.append(batch.count("\n"))
-            return tokenize.real(batch)
-        tokenize.real = graph._tokenize
-        monkeypatch.setattr(graph, "_tokenize", tokenize)
+        def tokenize(data, newline):
+            calls.append(data.count(b"\n"))
+            return tokenize.real(data, newline)
+        tokenize.real = graph._array_labels
+        monkeypatch.setattr(graph, "_array_labels", tokenize)
         assert labelled_edges(parse_edge_list("+5 1_000\n007 1\n")) == [(5, 1000), (7, 1)]
         assert calls == [2]
         calls.clear()
@@ -142,7 +146,7 @@ class TestAcceptedForms:
         assert (code, data["butterflies"]) == (0, 0)
 
     def test_blank_batch_leaves_no_warning(self, recwarn):
-        # loadtxt warns on a batch with no data; the reader declines it quietly.
+        # A batch with no data gives no labels, and no warning.
         assert parse_edge_list(" \n\n").edge_count == 0
         assert not recwarn.list
 
@@ -178,7 +182,8 @@ class TestParseErrorLine:
 
     @pytest.mark.parametrize("text", ["Ǿ1 2\n", "1 2ǿ\n"])
     def test_non_ascii_letter_beside_digits(self, tmp_path, text):
-        # numpy 2.4's loadtxt reads these labels as 4621 and 483.
+        # numpy 2.4's loadtxt read these labels as 4621 and 483; the array
+        # path takes only ASCII digits.
         path = write(tmp_path, text)
         for parse in (lambda: parse_edge_list(text), lambda: load_edge_list(path),
                       lambda: em_count(path, EM_CFG)):
@@ -207,16 +212,35 @@ class TestParseErrorLine:
     ("9223372036854775807 0", [2 ** 63 - 1, 0]), ("\t1\x0b2\x0c", [1, 2]),
 ])
 def test_tokenize_reads_two_int64_labels_or_declines(line, labels):
-    # The rules the batch reader relies on numpy's loadtxt to keep; the
-    # lines it declines go through read_edges.
+    # The rules the array path keeps; the lines it declines go through
+    # read_edges.
     tokens = graph._tokenize(line + "\n")
     assert (None if tokens is None else tokens.tolist()) == labels
     assert tokens is None or tokens.dtype == np.int64
 
 
-# Lines loadtxt reads (plain lines; also blanks, signs, long labels, and
+@pytest.mark.parametrize("text, labels", [
+    (" \t\x0b\x0c\n\n", []), ("1 2\n \n3 4", [1, 2, 3, 4]),
+    ("0000000000000000000000000004 1\n", [4, 1]),
+    ("1 99999999999999999999\n", None), ("18446744073709551616 0\n", None),
+    ("9223372036854775807 1\n9223372036854775808 1\n", None),
+    ("+5 1\n", None), ("1 -2\n", None), ("1 2\r\n", None), ("1 2\r3 4\n", None),
+    ("1 2\x0b3 4\n", None), ("1\n2 3 4\n", None), ("1 2\n3", None),
+], ids=["blanks", "blank-line", "leading-zeros", "2**64-ish", "2**64", "2**63",
+        "plus", "minus", "cr", "cr-inside", "vertical-tab", "one-then-three", "one-last"])
+def test_tokenize_declines_what_fromstring_reads_unlike_int(text, labels):
+    # numpy's fromstring reads blanks alone as [0], a label of 2**63 or
+    # more as 2**63 - 1, signs and "\r" as int does not, and labels
+    # across a vertical tab, which ends no line of a file, as one line's:
+    # the array path gives no label for blanks and declines the others.
+    tokens = graph._tokenize(text)
+    assert (None if tokens is None else tokens.tolist()) == labels
+    assert tokens is None or tokens.dtype == np.int64
+
+
+# Lines the array path reads (plain lines; also blanks, long labels, and
 # comment lines once they are left out) and lines only the line-by-line
-# path reads: underscores, NBSP, labels of 2**63 and more.
+# path reads: signs, underscores, NBSP, labels of 2**63 and more.
 label = st.integers(0, 6)
 plain_line = st.builds("{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), label,
                        st.sampled_from([" ", "\t", "  "]), label, st.sampled_from(["", " "]))
@@ -225,14 +249,16 @@ fallback_line = st.one_of(
                      "3\xa04", "000000000000000000004 1", "999999999999999999 5"]),
     st.builds("{} {}".format, st.integers(2 ** 63, 2 ** 63 + 2), label),
     st.builds("{} {}".format, label, st.integers(2 ** 64 - 1, 2 ** 64)))
-# Labels on both sides of int64's limit, where loadtxt hands over to int.
+# Labels on both sides of int64's limit, where the array path hands over
+# to int.
 int64_edge = st.integers(2 ** 63 - 2, 2 ** 63 + 1)
 boundary_line = st.one_of(st.builds("{} {}".format, int64_edge, label),
                           st.builds("{} {}".format, label, int64_edge))
 # Short ASCII text of digits, whitespace, signs, number syntax, comment
-# marks and NUL: what loadtxt and int could read differently.
+# marks and NUL: what fromstring and int could read differently.
 ascii_line = st.text(st.sampled_from("0123456789 \t\x0b\x0c+-_.e%#\x00"), max_size=8)
-# Mostly lines of ASCII digits, which loadtxt's column count rejects.
+# Mostly lines of ASCII digits, which the array path's count of runs per
+# line rejects.
 malformed_line = st.sampled_from(["1 2 3", "4", "1 2 3 4", "7 8 9", "5", "0 0 0 0",
                                   "1 -2", "x 1", "1 2.0", "1\x002"])
 
@@ -308,6 +334,106 @@ class TestBatchedAgainstLineByLine:
                 chunks = list(graph.text_chunks(handle, chunk_chars))
             assert "".join(chunks) == "".join(io.StringIO(text, newline=None))
             assert all(chunk.endswith("\n") for chunk in chunks[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_list_texts(), st.integers(1, 16))
+    @example("0 1\n2 3 4\n", 4)
+    @example("% h\n1 2\n+3 4\n5 6\n7 x\n", 4)
+    def test_same_outcome_on_one_cpu_and_on_four(self, text, chunk_chars):
+        # The chunks are parsed in the calling thread, or ahead on worker
+        # threads, one a CPU: the same graph or the same error line.
+        with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "CHUNK_CHARS", chunk_chars)
+            path = Path(scratch) / "g.txt"
+            path.write_bytes(text.encode("utf-8"))
+            expected = reference_outcome(text)
+            for cpus in (1, 4):
+                mp.setattr(graph, "_cpu_limit", lambda cpus=cpus: cpus)
+                assert parse_outcome(lambda: parse_edge_list(text))[0] == expected
+                assert parse_outcome(lambda: load_edge_list(path))[0] == expected
+
+
+def worker_threads(monkeypatch) -> list[int]:
+    """The thread of each chunk the array path reads from now on."""
+    idents = []
+    real = graph._read_chunk
+
+    def read_chunk(chunk):
+        idents.append(threading.get_ident())
+        return real(chunk)
+    monkeypatch.setattr(graph, "_read_chunk", read_chunk)
+    return idents
+
+
+class TestReadAhead:
+    """``read_label_batches`` parses chunks ahead on worker threads that
+    live for one pass; with one CPU or one chunk it starts none."""
+
+    LINES = "".join(f"{i % 3000} {i % 7}\n" for i in range(10_000))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_threads_end_with_the_call(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: cpus)
+        monkeypatch.setattr(graph, "CHUNK_CHARS", 1000)
+        path = write(tmp_path, self.LINES)
+        # Over 2,048 vertices overflow the smallest budget's rank table in
+        # the second of em_count's 8 KiB chunks, long before the file ends,
+        # and line 2,000 raises.
+        bad = write(tmp_path, self.LINES.replace("\n1999 ", "\n-1999 "), "bad.txt")
+        expected = reference_parse(self.LINES)
+        idents = worker_threads(monkeypatch)
+        before = threading.active_count()
+        assert parse_outcome(lambda: load_edge_list(path))[0] == expected
+        assert threading.active_count() == before
+        assert parse_outcome(lambda: parse_edge_list(self.LINES))[0] == expected
+        assert threading.active_count() == before
+        # Even while the error, and so the traceback, is kept.
+        with pytest.raises(ConfigError, match="more than 2048 vertices") as caught:
+            em_count(path, EM_CFG)
+        assert threading.active_count() == before and caught.traceback
+        with pytest.raises(ParseError, match="line 2000: ") as caught:
+            load_edge_list(bad)
+        assert threading.active_count() == before and caught.traceback
+        main = threading.get_ident()
+        if cpus == 1:
+            assert set(idents) == {main}
+        else:
+            assert main not in idents and len(set(idents)) <= cpus
+
+    def test_one_chunk_is_read_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: 4)
+        idents = worker_threads(monkeypatch)
+        before = threading.active_count()
+        assert parse_edge_list("1 2\n3 4\n").edge_count == 2
+        assert idents == [threading.get_ident()] and threading.active_count() == before
+
+    def test_batches_come_in_file_order_with_workers_plus_one_in_flight(self, monkeypatch):
+        # More workers than CPUs, switching threads often; even chunks take
+        # longer to parse, so later ones finish first.
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: 8)
+        real = graph._read_chunk
+
+        def read_chunk(chunk):
+            if int(chunk.split()[-2]) % 2 == 0:
+                time.sleep(0.002)
+            return real(chunk)
+        monkeypatch.setattr(graph, "_read_chunk", read_chunk)
+        pulled = 0
+
+        def chunks():
+            nonlocal pulled
+            for i in range(60):
+                pulled += 1
+                yield f"{i} {i + 1}\n{i} {i + 2}\n" if i % 3 else f"% {i}\n{i} {i + 1}\n"
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for handed, (upper, lower) in enumerate(graph.read_label_batches(chunks())):
+                assert upper.tolist() == [handed] * len(upper)
+                assert pulled - handed <= 8 + 1
+        finally:
+            sys.setswitchinterval(switch)
+        assert handed == 59
 
 
 # 16-character lines: a read of CHUNK chars ends at a line end.
