@@ -45,7 +45,7 @@ import numpy as np
 from . import graph, kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from .graph import LabelIndex, degree_priorities, read_label_batches, text_chunks
+from .graph import LabelIndex, degree_priorities, text_chunks
 
 RECORD_WIDTH = 8
 BIG_ENDIAN = np.dtype(">u8")
@@ -322,6 +322,16 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
             yield pairs
 
 
+def _read_workers(cfg: EmConfig, chunk_chars: int) -> int:
+    """The most worker threads ``em_count``'s first pass parses on: the
+    reader holds workers + 1 chunks of ``chunk_chars`` in flight, each
+    charged ``graph.CHUNK_BYTES_PER_CHAR`` a character, and the budget
+    holds as many as it can; at least one worker, which parses in the
+    calling thread."""
+    in_flight = cfg.memory_budget // (chunk_chars * graph.CHUNK_BYTES_PER_CHAR)
+    return max(1, in_flight - 1)
+
+
 def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     """Count butterflies in an edge-list file without holding edges in
     memory; exact, and emits exactly the end-dominant wedge set as pairs.
@@ -329,6 +339,9 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     In the report, ``start_accesses`` is the number of vertices scanned as
     wedge middles and ``middle_accesses`` the number of adjacency records
     streamed in the emission pass.
+
+    The first pass parses the text ahead on as many worker threads as the
+    budget holds chunks in flight (``_read_workers``), at least one.
 
     Besides the rank table, a pass over a sorted stream holds at most one
     block plus one run: a group, as long as its vertex's degree, or a run
@@ -351,26 +364,28 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # The text is read in chunks of two blocks' worth of characters, 2B
         # (at most CHUNK_CHARS), and the rest of the line (``text_chunks``):
         # at most B/2 + 1 edge lines ("1 2\n"), whose records take at most
-        # eight blocks and 16 bytes.  The reader parses chunks ahead on up
-        # to one worker thread per CPU, so it holds at most workers + 1
-        # chunks in flight (``graph.read_label_batches``), and each chunk
-        # costs one fromstring pass over its bytes on a worker and a
-        # gather in each label table.  On the 200k-edge benchmark files at
-        # B = 64 KiB (2-core Xeon, 15 interleaved passes), chunks of one
-        # block and of two were within noise on ``uniform`` (47-53 against
-        # 53-62 ms), and one block was slower on ``skewed`` (101-111
-        # against 62-71 ms): a first chunk of one block holds 4,157 of the
-        # 20,000 labels its largest label spans, too few for a table
-        # (``graph.LabelIndex``), so both indexes numbered in sorted runs,
-        # which then never turned back into tables.
+        # eight blocks and 16 bytes.  The reader parses chunks ahead on
+        # worker threads, as many as ``_read_workers`` lets the budget hold,
+        # and the calling thread numbers each chunk in the label indexes as
+        # it is handed on (``graph._numbered``), while the workers parse the
+        # chunks after it.  On the 200k-edge benchmark files at B = 64 KiB
+        # (2-core Xeon, 15 interleaved passes), chunks of one block and of
+        # two were within noise on ``uniform`` (47-53 against 53-62 ms), and
+        # one block was slower on ``skewed`` (101-111 against 62-71 ms): a
+        # first chunk of one block holds 4,157 of the 20,000 labels its
+        # largest label spans, too few for a table (``graph.LabelIndex``),
+        # so both indexes numbered in sorted runs, which then never turned
+        # back into tables.
         chunk = min(graph.CHUNK_CHARS, 2 * cfg.block_size)
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 _writer(raw_path, cfg.block_size, stats) as write, \
-                closing(read_label_batches(text_chunks(handle, chunk))) as batches:
-            for upper, lower in batches:
+                closing(graph._numbered(text_chunks(handle, chunk), upper_ids, lower_ids,
+                                        _read_workers(cfg, chunk))) as batches:
+            for uppers, lowers in batches:
                 # Both directions of every edge, as (center, neighbor) keys.
-                uppers = upper_ids.number(upper) << 1 | 1
-                lowers = lower_ids.number(lower) << 1
+                uppers <<= 1
+                uppers |= 1
+                lowers <<= 1
                 if len(upper_ids) + len(lower_ids) > max_vertices:
                     raise ConfigError(f"more than {max_vertices} vertices: " + (
                         "records hold 32-bit vertex IDs" if max_vertices == ID_LIMIT

@@ -18,9 +18,11 @@ up to one per CPU, and hands them on in file order.  A chunk whose bytes
 are all digits, blanks and line ends, with two runs of digits or none on
 every line, is read by numpy's ``fromstring`` in one pass (``_tokenize``);
 the calling thread goes line by line only through a chunk it declines.
-Labels are numbered in first-seen order by ``LabelIndex``: while they are
-dense, a direct-address table numbers a batch in one gather; sparse
-labels and labels of 2**63 or more are numbered in sorted runs.
+Labels are numbered in first-seen order by ``LabelIndex``, one chunk at a
+time as the reader hands it on (``_numbered``), so the calling thread
+numbers a chunk while the workers parse the chunks after it: while the
+labels are dense, a direct-address table numbers a batch in one gather;
+sparse labels and labels of 2**63 or more are numbered in sorted runs.
 Duplicate edges are dropped with one packed sort of ``key << b | index``
 (``_sort_order``, which the kernel and the runs share), whose ties keep
 input order, so each key's first occurrence heads its run.
@@ -44,6 +46,13 @@ COMMENT_PREFIXES = ("%", "#")
 
 # The characters the reader parses together, which bounds its memory.
 CHUNK_CHARS = 1 << 18
+
+# Bytes a chunk in flight costs per character.  Under tracemalloc, a
+# worker's ``_read_chunk`` of 2**17 characters peaked at 9.75 bytes a
+# character on every chunk of the skewed benchmark files (seeds 1 and 3)
+# and at 8.45 on the uniform ones (seeds 3 and 5); lines as short as
+# "1 2\n" peak at 16.3, and chunks of blank lines at 36.
+CHUNK_BYTES_PER_CHAR = 10
 
 # The entries a ``LabelIndex`` table may hold per label it has numbered.
 TABLE_ENTRIES_PER_LABEL = 4
@@ -241,17 +250,20 @@ def _cpu_limit() -> int:
         return os.cpu_count() or 1
 
 
-def _read_ahead(chunks: Iterable[str]):
+def _read_ahead(chunks: Iterable[str], max_workers: int | None = None):
     """``(chunk, _read_chunk(chunk))`` of each of ``chunks``, in order.
 
     The chunks are read on a thread pool that lives for one pass, one
-    worker for each of ``_cpu_limit()``: it holds at most workers + 1
-    chunks in flight, read but not yet handed on.  With one CPU or one
-    chunk, every chunk is read in the calling thread, which starts none.
+    worker for each of ``_cpu_limit()``, but no more than ``max_workers``
+    if given: it holds at most workers + 1 chunks in flight, read but not
+    yet handed on.  With one worker or one chunk, every chunk is read in
+    the calling thread, which starts none.
     """
     chunks = iter(chunks)
     head = list(islice(chunks, 2))
     workers = _cpu_limit() if len(head) > 1 else 1
+    if max_workers is not None:
+        workers = min(workers, max_workers)
     if workers == 1:
         yield from ((chunk, _read_chunk(chunk)) for chunk in chain(head, chunks))
         return
@@ -270,14 +282,15 @@ def _read_ahead(chunks: Iterable[str]):
         pool.shutdown(cancel_futures=True)
 
 
-def read_label_batches(chunks: Iterable[str]):
+def read_label_batches(chunks: Iterable[str], max_workers: int | None = None):
     """Yield the (upper, lower) label arrays of the edge lines of each of
     ``chunks``, texts of whole lines ending in ``\\n`` (``text_chunks``),
     in their order.
 
     The chunks are parsed ahead on worker threads (``_read_ahead``): up
-    to one per CPU the process may use, with at most workers + 1 chunks in
-    flight, and none outlives the pass, even one left early.  A chunk of
+    to one per CPU the process may use, and no more than ``max_workers``
+    if given, with at most workers + 1 chunks in flight, and none
+    outlives the pass, even one left early.  A chunk of
     digits, blanks and line ends, each line two labels or none, is read by
     numpy's ``fromstring`` in one pass over its bytes (``_tokenize``).  A
     chunk it declines is read in the calling thread: split into lines at
@@ -288,7 +301,7 @@ def read_label_batches(chunks: Iterable[str]):
     raises ParseError with the line number, counted across chunks.
     """
     first_line = 1
-    with closing(_read_ahead(chunks)) as parsed:
+    with closing(_read_ahead(chunks, max_workers)) as parsed:
         for chunk, (labels, line_ends) in parsed:
             if labels is None:
                 lines = list(io.StringIO(chunk, newline="\n"))
@@ -514,7 +527,7 @@ def parse_edge_list(source: TextIO | str) -> BipartiteGraph:
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    return _graph(read_label_batches(text_chunks(source, CHUNK_CHARS)))
+    return _graph(text_chunks(source, CHUNK_CHARS))
 
 
 def load_edge_list(path) -> BipartiteGraph:
@@ -523,18 +536,33 @@ def load_edge_list(path) -> BipartiteGraph:
         return parse_edge_list(handle)
 
 
-def _graph(label_batches) -> BipartiteGraph:
-    """The graph of the edges whose (upper, lower) label arrays
-    ``label_batches`` yields, labels numbered in first-seen order."""
+def _numbered(chunks: Iterable[str], upper_ids: LabelIndex, lower_ids: LabelIndex,
+              max_workers: int | None = None):
+    """Yield the (upper, lower) index arrays of the edge lines of each of
+    ``chunks``, numbered by ``upper_ids`` and ``lower_ids`` as
+    ``read_label_batches(chunks, max_workers)`` hands each batch on: the
+    calling thread numbers a chunk while the workers parse the chunks
+    after it, and no batch's label arrays are kept once it is numbered."""
+    with closing(read_label_batches(chunks, max_workers)) as batches:
+        for upper, lower in batches:
+            indices = upper_ids.number(upper), lower_ids.number(lower)
+            del upper, lower
+            yield indices
+
+
+def _graph(chunks: Iterable[str]) -> BipartiteGraph:
+    """The graph of the edge lines of ``chunks`` (``read_label_batches``),
+    labels numbered in first-seen order chunk by chunk (``_numbered``):
+    the index arrays of all chunks are joined, then the duplicate edges
+    dropped."""
+    upper_ids, lower_ids = LabelIndex(), LabelIndex()
     uppers = [np.zeros(0, dtype=np.int64)]
     lowers = [np.zeros(0, dtype=np.int64)]
-    for upper, lower in label_batches:
+    for upper, lower in _numbered(chunks, upper_ids, lower_ids):
         uppers.append(upper)
         lowers.append(lower)
-    upper_ids, lower_ids = LabelIndex(), LabelIndex()
-    upper = upper_ids.number(np.concatenate(uppers))
-    lower = lower_ids.number(np.concatenate(lowers))
-    return BipartiteGraph.from_indices(upper, lower, len(upper_ids), len(lower_ids),
+    return BipartiteGraph.from_indices(np.concatenate(uppers), np.concatenate(lowers),
+                                       len(upper_ids), len(lower_ids),
                                        lower_ids.labels() + upper_ids.labels())
 
 

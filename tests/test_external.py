@@ -5,6 +5,7 @@ import os
 import random
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicount import external, kernel
+from bicount import external, graph, kernel
 from bicount.errors import ConfigError
 from bicount.exact import CountReport, count_vpp
 from bicount.cli import main
@@ -391,6 +392,82 @@ class TestEmCount:
         assert len(kept) == 1
         names = {p.name.split(".")[-1] for p in kept[0].iterdir()}
         assert {"raw", "sorted"} <= names
+
+
+class _StopAfterFirstPass(Exception):
+    pass
+
+
+class TestReadAheadBudget:
+    """``em_count``'s first pass parses ahead on as many workers as the
+    budget holds chunks in flight, never more than the CPUs, and at least
+    one, which parses in the calling thread."""
+
+    @staticmethod
+    def pools(monkeypatch) -> list[int]:
+        """The worker count of each thread pool the reader starts."""
+        sizes = []
+
+        class Pool(graph.ThreadPoolExecutor):
+            def __init__(self, workers):
+                sizes.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(graph, "ThreadPoolExecutor", Pool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, budget, block, workers", [
+        (2, 4 << 20, 64 << 10, 2), (8, 4 << 20, 64 << 10, 2),
+        (2, 16 << 10, 4 << 10, 1), (8, 16 << 10, 4 << 10, 1)])
+    def test_workers_the_budget_holds(self, tmp_path, monkeypatch, cpus, budget, block,
+                                      workers):
+        cfg = EmConfig(memory_budget=budget, block_size=block)
+        assert external._read_workers(cfg, 2 * block) == workers
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: cpus)
+        sizes = self.pools(monkeypatch)
+        path = tmp_path / "mixed.txt"
+        # Three chunks of 2 x 64 KiB, or 38 of 2 x 4 KiB.
+        path.write_text(mixed_label_text())
+        em_count(path, cfg)
+        assert sizes == ([workers] if workers > 1 else [])
+
+    def test_first_pass_peak_does_not_grow_with_the_cpus(self, tmp_path, monkeypatch):
+        # 1 MiB holds three chunks of 32 KiB characters in flight: two
+        # workers, on two CPUs or on eight.
+        rng = random.Random(1)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{rng.randrange(3000)} {rng.randrange(3000)}\n"
+                                for _ in range(100_000)))
+        cfg = EmConfig(memory_budget=1 << 20, block_size=16 << 10)
+        assert external._read_workers(cfg, 2 * cfg.block_size) == 2
+
+        def stop(*args):
+            raise _StopAfterFirstPass(tracemalloc.get_traced_memory()[1])
+        monkeypatch.setattr(external, "_sort", stop)
+        peaks = {}
+        for cpus in (2, 8, 2, 8):
+            monkeypatch.setattr(graph, "_cpu_limit", lambda cpus=cpus: cpus)
+            tracemalloc.start()
+            try:
+                with pytest.raises(_StopAfterFirstPass) as caught:
+                    em_count(path, cfg)
+            finally:
+                tracemalloc.stop()
+            peaks[cpus] = min(peaks.get(cpus, math.inf), caught.value.args[0])
+        # Each chunk more in flight would add its 327,680-byte charge.
+        assert peaks[8] < peaks[2] + 160_000, peaks
+
+    def test_reports_do_not_depend_on_the_workers(self, tmp_path, monkeypatch):
+        path = tmp_path / "mixed.txt"
+        path.write_text(mixed_label_text())
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: 8)
+        outcomes = []
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(external, "_read_workers",
+                                lambda cfg, chunk, workers=workers: workers)
+            report, stats = em_count(path, MIN_CFG)
+            outcomes.append((timeless(report), stats))
+        assert outcomes[0][1].merge_passes > 1
+        assert outcomes == [outcomes[0]] * 4
 
 
 class TestWholeRuns:

@@ -22,7 +22,7 @@ from bicount.exact import count_vpp
 from bicount.external import EmConfig, em_count
 from bicount.generate import pairs_to_text
 from bicount.graph import assign_priorities, load_edge_list, parse_edge_list
-from helpers import edge_list, neighbor_lists, reference_parse, timeless
+from helpers import edge_list, mixed_label_text, neighbor_lists, reference_parse, timeless
 
 HUGE = 10 ** 30
 EM_CFG = EmConfig(memory_budget=4 * 4096, block_size=4096)
@@ -388,13 +388,18 @@ class TestReadAhead:
         assert parse_outcome(lambda: parse_edge_list(self.LINES))[0] == expected
         assert threading.active_count() == before
         # Even while the error, and so the traceback, is kept.
+        em_start = len(idents)
         with pytest.raises(ConfigError, match="more than 2048 vertices") as caught:
             em_count(path, EM_CFG)
         assert threading.active_count() == before and caught.traceback
+        em_idents = idents[em_start:]
+        del idents[em_start:]
         with pytest.raises(ParseError, match="line 2000: ") as caught:
             load_edge_list(bad)
         assert threading.active_count() == before and caught.traceback
         main = threading.get_ident()
+        # The smallest budget holds one chunk in flight: em parses inline.
+        assert em_idents and set(em_idents) == {main}
         if cpus == 1:
             assert set(idents) == {main}
         else:
@@ -434,6 +439,59 @@ class TestReadAhead:
         finally:
             sys.setswitchinterval(switch)
         assert handed == 59
+
+
+def huge_first_text() -> str:
+    """A 10**30 label in each layer on the first two lines, then dense
+    labels: one index holds Python ints from its first batch on."""
+    body = "".join(f"{i * 7 % 1500} {i * 11 % 400}\n" for i in range(20_000))
+    return f"{HUGE} 7\n7 {HUGE}\n" + body
+
+
+class TestNumberedAsHandedOn:
+    """``load_edge_list`` and ``parse_edge_list`` number each chunk's labels
+    as the reader hands the chunk on, in the calling thread, and read as
+    ``reference_parse`` reads, whichever form each label index takes."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return {name: (text, reference_parse(text)) for name, text in
+                (("mixed", mixed_label_text()), ("huge-first", huge_first_text()))}
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_number_is_called_once_per_batch_per_layer(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(graph, "_cpu_limit", lambda: cpus)
+        monkeypatch.setattr(graph, "CHUNK_CHARS", 1 << 12)
+        path = write(tmp_path, mixed_label_text())
+        with open(path, encoding="utf-8") as handle:
+            edges = [chunk.count("\n") for chunk in graph.text_chunks(handle, 1 << 12)]
+        calls = []
+        number = graph.LabelIndex.number
+
+        def spied(index, labels):
+            calls.append((index, len(labels)))
+            return number(index, labels)
+        monkeypatch.setattr(graph.LabelIndex, "number", spied)
+        g = load_edge_list(path)
+        upper_ids, lower_ids = calls[0][0], calls[1][0]
+        assert calls == [call for count in edges
+                         for call in ((upper_ids, count), (lower_ids, count))]
+        assert len(edges) > 70
+        assert (len(upper_ids), len(lower_ids)) == (g.upper_count, g.lower_count)
+
+    @pytest.mark.parametrize("name", ["mixed", "huge-first"])
+    @pytest.mark.parametrize("chunk_chars", [1 << 12, 1 << 15, graph.CHUNK_CHARS])
+    def test_same_graph_as_the_reference(self, tmp_path, monkeypatch, texts, name,
+                                         chunk_chars):
+        # mixed: the tables, then runs, then Python ints, across chunks;
+        # huge-first: Python ints in the first chunk.
+        text, expected = texts[name]
+        monkeypatch.setattr(graph, "CHUNK_CHARS", chunk_chars)
+        path = write(tmp_path, text)
+        for cpus in (1, 4):
+            monkeypatch.setattr(graph, "_cpu_limit", lambda cpus=cpus: cpus)
+            assert parse_outcome(lambda: load_edge_list(path))[0] == expected
+            assert parse_outcome(lambda: parse_edge_list(text))[0] == expected
 
 
 # 16-character lines: a read of CHUNK chars ends at a line end.
