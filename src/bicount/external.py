@@ -45,7 +45,7 @@ import numpy as np
 from . import graph, kernel
 from .errors import ConfigError
 from .exact import CountReport, check_limit
-from .graph import LabelIndex, degree_priorities, text_chunks
+from .graph import LabelIndex, degree_priorities, read_label_batches, text_chunks
 
 RECORD_WIDTH = 8
 BIG_ENDIAN = np.dtype(">u8")
@@ -325,10 +325,11 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
 def _read_workers(cfg: EmConfig, chunk_chars: int) -> int:
     """The most worker threads ``em_count``'s first pass parses on: the
     reader holds workers + 1 chunks of ``chunk_chars`` in flight, each
-    charged ``graph.CHUNK_BYTES_PER_CHAR`` a character, and the budget
-    holds as many as it can; at least one worker, which parses in the
-    calling thread."""
-    in_flight = cfg.memory_budget // (chunk_chars * graph.CHUNK_BYTES_PER_CHAR)
+    charged ``graph.CHUNK_BYTES_PER_CHAR`` a character, and what the
+    budget leaves after the writer's block holds as many as it can; at
+    least one worker, which parses in the calling thread."""
+    in_flight = ((cfg.memory_budget - cfg.block_size)
+                 // (chunk_chars * graph.CHUNK_BYTES_PER_CHAR))
     return max(1, in_flight - 1)
 
 
@@ -341,7 +342,9 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     streamed in the emission pass.
 
     The first pass parses the text ahead on as many worker threads as the
-    budget holds chunks in flight (``_read_workers``), at least one.
+    budget holds chunks in flight (``_read_workers``), at least one.  The
+    label indexes and the records of the chunk being written come on top
+    of that share, so the pass is not held within the budget.
 
     Besides the rank table, a pass over a sorted stream holds at most one
     block plus one run: a group, as long as its vertex's degree, or a run
@@ -379,13 +382,13 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         chunk = min(graph.CHUNK_CHARS, 2 * cfg.block_size)
         with open(edge_path, "r", encoding="utf-8") as handle, \
                 _writer(raw_path, cfg.block_size, stats) as write, \
-                closing(graph._numbered(text_chunks(handle, chunk), upper_ids, lower_ids,
-                                        _read_workers(cfg, chunk))) as batches:
+                closing(graph._numbered(
+                    read_label_batches(text_chunks(handle, chunk), _read_workers(cfg, chunk)),
+                    upper_ids, lower_ids)) as batches:
             for uppers, lowers in batches:
                 # Both directions of every edge, as (center, neighbor) keys.
-                uppers <<= 1
-                uppers |= 1
-                lowers <<= 1
+                uppers = uppers << 1 | 1
+                lowers = lowers << 1
                 if len(upper_ids) + len(lower_ids) > max_vertices:
                     raise ConfigError(f"more than {max_vertices} vertices: " + (
                         "records hold 32-bit vertex IDs" if max_vertices == ID_LIMIT

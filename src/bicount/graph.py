@@ -527,7 +527,7 @@ def parse_edge_list(source: TextIO | str) -> BipartiteGraph:
     """
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
-    return _graph(text_chunks(source, CHUNK_CHARS))
+    return _graph(read_label_batches(text_chunks(source, CHUNK_CHARS)))
 
 
 def load_edge_list(path) -> BipartiteGraph:
@@ -536,29 +536,28 @@ def load_edge_list(path) -> BipartiteGraph:
         return parse_edge_list(handle)
 
 
-def _numbered(chunks: Iterable[str], upper_ids: LabelIndex, lower_ids: LabelIndex,
-              max_workers: int | None = None):
-    """Yield the (upper, lower) index arrays of the edge lines of each of
-    ``chunks``, numbered by ``upper_ids`` and ``lower_ids`` as
-    ``read_label_batches(chunks, max_workers)`` hands each batch on: the
-    calling thread numbers a chunk while the workers parse the chunks
-    after it, and no batch's label arrays are kept once it is numbered."""
-    with closing(read_label_batches(chunks, max_workers)) as batches:
+def _numbered(label_batches, upper_ids: LabelIndex, lower_ids: LabelIndex):
+    """Yield the (upper, lower) index arrays of each of the (upper, lower)
+    label arrays ``label_batches`` yields, numbered by ``upper_ids`` and
+    ``lower_ids`` as each batch is handed on: the calling thread numbers a
+    chunk while the reader's workers parse the chunks after it, and no
+    batch's label arrays are kept once it is numbered."""
+    with closing(label_batches) as batches:
         for upper, lower in batches:
             indices = upper_ids.number(upper), lower_ids.number(lower)
             del upper, lower
             yield indices
 
 
-def _graph(chunks: Iterable[str]) -> BipartiteGraph:
-    """The graph of the edge lines of ``chunks`` (``read_label_batches``),
-    labels numbered in first-seen order chunk by chunk (``_numbered``):
-    the index arrays of all chunks are joined, then the duplicate edges
-    dropped."""
+def _graph(label_batches) -> BipartiteGraph:
+    """The graph of the edges whose (upper, lower) label arrays
+    ``label_batches`` yields, labels numbered in first-seen order batch by
+    batch (``_numbered``): the index arrays of all batches are joined,
+    then the duplicate edges dropped."""
     upper_ids, lower_ids = LabelIndex(), LabelIndex()
     uppers = [np.zeros(0, dtype=np.int64)]
     lowers = [np.zeros(0, dtype=np.int64)]
-    for upper, lower in _numbered(chunks, upper_ids, lower_ids):
+    for upper, lower in _numbered(label_batches, upper_ids, lower_ids):
         uppers.append(upper)
         lowers.append(lower)
     return BipartiteGraph.from_indices(np.concatenate(uppers), np.concatenate(lowers),

@@ -376,34 +376,43 @@ class TestReadAhead:
         monkeypatch.setattr(graph, "_cpu_limit", lambda: cpus)
         monkeypatch.setattr(graph, "CHUNK_CHARS", 1000)
         path = write(tmp_path, self.LINES)
-        # Over 2,048 vertices overflow the smallest budget's rank table in
-        # the second of em_count's 8 KiB chunks, long before the file ends,
-        # and line 2,000 raises.
+        # Over 2,048 vertices overflow the smallest budget's rank table at
+        # line 2,042, long before the file ends, and line 2,000 raises.
         bad = write(tmp_path, self.LINES.replace("\n1999 ", "\n-1999 "), "bad.txt")
         expected = reference_parse(self.LINES)
         idents = worker_threads(monkeypatch)
         before = threading.active_count()
+        main = threading.get_ident()
+
+        def threads(ids):
+            # One CPU reads in the calling thread, more on worker threads.
+            return ids == {main} if cpus == 1 else main not in ids and len(ids) <= cpus
         assert parse_outcome(lambda: load_edge_list(path))[0] == expected
         assert threading.active_count() == before
         assert parse_outcome(lambda: parse_edge_list(self.LINES))[0] == expected
         assert threading.active_count() == before
         # Even while the error, and so the traceback, is kept.
-        em_start = len(idents)
-        with pytest.raises(ConfigError, match="more than 2048 vertices") as caught:
-            em_count(path, EM_CFG)
-        assert threading.active_count() == before and caught.traceback
-        em_idents = idents[em_start:]
-        del idents[em_start:]
         with pytest.raises(ParseError, match="line 2000: ") as caught:
             load_edge_list(bad)
         assert threading.active_count() == before and caught.traceback
-        main = threading.get_ident()
-        # The smallest budget holds one chunk in flight: em parses inline.
-        assert em_idents and set(em_idents) == {main}
-        if cpus == 1:
-            assert set(idents) == {main}
-        else:
-            assert main not in idents and len(set(idents)) <= cpus
+        assert threads(set(idents))
+
+        def em_threads(edge_path, cfg, error, match):
+            """The threads of the chunks of an ``em_count`` that raises."""
+            del idents[:]
+            with pytest.raises(error, match=match) as caught:
+                em_count(edge_path, cfg)
+            assert threading.active_count() == before and caught.traceback
+            return set(idents)
+        # The smallest budget holds one 1,000-character chunk in flight, so
+        # em parses inline; 1 MiB holds many, and so does the smallest
+        # budget over 100-character chunks: em parses on the workers and
+        # raises in the reader or in its own loop while they run.
+        assert em_threads(path, EM_CFG, ConfigError, "more than 2048 vertices") == {main}
+        assert threads(em_threads(bad, EmConfig(memory_budget=1 << 20, block_size=4096),
+                                  ParseError, "line 2000: "))
+        monkeypatch.setattr(graph, "CHUNK_CHARS", 100)
+        assert threads(em_threads(path, EM_CFG, ConfigError, "more than 2048 vertices"))
 
     def test_one_chunk_is_read_in_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(graph, "_cpu_limit", lambda: 4)
