@@ -1,7 +1,9 @@
 """Out-of-core butterfly counting under a configurable memory budget.
 
-Pipeline, entirely over 8-byte records, each the key
-``first << 32 | second`` of two fields below 2**32:
+Pipeline, entirely over 8-byte records of two fields: an adjacency
+record is the key ``first << 32 | second`` of two fields below 2**32, and
+a wedge pair the key ``start * n + end`` of two ranks below n, the
+vertex count, as ``kernel._expand`` keys a wedge:
 
 1. stream the text edge list once, assigning dense per-layer IDs and
    writing both directions of every edge as (center, neighbor) records;
@@ -21,12 +23,16 @@ The passes over a sorted stream read it as whole runs (``_whole_runs``):
 every array they get holds complete groups, or complete runs of equal
 pairs, so no pass keeps state from one array to the next.
 
-Records move as numpy arrays of native uint64 keys, so run formation and
-every merge step are one integer sort, and (first, second) ascending is
-key order.  On disk a key is stored big-endian, so byte order is numeric
-order and every sorted file is sorted bytewise.  The fields are the
-engine's dense, layer-tagged vertex IDs in adjacency records and vertex
-ranks in pair records, which fit 32 bits below ``ID_LIMIT`` vertices.
+Records move as numpy arrays of native integer keys, so run formation
+and every merge step are one integer sort, and (first, second) ascending
+is key order.  Adjacency keys are uint64; pair keys are uint32 when
+n * n <= 2**32, else uint64 (``kernel.key_dtype``, the kernel's rule for
+its wedge keys), so the pairs of a graph below 65,537 vertices are
+sorted, merged and folded at half width.  On disk every key is 8 bytes,
+stored big-endian, so byte order is numeric order and every sorted file
+is sorted bytewise.  The fields are the engine's dense, layer-tagged
+vertex IDs in adjacency records and vertex ranks in pair records, which
+fit 32 bits below ``ID_LIMIT`` vertices.
 I/O follows the scan model of Aggarwal and Vitter: a pass over S bytes
 costs ceil(S / B) transfers; reading the text input is not metered.
 """
@@ -100,11 +106,18 @@ def _records(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 @contextmanager
 def _writer(path, block_size: int, stats: IoStats):
     """Yield a ``write(records)`` into ``path`` opened for writing, which
-    stores each key big-endian by swapping the array's bytes in place, so
-    the caller gives the array up; meter one transfer per block written
-    once the body is done.  A failed write still closes the file (a full
-    disk), and meters nothing."""
+    stores each key as 8 bytes big-endian: uint64 keys by swapping the
+    array's bytes in place, so the caller gives the array up, and narrower
+    keys widened a block at a time, so no copy of the whole array is made.
+    Meter one transfer per block written once the body is done.  A failed
+    write still closes the file (a full disk), and meters nothing."""
+    per_block = block_size // RECORD_WIDTH
+
     def write(records: np.ndarray) -> None:
+        if records.itemsize < RECORD_WIDTH:
+            for start in range(0, len(records), per_block):
+                handle.write(records[start:start + per_block].astype(BIG_ENDIAN))
+            return
         if records.dtype != BIG_ENDIAN:  # native keys on a little-endian host
             records = records.byteswap(inplace=True).view(BIG_ENDIAN)
         handle.write(records)
@@ -114,29 +127,36 @@ def _writer(path, block_size: int, stats: IoStats):
         stats.blocks_written += -(-handle.tell() // block_size)
 
 
-def iter_records(path, block_size: int, stats: IoStats):
+def iter_records(path, block_size: int, stats: IoStats, dtype=np.uint64):
     """Stream a record file as arrays of a block's worth of records (the
-    last may be shorter), metering one pass over it.  No array is asked
-    for beyond the file's records: numpy sizes its buffer from the count."""
+    last may be shorter) of native ``dtype`` keys, metering one pass over
+    it.  A narrower ``dtype`` (uint32 pair keys) takes each block in one
+    ``astype``; it must hold every key.  No array is asked for beyond the
+    file's records: numpy sizes its buffer from the count."""
     size = os.path.getsize(path)
     if size % RECORD_WIDTH:
         raise ConfigError(f"record file {path} truncated mid-record")
     stats.blocks_read += -(-size // block_size)
     count = min(block_size // RECORD_WIDTH, max(1, size // RECORD_WIDTH))
+    narrow = np.dtype(dtype).itemsize < RECORD_WIDTH
     with open(path, "rb") as handle:
         while len(records := np.fromfile(handle, dtype=">u8", count=count)):
+            if narrow:
+                yield records.astype(dtype)
+                continue
             # Swapping the bytes and the dtype's byte order keeps the values
             # and, on a little-endian host, gives native uint64 in place.
             yield records.byteswap(inplace=True).view(records.dtype.newbyteorder())
 
 
-def _merge(paths, cfg: EmConfig, stats: IoStats):
-    """Yield the records of sorted run files in order, a block at a time:
-    every buffered record up to the smallest buffered tail is final.  The
-    run files are closed when the merge ends, whether it finishes, fails
-    or is closed."""
+def _merge(paths, cfg: EmConfig, stats: IoStats, dtype):
+    """Yield the records of sorted run files in order, as ``dtype`` keys, a
+    block at a time: every buffered record up to the smallest buffered
+    tail is final.  The run files are closed when the merge ends, whether
+    it finishes, fails or is closed."""
     with ExitStack() as stack:
-        streams = [stack.enter_context(closing(iter_records(path, cfg.block_size, stats)))
+        streams = [stack.enter_context(closing(
+                       iter_records(path, cfg.block_size, stats, dtype)))
                    for path in paths]
         buffers = {stream: next(stream) for stream in streams}
         while buffers:
@@ -147,16 +167,18 @@ def _merge(paths, cfg: EmConfig, stats: IoStats):
                 taken.append(buffer[:cut])
                 buffers[stream] = buffer[cut:] if cut < len(buffer) else next(stream, None)
             buffers = {s: b for s, b in buffers.items() if b is not None}
-            yield np.sort(np.concatenate(taken))
+            merged = np.concatenate(taken)
+            merged.sort()
+            yield merged
 
 
 def _write_runs(arrays, capacity: int, cfg: EmConfig, stats: IoStats,
                 scratch_dir, suffix: str) -> list[str]:
     """Write the records of ``arrays`` as sorted run files of ``capacity``
-    records each (the last may be shorter): one buffer is filled, sorted
-    in place and written out from itself, again and again.  Returns the
-    run paths."""
-    buffer = np.empty(capacity, dtype=np.uint64)
+    records each (the last may be shorter): one buffer, in the dtype of
+    the first array, is filled, sorted in place and written out from
+    itself, again and again.  Returns the run paths."""
+    buffer = None
     runs: list[str] = []
 
     def flush(filled: int) -> None:
@@ -168,6 +190,8 @@ def _write_runs(arrays, capacity: int, cfg: EmConfig, stats: IoStats,
 
     filled = 0
     for records in arrays:
+        if buffer is None:
+            buffer = np.empty(capacity, dtype=records.dtype)
         while len(records):
             take = min(capacity - filled, len(records))
             buffer[filled:filled + take] = records[:take]
@@ -181,11 +205,12 @@ def _write_runs(arrays, capacity: int, cfg: EmConfig, stats: IoStats,
     return runs
 
 
-def _merged(runs: list[str], cfg: EmConfig, stats: IoStats, scratch_dir, suffix: str):
-    """Yield the records of sorted run files in order, as arrays.  While
-    more than ``merge_width`` runs remain, a sweep merges them
-    ``merge_width`` at a time into new run files; the last sweep is
-    yielded, not written.  Each sweep, the last included, is one
+def _merged(runs: list[str], cfg: EmConfig, stats: IoStats, scratch_dir, suffix: str,
+            dtype=np.uint64):
+    """Yield the records of sorted run files in order, as arrays of
+    ``dtype`` keys.  While more than ``merge_width`` runs remain, a sweep
+    merges them ``merge_width`` at a time into new run files; the last
+    sweep is yielded, not written.  Each sweep, the last included, is one
     ``merge_passes`` increment, so one run yields in zero passes."""
     width = cfg.merge_width
     generation = 0
@@ -201,13 +226,13 @@ def _merged(runs: list[str], cfg: EmConfig, stats: IoStats, scratch_dir, suffix:
             next_runs.append(os.path.join(
                 scratch_dir, f"m{generation}-{len(next_runs)}.{suffix}"))
             with _writer(next_runs[-1], cfg.block_size, stats) as write:
-                for records in _merge(group, cfg, stats):
+                for records in _merge(group, cfg, stats, dtype):
                     write(records)
             _discard(group, cfg)
         runs = next_runs
     if len(runs) > 1:
         stats.merge_passes += 1
-    yield from _merge(runs, cfg, stats)
+    yield from _merge(runs, cfg, stats, dtype)
     _discard(runs, cfg)
 
 
@@ -297,11 +322,14 @@ def _iter_groups(path, cfg: EmConfig, stats: IoStats, lower_count: int):
 
 
 def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
-    """Yield, as arrays of (start, end) records in ranks, one pair for
-    every wedge of ``groups`` whose end outranks both its middle (the
-    group's center) and its start.  An array holds at most ``capacity``
-    pairs, the records of a pair run, or the pairs of one member if more."""
+    """Yield, as arrays of ``kernel.key_dtype`` keys ``start * n + end`` in
+    ranks below n, the length of ``rank``, one pair for every wedge of
+    ``groups`` whose end outranks both its middle (the group's center) and
+    its start.  An array holds at most ``capacity`` pairs, the records of a
+    pair run, or the pairs of one member if more."""
     cap = min(kernel.CHUNK_WEDGES, capacity)
+    width = kernel.key_dtype(len(rank), len(rank))
+    n = width(len(rank))
     for centers, starts, sizes, neighbors in groups:
         # One sort orders each group's members by rank: an end that
         # outranks the center pairs with every member before it.
@@ -313,12 +341,12 @@ def _wedge_pairs(groups, rank: np.ndarray, stats: IoStats, capacity: int):
         counts = np.where(members > rank[centers][group],
                           np.arange(len(members)) - firsts, 0)
         stats.pairs_emitted += int(counts.sum())
-        # A pair is the key (earlier member) << 32 | member.
-        members = members.astype(np.uint64)
-        starts = members << 32
+        # A pair is the key (earlier member) * n + member.
+        members = members.astype(width)
+        starts = members * n
         for part in np.split(np.arange(len(counts)), kernel.chunk_bounds(counts, cap)):
             pairs = starts[kernel.ranges(firsts[part], counts[part])]
-            pairs |= np.repeat(members[part], counts[part])
+            pairs += np.repeat(members[part], counts[part])
             yield pairs
 
 
@@ -353,6 +381,12 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
     leaves after the rank table (8 bytes a vertex) and one block of
     groups, but at least a block's worth, and hands them over in arrays
     no larger than that buffer, unless one member's pairs alone are.
+
+    Adjacency records are the keys ``first << 32 | second`` of layer-tagged
+    IDs.  A wedge pair is the key ``start * n + end`` of two ranks, n the
+    vertex count, held as uint32 when n * n <= 2**32 (``kernel.key_dtype``),
+    else uint64; on disk it takes 8 bytes either way, and the buffer's capacity
+    is counted in 8-byte records, so the I/O does not depend on the width.
     """
     t0 = perf_counter()
     stats = IoStats()
@@ -427,7 +461,8 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         # The int64 dot, twice the sum, is exact while an array holds fewer
         # than 3 * 10**9 records.
         butterflies = 0
-        with closing(_merged(runs, cfg, stats, scratch, "pairs")) as merged:
+        with closing(_merged(runs, cfg, stats, scratch, "pairs",
+                             kernel.key_dtype(n, n))) as merged:
             for records in _whole_runs(merged, lambda records: records):
                 lengths = kernel.repeated_runs(records)[1]
                 butterflies += int(np.dot(lengths, lengths - 1)) // 2

@@ -127,6 +127,12 @@ def chunk_bounds(counts: np.ndarray, cap: int | None = None) -> list[int]:
     return stops[:-1]
 
 
+def key_dtype(count: int, n: int) -> type:
+    """The dtype of the keys ``i * n + end``, i below ``count`` and end
+    below ``n``: uint32 when the largest, count * n - 1, fits, else uint64."""
+    return np.uint32 if count * n <= 1 << 32 else np.uint64
+
+
 def ranges(begins: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated index ranges ``begins[i] : begins[i] + counts[i]``."""
     firsts = np.cumsum(counts) - counts
@@ -150,7 +156,7 @@ def _expand(csr: RankCsr, rows: np.ndarray):
     first_end = csr.first_end[row_entries]
     ends = csr.row_offsets[1:][csr.columns[row_entries]] - first_end
     positions = ranges(first_end, ends)
-    width = np.uint32 if len(rows) * csr.n <= 1 << 32 else np.uint64
+    width = key_dtype(len(rows), csr.n)
     # A start's wedges are consecutive, so one repeat over the starts suffices.
     keys = np.repeat(np.arange(len(rows), dtype=width) * csr.n, csr.wedges[rows])
     keys += csr.columns[positions].astype(width)

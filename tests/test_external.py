@@ -332,13 +332,14 @@ class TestEmCount:
         path = tmp_path / "dense.txt"
         assert main(["gen", "random", "--a", "100", "--b", "100", "--p", "0.3",
                      "--seed", "1", "--output", str(path)]) == 0
+        n = len(parse_edge_list(path.read_text()).degrees)
         real, seen = external._write_runs, []
 
         def recording(arrays, capacity, *args):
             def seen_arrays():
                 for records in arrays:
-                    # A pair's low field is the member whose pairs it is.
-                    members = len(np.unique(records & 0xFFFF_FFFF))
+                    # A pair start * n + end is one of the pairs of its end.
+                    members = len(np.unique(records % n))
                     seen.append((len(records), capacity, members))
                     yield records
             return real(seen_arrays() if args[-1] == "pairs" else arrays, capacity, *args)
@@ -350,6 +351,45 @@ class TestEmCount:
         assert len(seen) > 1
         for size, capacity, members in seen:
             assert size <= capacity or members == 1
+
+    @pytest.mark.parametrize("n, width", [(65_536, np.uint32), (65_537, np.uint64)])
+    def test_pair_keys_take_the_width_n_squared_needs(self, tmp_path, monkeypatch, n, width):
+        # K_{50,30} (its 30 lowers of degree 50 take the top ranks) and a
+        # matching of degree-1 vertices up to n: the two top-ranked lowers
+        # share a middle, so the largest pair is (n - 2) * n + n - 1, which
+        # is 2**32 - 65,537 at n = 65,536 and over 2**32 at 65,537.  The
+        # block's 21,750 pairs fill two runs of the 15,872 that 640 KiB
+        # leaves beside the rank table, merged in one pass.
+        pairs = complete_pairs(50, 30)
+        pairs += [(50 + i, 30 + i) for i in range((n - 80) // 2)]
+        if n % 2:
+            pairs.append((0, 30 + (n - 80) // 2))
+        path = write_graph(tmp_path, pairs)
+        expected = vpp_report(path)
+        assert expected.butterflies == math.comb(50, 2) * math.comb(30, 2)
+        real, widths, largest = external._write_runs, set(), [0]
+
+        def recording(arrays, capacity, *args):
+            def seen_arrays():
+                for records in arrays:
+                    widths.add(records.dtype.type)
+                    largest[0] = max(largest[0], int(records.max(initial=0)))
+                    yield records
+            return real(seen_arrays() if args[-1] == "pairs" else arrays, capacity, *args)
+
+        monkeypatch.setattr(external, "_write_runs", recording)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        cfg = EmConfig(memory_budget=640 << 10, block_size=4096, scratch_dir=str(scratch),
+                       keep_scratch=True)
+        report, stats = em_count(path, cfg)
+        assert report.butterflies == expected.butterflies
+        assert report.wedges_processed == stats.pairs_emitted == expected.wedges_processed
+        assert widths == {width}
+        assert largest[0] == (n - 2) * n + n - 1
+        [kept] = scratch.iterdir()
+        assert len(list(kept.glob("[0-9]*.pairs"))) == 2
+        assert stats.merge_passes >= 1
 
     def test_a_failure_in_any_pass_closes_its_files_first(self, tmp_path, monkeypatch):
         # An error in the degree pass, the emission (any block of groups, whose
@@ -468,6 +508,37 @@ class TestReadAheadBudget:
             outcomes.append((timeless(report), stats))
         assert outcomes[0][1].merge_passes > 1
         assert outcomes == [outcomes[0]] * 4
+
+
+class TestWriter:
+    def test_narrow_keys_are_written_a_block_at_a_time(self, tmp_path):
+        # 16 blocks of uint32 keys, the whole range, go to disk as 8-byte
+        # big-endian records; widening them whole would take 16 blocks, one
+        # block at a time takes one.  The slack covers the file's buffer.
+        block = 64 << 10
+        keys = np.random.default_rng(1).integers(0, 1 << 32, 16 * block // 8, dtype=np.uint32)
+        keys[:2] = 0, 2 ** 32 - 1
+        stats = IoStats()
+        path = tmp_path / "keys.bin"
+        with external._writer(path, block, stats) as write:
+            tracemalloc.start()
+            try:
+                write(keys)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * block + (16 << 10), peak
+        assert path.read_bytes() == keys.astype(">u8").tobytes()
+        assert stats.blocks_written == 16
+
+    def test_narrow_reads_give_the_written_keys(self, tmp_path):
+        keys = np.array([0, 1, 2 ** 31, 2 ** 32 - 1], dtype=np.uint32)
+        path = tmp_path / "keys.bin"
+        with external._writer(path, 4096, IoStats()) as write:
+            write(keys)
+        [read] = iter_records(path, 4096, IoStats(), np.uint32)
+        assert read.dtype == np.uint32
+        assert read.tolist() == keys.tolist()
 
 
 class TestWholeRuns:
