@@ -6,10 +6,10 @@ lies in c - 1 butterflies together with each of its two edges, and the
 kernel credits the CSR entries of both, which carry their edge ids, so no
 edge-index lookup is needed.  A wedge with c = 1 lies in none, so only
 the wedges of runs of two or more equal pairs are credited.  The start
-vertices fold on the lanes of ``parallel.fold_lanes``, each summing into
-an int64 credit array of its own, 2m entries, so lanes never race; the
-arrays are added up and mapped to edges once.  The sums are integers, so
-the counts are identical for every lane count.
+vertices fold on one lane per worker ``parallel._workers`` allows, each
+summing into an int64 credit array of its own, 2m entries, so lanes never
+race; the arrays are added up and mapped to edges once.  The sums are
+integers, so the counts are identical for every lane count.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ def count_per_edge_evpp(g: BipartiteGraph, p: np.ndarray) -> EdgeCounts:
     """Per-edge counts of ``g`` under any priorities ``p``, following
     g's edge index."""
     csr = kernel.rank_csr(g, p)
-    # Each worker holds an int64 credit array of its own.
-    per_entry, *others = parallel.fold_lanes(csr, kernel.credit_rows,
-                                             held=8 * len(csr.columns))
+    # Each lane holds an int64 credit array: one lane a worker, none without a chunk.
+    held = 8 * len(csr.columns)
+    chunks = kernel.chunks(csr, np.arange(csr.n)[::-1])
+    lanes = parallel._deal(csr, chunks, min(len(chunks), parallel._workers(csr, chunks, held)))
+    per_entry, *others = parallel.fold_lanes(csr, kernel.credit_rows, lanes, held)
     for credit in others:
         per_entry += credit
     per_edge = np.zeros(g.edge_count, dtype=np.int64)

@@ -4,7 +4,8 @@ Three global counters, each a wedge rule under a priority, all on the
 vectorized rank-space kernel (``kernel.py``):
 
 * ``count_vpp``  -- end-dominant counter; the END vertex outranks start
-  and middle, under a vertex priority.
+  and middle, under a vertex priority.  It runs ``count_parallel``'s
+  default schedule on one lane per CPU the process may use.
 * ``count_vp``   -- vertex-priority counter; the start-dominant rule
   (the start outranks the middle and the end) under the same priorities.
   Its wedges are those of ``count_vpp`` read from the other end, so it
@@ -31,7 +32,7 @@ from time import perf_counter
 
 import numpy as np
 
-from . import kernel, parallel
+from . import parallel
 from .errors import CountOverflowError
 from .graph import BipartiteGraph, assign_priorities, degree_priorities
 
@@ -111,18 +112,15 @@ def count_vp(g: BipartiteGraph, p: np.ndarray) -> CountReport:
 def count_vpp(g: BipartiteGraph, p: np.ndarray) -> CountReport:
     """End-dominant counter over any graph and priorities ``p``.
 
-    Processes wedge (u, v, w) only when w outranks both u and v; the
-    rank-space kernel aggregates them in sorted chunks, on the lanes
-    ``parallel.fold_lanes`` deals.
-    Every start and every directed adjacency entry (as a middle) is
-    visited once, so the access counters are n and 2m.
+    Processes wedge (u, v, w) only when w outranks both u and v: the
+    report of ``parallel.count_parallel`` under the default schedule (the
+    dynamic plan and the ``priority`` queue) on one lane per CPU the
+    process may use.  Every start and every directed adjacency entry (as a
+    middle) is visited once, so the access counters are n and 2m.
     """
-    t0 = perf_counter()
-    csr = kernel.rank_csr(g, p)
-    butterflies, wedges = map(sum, zip(*parallel.fold_lanes(csr, kernel.count_rows)))
-    check_limit(butterflies, "butterfly count")
-    return CountReport(butterflies, wedges, g.vertex_count, 2 * g.edge_count,
-                       wedges, perf_counter() - t0)
+    report, _ = parallel.count_parallel(
+        g, p, parallel.ScheduleConfig(threads=parallel._cpu_limit()))
+    return report
 
 
 def prepare_vpp(g: BipartiteGraph) -> tuple[BipartiteGraph, np.ndarray, None]:

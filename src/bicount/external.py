@@ -457,15 +457,12 @@ def em_count(edge_path, cfg: EmConfig) -> tuple[CountReport, IoStats]:
         del rank
         _discard([sorted_path], cfg)
 
-        # A run of c >= 2 equal pairs adds C(c, 2); runs of one add nothing.
-        # The int64 dot, twice the sum, is exact while an array holds fewer
-        # than 3 * 10**9 records.
+        # Runs of equal pairs are whole in each array the merge hands on.
         butterflies = 0
         with closing(_merged(runs, cfg, stats, scratch, "pairs",
                              kernel.key_dtype(n, n))) as merged:
             for records in _whole_runs(merged, lambda records: records):
-                lengths = kernel.repeated_runs(records)[1]
-                butterflies += int(np.dot(lengths, lengths - 1)) // 2
+                butterflies += kernel.closed_butterflies(records)
         check_limit(butterflies, "butterfly count")
 
         report = CountReport(butterflies, stats.pairs_emitted, groups, records_scanned,

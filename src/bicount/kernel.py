@@ -21,9 +21,10 @@ Within a chunk the (start, end) keys are sorted: a run of length c is c
 wedges sharing both endpoints, which close C(c, 2) butterflies, and each
 of those wedges lies in c - 1 of them together with both of its edges.
 Only runs of two or more close any (``repeated_runs``), and only those
-are folded: ``count_rows`` sums C(c, 2) over them, and ``credit_rows``
-credits their wedges alone, found through the sort's order, so a wedge
-that closes nothing costs its expansion, the sort and one comparison.
+are folded: ``closed_butterflies`` sums C(c, 2) over them for
+``count_rows`` and the EM merge, and ``credit_rows`` credits their wedges
+alone, found through the sort's order, so a wedge that closes nothing
+costs its expansion, the sort and one comparison.
 A key is i * n + end, i its start's index among the chunk's starts with
 wedges: uint32 when their count times n is at most 2^32, else uint64.  The
 CSR build and the credit, which need the sort's order, sort the uint64
@@ -182,6 +183,15 @@ def repeated_runs(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, turns[1::2] - starts + 1
 
 
+def closed_butterflies(sorted_keys: np.ndarray) -> int:
+    """The butterflies that wedges of the sorted (start, end) keys
+    ``sorted_keys`` close: C(c, 2) a run of c >= 2 equal keys."""
+    lengths = repeated_runs(sorted_keys)[1]
+    # The int64 dot, twice the sum, is exact while an array holds fewer
+    # than 3 * 10**9 keys.
+    return int(np.dot(lengths, lengths - 1)) // 2
+
+
 def count_rows(csr: RankCsr, chunks: list[np.ndarray]) -> tuple[int, int]:
     """(butterflies, wedges) of the wedges starting at the rows of
     ``chunks``, each row array expanded once.  A butterfly's wedges share
@@ -190,8 +200,7 @@ def count_rows(csr: RankCsr, chunks: list[np.ndarray]) -> tuple[int, int]:
     for rows in chunks:
         keys = _expand(csr, rows)[3]
         keys.sort()
-        lengths = repeated_runs(keys)[1]
-        butterflies += int(np.dot(lengths, lengths - 1)) // 2
+        butterflies += closed_butterflies(keys)
         wedges += len(keys)
     return butterflies, wedges
 

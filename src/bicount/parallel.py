@@ -1,16 +1,18 @@
 """Scheduled butterfly counting: the paper's parallel engine, and the lane
 fold that every in-memory count runs on.
 
-The paper splits start vertices over threads.  Here the schedule decides
-each thread's share, its *lane*: a list of chunks of start rows, cut once
-by ``kernel.chunks``.  ``fold_lanes`` folds the lanes at the same time,
-each with one kernel call (``kernel.count_rows``, or ``credit_rows`` for
-per-edge counts) that expands its chunks over one shared, read-only
-rank-space CSR (``kernel.rank_csr``) in long numpy passes (sort, take,
-cumsum) that release the GIL.  A thread pool that lives for one call
-folds them, one worker per lane with wedges up to ``_workers``, so
-``threads`` is the lane count, never the OS thread count; with at most
-one such lane the call folds in the calling thread and starts none.
+The paper splits start vertices over threads; ``exact.count_vpp`` is
+``count_parallel``'s default schedule on one lane per CPU.  The schedule
+decides each thread's share, its *lane*: a list of chunks of start rows,
+cut once by ``kernel.chunks``.  ``fold_lanes`` folds the lanes it is given
+at the same time, each with one kernel call (``kernel.count_rows``, or
+``credit_rows`` for per-edge counts, one lane per worker) that expands its
+chunks over one shared, read-only rank-space CSR (``kernel.rank_csr``) in
+long numpy passes (sort, take, cumsum) that release the GIL.  A thread
+pool that lives for one call folds them, one worker per lane with wedges
+up to ``_workers``, so ``threads`` is the lane count, never the OS thread
+count; with at most one such lane the call folds in the calling thread
+and starts none.
 Every lane is dealt by one model, the list schedule (Graham 1969,
 ``simulate_list_schedule``): jobs leave one queue in order, each to the
 lane that frees earliest.  The strategy picks the queue of start
@@ -151,24 +153,14 @@ def _deal(csr: kernel.RankCsr, chunks: list[np.ndarray], threads: int) -> list[l
     return [[chunks[i] for i in lane] for lane in simulate_list_schedule(durations, threads)]
 
 
-def fold_lanes(csr: kernel.RankCsr, fold, lanes: list[list[np.ndarray]] | None = None,
-               held: int = 0) -> list:
+def fold_lanes(csr: kernel.RankCsr, fold, lanes: list[list[np.ndarray]], held: int = 0) -> list:
     """``fold(csr, chunks)`` of every lane, a list of chunks, in lane order.
-    Without ``lanes``, ``_deal`` deals the chunks of the highest-priority-first
-    queue to each worker ``_workers`` allows with ``held`` bytes, up to one a
-    chunk.  Lanes with wedges fold on a pool of up to ``_workers`` threads
-    for this call; with at most one, or one worker, every lane folds in the
-    calling thread, which starts none."""
-    if lanes is None:
-        chunks = kernel.chunks(csr, np.arange(csr.n)[::-1])
-        threads = _workers(csr, chunks, held) if len(chunks) > 1 else 1
-        # Every chunk but a lone one has wedges: only lanes past the chunks are empty.
-        lanes = [lane for lane in _deal(csr, chunks, threads) if lane]
-        workers = len(lanes)
-    else:
-        busy = sum(1 for lane in lanes if any(csr.wedges[rows].any() for rows in lane))
-        workers = (min(busy, _workers(csr, [rows for lane in lanes for rows in lane], held))
-                   if busy > 1 else 1)
+    Lanes with wedges fold on a pool of up to ``_workers`` threads, each
+    holding ``held`` bytes, for this call; with at most one, or one worker,
+    every lane folds in the calling thread, which starts none."""
+    busy = sum(1 for lane in lanes if any(csr.wedges[rows].any() for rows in lane))
+    workers = (min(busy, _workers(csr, [rows for lane in lanes for rows in lane], held))
+               if busy > 1 else 1)
     fold = partial(fold, csr)
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
@@ -180,8 +172,8 @@ def count_parallel(g: BipartiteGraph, p: np.ndarray,
                    cfg: ScheduleConfig) -> tuple[exact.CountReport, list[ThreadReport]]:
     """Scheduled end-dominant counting over any graph and priorities ``p``.
 
-    The count always equals ``count_vpp``'s; per-lane wedge totals
-    partition its total.
+    ``exact.count_vpp`` is its default schedule on one lane per CPU; the
+    count is the same under every schedule, and lanes partition the wedges.
     """
     t0 = perf_counter()
     spare = _spare_memory()

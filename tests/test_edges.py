@@ -135,22 +135,21 @@ class TestThreadedCredit:
         assert threading.active_count() == before
 
     def test_no_lane_is_dealt_without_rows(self, monkeypatch):
-        # 64 CPUs and a few chunks: one lane a chunk, and no lane of a
-        # sum's folds is handed an empty row set (or a zero credit array).
+        # 64 CPUs and a few chunks: one lane a chunk, and no per-edge lane
+        # is handed an empty row set (or a zero credit array).  The lanes
+        # of count_vpp are count_parallel's (test_parallel.TestDefaultSchedule).
         g = busy_graph()
         monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
         monkeypatch.setattr(parallel, "_cpu_limit", lambda: 64)
-        sizes = {"count_rows": [], "credit_rows": []}
-        for name, seen in sizes.items():
-            def recording(csr, chunks, real=getattr(kernel, name), seen=seen):
-                seen.append(sum(map(len, chunks)))
-                return real(csr, chunks)
-            monkeypatch.setattr(kernel, name, recording)
-        expected = brute_force_per_edge(g)
-        assert per_edge_counts(g) == expected
-        assert count_vpp(g, assign_priorities(g)).butterflies == expected.butterflies
-        for seen in sizes.values():
-            assert len(seen) > 1 and all(seen)
+        real, seen = kernel.credit_rows, []
+
+        def recording(csr, chunks):
+            seen.append(sum(map(len, chunks)))
+            return real(csr, chunks)
+
+        monkeypatch.setattr(kernel, "credit_rows", recording)
+        assert per_edge_counts(g) == brute_force_per_edge(g)
+        assert len(seen) > 1 and all(seen)
 
     def test_one_cpu_folds_inline_with_the_same_counts(self, monkeypatch):
         g = busy_graph()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bicount import kernel, parallel
 from bicount.errors import ConfigError
 from bicount.edges import brute_force_per_edge
-from bicount.exact import CountReport, count_vpp
+from bicount.exact import CountReport, count_ibs, count_vp, count_vpp
 from bicount.generate import hub_pairs, random_pairs, random_pairs_m
 from bicount.graph import BipartiteGraph, assign_priorities
 from bicount.parallel import (MODES, STRATEGIES, ScheduleConfig, count_parallel,
@@ -506,6 +506,44 @@ class TestThreadPool:
         assert [t.vertices_handled for t in lanes] == [g.vertex_count, 0, 0, 0]
         assert set(idents) == {threading.get_ident()}
         assert threading.active_count() == before
+
+
+class TestDefaultSchedule:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_count_vpp_folds_the_lanes_of_count_parallel(self, monkeypatch, cpus):
+        # count_vpp runs count_parallel's default schedule, the dynamic plan
+        # and the priority queue, on one lane per CPU: a count_rows spy sees
+        # the same lanes, as a set on the pool's workers and in lane order
+        # when one worker folds them all (memory caps workers, not lanes).
+        # Every exact engine's report stays as pinned.
+        g = busy_graph()
+        p = assign_priorities(g)
+        monkeypatch.setattr(kernel, "CHUNK_WEDGES", 50)
+        monkeypatch.setattr(parallel, "_cpu_limit", lambda: cpus)
+        real, folded = kernel.count_rows, []
+
+        def recording(csr, chunks):
+            folded.append([rows.tolist() for rows in chunks])
+            return real(csr, chunks)
+
+        monkeypatch.setattr(kernel, "count_rows", recording)
+        for inline in (False, True):
+            if inline:
+                monkeypatch.setattr(parallel, "_workers", lambda *args: 1)
+            folded.clear()
+            report, lanes = count_parallel(g, p, ScheduleConfig(threads=cpus))
+            planned = folded[:]
+            folded.clear()
+            assert timeless(count_vpp(g, p)) == timeless(report) == \
+                CountReport(477, 784, 70, 464, 784, 0.0)
+            assert len(planned) == len(lanes) == cpus
+            if not inline:
+                # Workers fold their lanes in any order.
+                folded.sort()
+                planned.sort()
+            assert folded == planned
+        assert timeless(count_vp(g, p)) == CountReport(477, 784, 70, 293, 784, 0.0)
+        assert timeless(count_ibs(g)) == CountReport(477, 657, 30, 232, 657, 0.0)
 
 
 @pytest.mark.parametrize("module", ["bicount.parallel", "bicount.exact", "bicount.edges"])
